@@ -9,7 +9,7 @@ import numpy as np
 
 from shapenas import (ActionCatalog, ContextSpec, LayerTemplate, SearchSpace,
                       ShapingConfig, SyntheticOracle, SyntheticTaskSpec,
-                      run_search, run_search_scalarized)
+                      run_search)
 from shapenas.controller import CallableSecondary
 from shapenas.harness import episodes_to_plateau
 
@@ -33,8 +33,8 @@ cfg = ShapingConfig(episodes=120, max_steps=4, tau=-1e9, epsilon0=(1.0,),
 shaped, scalar = [], []
 for seed in range(10):
     ts = run_search(space, oracle, secondary, cfg, seed=seed)
-    tc = run_search_scalarized(space, oracle, secondary, cfg, seed=seed,
-                               weights=(1.0, 0.1))
+    tc = run_search(space, oracle, secondary, cfg, seed=seed,
+                    weights=(1.0, 0.1))
     shaped.append(episodes_to_plateau(ts.episode_returns))
     scalar.append(episodes_to_plateau(tc.episode_returns))
     print(f"seed {seed}: shaped plateau at episode {shaped[-1]:3d}, "

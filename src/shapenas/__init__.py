@@ -3,11 +3,10 @@ Q-learning and a learned execution-behavior predictor."""
 
 from .bob import (BobConfig, BobModel, MetaPrediction, learn_meta, load_model,
                   predict, predict_network, save_model, score)
-from .controller import (RewardVector, SearchSpace, SearchTrace,
-                         ShapingConfig, ShapingState, brute_force_best_chain,
-                         check_epsilon_schedule, greedy_rollout, run_search,
-                         run_search_scalarized)
-from .dataset import MetaDataset, MetaSample, ingest_stats, oversample
+from .controller import (SearchSpace, SearchTrace, ShapingConfig,
+                         ShapingState, brute_force_best_chain,
+                         check_epsilon_schedule, greedy_rollout, run_search)
+from .dataset import MetaDataset, ingest_stats, oversample
 from .design_space import (ActionCatalog, ArchLayerSpec, CandidateNetwork,
                            ContextSpec, LayerTemplate, apply_action,
                            embed_state, legal_actions, parse_network)

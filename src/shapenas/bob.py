@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import MetaDataset
+from .design_space import row_signature
 from .trees import BoostedRegressor
 
 MODEL_FORMAT_VERSION = 1
@@ -73,10 +74,6 @@ class BobModel:
                 f"expected {len(self.columns)} features "
                 f"({self.schema_fingerprint}), got {row.shape[-1]}")
 
-    def _signature(self, row: np.ndarray) -> tuple:
-        n_arch = sum(1 for c in self.columns if c.startswith("type=")) + 10
-        return (tuple(row[:n_arch]), tuple(row[n_arch:]))
-
     def gate_feasible(self, X: np.ndarray) -> np.ndarray:
         if self.gate is None:
             return np.ones(len(np.atleast_2d(X)), dtype=bool)
@@ -99,7 +96,7 @@ def predict(model: BobModel, features: np.ndarray) -> MetaPrediction:
     otherwise the bag-mean regression values."""
     row = np.asarray(features, dtype=float).ravel()
     model._check_schema(row)
-    if model._signature(row) in model.infeasible_registry:
+    if row_signature(row) in model.infeasible_registry:
         return INFEASIBLE
     if not bool(model.gate_feasible(row[None, :])[0]):
         return INFEASIBLE

@@ -32,17 +32,6 @@ class TerminalStateError(ValueError):
 
 
 @dataclass(frozen=True)
-class RewardVector:
-    primary: float
-    secondary: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        vals = (self.primary, *self.secondary)
-        if any(not np.isfinite(v) for v in vals):
-            raise ValueError("reward components must be finite")
-
-
-@dataclass(frozen=True)
 class ShapingConfig:
     gamma: float = 0.9
     beta: float = 0.5
@@ -151,8 +140,9 @@ class SearchTrace:
                 row = [r.episode, r.step, r.action, r.r_p, *r.r_s,
                        *r.epsilons, r.delta, r.q_target, *r.phi_values,
                        r.cum_return, int(r.infeasible)]
-                fh.write(",".join(repr(v) if isinstance(v, float) else str(v)
-                                  for v in row) + "\n")
+                # float() first: a numpy scalar's repr is not a number
+                fh.write(",".join(repr(float(v)) if isinstance(v, float)
+                                  else str(v) for v in row) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -424,31 +414,19 @@ def run_episodes(state: ShapingState, space: SearchSpace, oracle, secondary,
 
 def run_search(space: SearchSpace, oracle, secondary, cfg: ShapingConfig,
                seed: int, state: ShapingState | None = None,
-               episodes: int | None = None) -> SearchTrace:
-    """Full shaped search: init (or resume from ``state``), run episodes."""
-    t0 = time.perf_counter()
-    if state is None:
-        state = init_state(cfg, space, seed)
-    trace = SearchTrace([], [], None, (), 0.0, seed)
-    run_episodes(state, space, oracle, secondary, cfg,
-                 episodes if episodes is not None else cfg.episodes, trace)
-    trace.wall_time = time.perf_counter() - t0
-    trace.state = state
-    return trace
+               episodes: int | None = None, weights=None) -> SearchTrace:
+    """Full search: init (or resume from ``state``), run episodes.
 
-
-def run_search_scalarized(space: SearchSpace, oracle, secondary,
-                          cfg: ShapingConfig, seed: int, weights,
-                          state: ShapingState | None = None,
-                          episodes: int | None = None) -> SearchTrace:
-    """Baseline: identical loop, one weighted reward, plain Q-learning."""
+    Shaped by default; ``weights`` (w0, w1, ...) selects the scalarized
+    baseline on the same loop (see ``run_episodes``).
+    """
     t0 = time.perf_counter()
     if state is None:
         state = init_state(cfg, space, seed)
     trace = SearchTrace([], [], None, (), 0.0, seed)
     run_episodes(state, space, oracle, secondary, cfg,
                  episodes if episodes is not None else cfg.episodes, trace,
-                 scalar_weights=tuple(weights))
+                 scalar_weights=None if weights is None else tuple(weights))
     trace.wall_time = time.perf_counter() - t0
     trace.state = state
     return trace

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .design_space import (BLOCK_KINDS, PROCESSOR_KINDS, arch_columns,
-                           context_columns)
+                           context_columns, one_hot, row_signature)
 
 REQUIRED_COLUMNS = (
     "Type", "Kernel Size", "Stride", "Padding", "Expansion Ratio", "Idskip",
@@ -63,62 +63,32 @@ class StatsParseError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class MetaSample:
-    """One encoded layer row: features, response targets, feasibility flag."""
-
-    features: tuple[float, ...]
-    targets: tuple[float, ...] | None  # None iff infeasible
-    feasible: bool
-
-    def __post_init__(self):
-        if self.feasible != (self.targets is not None):
-            raise ValueError("targets must be present iff feasible")
-        if self.targets is not None:
-            if any(not np.isfinite(t) or t < 0 for t in self.targets):
-                raise ValueError("feasible targets must be finite and >= 0")
-
-
 @dataclass
 class MetaDataset:
-    """Encoded stats corpus plus the registry of known-infeasible rows."""
+    """Encoded stats corpus plus the registry of known-infeasible rows.
+
+    ``X``, ``Y`` and ``feasible`` may be given as nested lists; the registry
+    is always derived from ``X`` and ``feasible``.
+    """
 
     columns: list[str]
     target_names: list[str]
     X: np.ndarray  # (n, d) encoded features
     Y: np.ndarray  # (n, w); NaN on infeasible rows
     feasible: np.ndarray  # (n,) bool
-    infeasible_registry: set = field(default_factory=set)
+    infeasible_registry: set = field(init=False)
+
+    def __post_init__(self):
+        self.X = np.asarray(self.X, dtype=float).reshape(
+            -1, len(self.columns))
+        self.Y = np.asarray(self.Y, dtype=float).reshape(
+            -1, len(self.target_names))
+        self.feasible = np.asarray(self.feasible, dtype=bool)
+        self.infeasible_registry = {row_signature(x)
+                                    for x in self.X[~self.feasible]}
 
     def __len__(self) -> int:
         return len(self.X)
-
-    @property
-    def samples(self) -> list[MetaSample]:
-        out = []
-        for i in range(len(self.X)):
-            ok = bool(self.feasible[i])
-            out.append(MetaSample(tuple(self.X[i]),
-                                  tuple(self.Y[i]) if ok else None, ok))
-        return out
-
-    def signature(self, i: int) -> tuple:
-        """(arch features, context features) identity of row i."""
-        n_arch = len(arch_columns())
-        row = self.X[i]
-        return (tuple(row[:n_arch]), tuple(row[n_arch:]))
-
-    def feasible_subset(self) -> "MetaDataset":
-        m = self.feasible
-        return MetaDataset(list(self.columns), list(self.target_names),
-                           self.X[m], self.Y[m], self.feasible[m], set())
-
-
-def _encode_categorical(value: str, levels: tuple[str, ...]) -> list[float]:
-    vec = [0.0] * len(levels)
-    if value in levels:
-        vec[levels.index(value)] = 1.0
-    return vec
 
 
 def dataset_columns(has_processor: bool, task_arity: int) -> list[str]:
@@ -164,6 +134,14 @@ def ingest_stats(path) -> MetaDataset:
                     f"{path}:{line}: non-numeric value {raw!r} in column "
                     f"{name!r}", line=line)
 
+        def target(row, name, line):
+            value = numeric(row, name, line)
+            if not (np.isfinite(value) and value >= 0):
+                raise StatsParseError(
+                    f"{path}:{line}: feasible row needs a finite, "
+                    f"non-negative {name!r}, got {value!r}", line=line)
+            return value
+
         X_rows, Y_rows, feas = [], [], []
         for line, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
@@ -172,7 +150,7 @@ def ingest_stats(path) -> MetaDataset:
                 raise StatsParseError(
                     f"{path}:{line}: expected {len(header)} cells, "
                     f"got {len(row)}", line=line)
-            vec = _encode_categorical(cell(row, "Type"), BLOCK_KINDS)
+            vec = one_hot(cell(row, "Type"), BLOCK_KINDS, "block")
             for csv_name in ("Kernel Size", "Stride", "Padding",
                              "Expansion Ratio", "Idskip", "Channels",
                              "Height", "Width", "Input Volume",
@@ -182,8 +160,8 @@ def ingest_stats(path) -> MetaDataset:
                              "Clock Freq.", "Memory B/w"):
                 vec.append(numeric(row, csv_name, line))
             if has_processor:
-                vec += _encode_categorical(cell(row, "Processor Kind"),
-                                           PROCESSOR_KINDS)
+                vec += one_hot(cell(row, "Processor Kind"), PROCESSOR_KINDS,
+                               "processor")
             for tc in task_cols:
                 vec.append(numeric(row, tc, line))
 
@@ -197,7 +175,7 @@ def ingest_stats(path) -> MetaDataset:
             else:
                 ok = True
             if ok:
-                targets = [numeric(row, t, line) for t in target_names]
+                targets = [target(row, t, line) for t in target_names]
             else:
                 for t in target_names:
                     if cell(row, t):
@@ -209,15 +187,7 @@ def ingest_stats(path) -> MetaDataset:
             Y_rows.append(targets)
             feas.append(ok)
 
-    n_cols = len(columns)
-    X = np.asarray(X_rows, dtype=float).reshape(len(X_rows), n_cols)
-    Y = np.asarray(Y_rows, dtype=float).reshape(len(Y_rows),
-                                                len(target_names))
-    feasible = np.asarray(feas, dtype=bool)
-    ds = MetaDataset(columns, target_names, X, Y, feasible)
-    ds.infeasible_registry = {ds.signature(i) for i in range(len(ds))
-                              if not feasible[i]}
-    return ds
+    return MetaDataset(columns, target_names, X_rows, Y_rows, feas)
 
 
 def write_stats(rows: list[dict], target_names: list[str], path,
@@ -260,8 +230,7 @@ def oversample(data: MetaDataset, factor: float, seed: int) -> MetaDataset:
     if n_new == 0:
         return MetaDataset(list(data.columns), list(data.target_names),
                            data.X.copy(), data.Y.copy(),
-                           data.feasible.copy(),
-                           set(data.infeasible_registry))
+                           data.feasible.copy())
     rng = np.random.default_rng(seed)
     numeric = _numeric_column_mask(data.columns)
     k_neighbors = 5
@@ -293,11 +262,8 @@ def oversample(data: MetaDataset, factor: float, seed: int) -> MetaDataset:
     X = np.vstack([data.X, np.asarray(X_new)])
     Y = np.vstack([data.Y, np.asarray(Y_new)])
     feasible = np.concatenate([data.feasible, np.asarray(feas_new)])
-    out = MetaDataset(list(data.columns), list(data.target_names), X, Y,
-                      feasible)
-    out.infeasible_registry = {out.signature(i) for i in range(len(out))
-                               if not feasible[i]}
-    return out
+    return MetaDataset(list(data.columns), list(data.target_names), X, Y,
+                       feasible)
 
 
 def train_holdout_split(data: MetaDataset, test_fraction: float,
@@ -309,10 +275,7 @@ def train_holdout_split(data: MetaDataset, test_fraction: float,
     test_idx, train_idx = order[:n_test], order[n_test:]
 
     def take(idx):
-        sub = MetaDataset(list(data.columns), list(data.target_names),
-                          data.X[idx], data.Y[idx], data.feasible[idx])
-        sub.infeasible_registry = {sub.signature(i) for i in range(len(sub))
-                                   if not sub.feasible[i]}
-        return sub
+        return MetaDataset(list(data.columns), list(data.target_names),
+                           data.X[idx], data.Y[idx], data.feasible[idx])
 
     return take(train_idx), take(test_idx)

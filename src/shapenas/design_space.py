@@ -123,7 +123,8 @@ class ContextSpec:
                 raise ValueError(f"{name} must be non-negative")
 
 
-def _one_hot(value: str, levels: tuple[str, ...], what: str) -> list[float]:
+def one_hot(value: str, levels: tuple[str, ...], what: str) -> list[float]:
+    """Indicator vector over ``levels``; an unseen value encodes as zeros."""
     vec = [0.0] * len(levels)
     if value in levels:
         vec[levels.index(value)] = 1.0
@@ -227,6 +228,13 @@ def arch_columns() -> list[str]:
     return [f"type={k}" for k in BLOCK_KINDS] + list(ARCH_NUMERIC)
 
 
+def row_signature(row) -> tuple:
+    """(arch features, context features) identity of one encoded row, the
+    key of the infeasible registry."""
+    n_arch = len(arch_columns())
+    return (tuple(row[:n_arch]), tuple(row[n_arch:]))
+
+
 def context_columns(task_arity: int) -> list[str]:
     cols = list(CONTEXT_NUMERIC)
     cols += [f"processor={k}" for k in PROCESSOR_KINDS]
@@ -242,14 +250,14 @@ def feature_columns(task_arity: int) -> list[str]:
 def encode_context(ctx: ContextSpec) -> list[float]:
     vec = [float(ctx.cores), float(ctx.compute_units), float(ctx.memory_mb),
            float(ctx.clock_freq_mhz), float(ctx.memory_bandwidth)]
-    vec += _one_hot(ctx.processor_kind, PROCESSOR_KINDS, "processor")
+    vec += one_hot(ctx.processor_kind, PROCESSOR_KINDS, "processor")
     vec += [float(v) for v in ctx.task]
     return vec
 
 
 def encode_layer(layer: ArchLayerSpec, in_shape: tuple[int, int, int]) -> list[float]:
     in_c, in_h, in_w = in_shape
-    vec = _one_hot(layer.block_kind, BLOCK_KINDS, "block")
+    vec = one_hot(layer.block_kind, BLOCK_KINDS, "block")
     vec += [float(layer.kernel_size), float(layer.stride),
             float(layer.padding), float(layer.expansion_ratio),
             float(layer.id_skip), float(layer.channels), float(layer.height),
@@ -297,7 +305,3 @@ def embed_state(net: CandidateNetwork, ctx: ContextSpec) -> np.ndarray:
         last = [0.0] * len(arch_columns())
         cum_volume = 0.0
     return np.asarray(last + [float(net.depth), cum_volume] + ctx_vec)
-
-
-def state_dim(task_arity: int) -> int:
-    return len(arch_columns()) + 2 + len(context_columns(task_arity))

@@ -11,7 +11,6 @@ input.
 """
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,31 +95,6 @@ def sgd_step(fa: MlpApprox, x, target: float,
     return MlpApprox(weights, biases, fa.step_size)
 
 
-def finite_difference_gradients(fa: MlpApprox, x, h=1e-5):
-    """Central-difference d(output)/d(parameters); oracle for backprop."""
-    grad_w = [np.zeros_like(W) for W in fa.weights]
-    grad_b = [np.zeros_like(b) for b in fa.biases]
-    for layer, W in enumerate(fa.weights):
-        for idx in np.ndindex(W.shape):
-            Wp = [w.copy() for w in fa.weights]
-            Wm = [w.copy() for w in fa.weights]
-            Wp[layer][idx] += h
-            Wm[layer][idx] -= h
-            up = MlpApprox(Wp, fa.biases, fa.step_size).forward(x)
-            dn = MlpApprox(Wm, fa.biases, fa.step_size).forward(x)
-            grad_w[layer][idx] = (up - dn) / (2 * h)
-    for layer, b in enumerate(fa.biases):
-        for idx in np.ndindex(b.shape):
-            bp = [v.copy() for v in fa.biases]
-            bm = [v.copy() for v in fa.biases]
-            bp[layer][idx] += h
-            bm[layer][idx] -= h
-            up = MlpApprox(fa.weights, bp, fa.step_size).forward(x)
-            dn = MlpApprox(fa.weights, bm, fa.step_size).forward(x)
-            grad_b[layer][idx] = (up - dn) / (2 * h)
-    return grad_w, grad_b
-
-
 # ---------------------------------------------------------------------------
 # Unified (state, action) value interface used by the controller
 # ---------------------------------------------------------------------------
@@ -146,9 +120,6 @@ class TabularValues:
         v = new.table.get((key, action), 0.0)
         new.table[(key, action)] = v + rate * (target - v)
         return new
-
-    def snapshot(self):
-        return TabularValues(self.table)
 
     def to_dict(self):
         return {"backend": "tabular",
@@ -183,11 +154,10 @@ class MlpValues:
 
     def blend(self, key, embed, action, n_actions, target,
               rate=None) -> "MlpValues":
+        """One SGD step at the net's own step size; ``rate`` (the tabular
+        blend fraction) is ignored, since as a step size it diverges."""
         x = self._input(embed, action, n_actions)
-        return MlpValues(sgd_step(self.net, x, target, step_size=rate))
-
-    def snapshot(self):
-        return MlpValues(copy.deepcopy(self.net))
+        return MlpValues(sgd_step(self.net, x, target))
 
     def to_dict(self):
         return {"backend": "mlp",

@@ -7,6 +7,7 @@ separate file so the deterministic artifacts stay reproducible.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import json
 import os
 import shutil
@@ -160,7 +161,17 @@ def cmd_train_predictor(config_path, seed: int, out_dir) -> dict:
     return report_doc
 
 
+def _per_action_total(metric, net, actions):
+    return [sum(metric[a] for a in actions)]
+
+
+def _no_metrics(net, actions):
+    return []
+
+
 def _build_secondary(doc, space):
+    """The configured secondary source; module-level callables, so that it
+    pickles into worker processes."""
     spec = doc.get("secondary", {"kind": "none"})
     kind = spec.get("kind", "none")
     if kind == "predictor":
@@ -168,27 +179,27 @@ def _build_secondary(doc, space):
         return controller.PredictorSecondary(model, space.context)
     if kind == "per_action":
         metric = list(cfgmod.require(spec, "metric"))
-
-        def fn(net, actions):
-            return [sum(metric[a] for a in actions)]
-
-        return controller.CallableSecondary(fn, 1)
+        return controller.CallableSecondary(
+            functools.partial(_per_action_total, metric), 1)
     if kind == "none":
-        return controller.CallableSecondary(lambda net, actions: [], 0)
+        return controller.CallableSecondary(_no_metrics, 0)
     raise cfgmod.ConfigError(f"unknown secondary kind {kind!r}")
 
 
-def _run_one(config_path, seed, scalarized):
-    doc = cfgmod.load_config(config_path)
-    space = cfgmod.build_space(doc)
-    oracle = cfgmod.build_oracle(doc)
-    secondary = _build_secondary(doc, space)
-    shaping = cfgmod.build_shaping(doc)
-    if scalarized:
-        weights = tuple(cfgmod.require(doc, "scalarized_weights"))
-        return controller.run_search_scalarized(space, oracle, secondary,
-                                                shaping, seed, weights)
-    return controller.run_search(space, oracle, secondary, shaping, seed)
+def _run_one(doc, space, secondary, shaping, seed, weights):
+    # a fresh oracle per replicate: a noisy one restarts its noise stream
+    return controller.run_search(space, cfgmod.build_oracle(doc), secondary,
+                                 shaping, seed, weights=weights)
+
+
+def _run_replicates(doc, space, secondary, shaping, jobs, seeds, weights):
+    """One trace per (seed, weights) pair, in order; ``weights`` None runs
+    the shaped search. Up to ``jobs`` worker processes."""
+    run = functools.partial(_run_one, doc, space, secondary, shaping)
+    if jobs > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(run, seeds, weights))
+    return list(map(run, seeds, weights))
 
 
 def _replicate_summary(doc, space, oracle, secondary, trace) -> dict:
@@ -234,15 +245,11 @@ def cmd_search(config_path, seed: int, replicates: int, jobs: int,
     space = cfgmod.build_space(doc)
     oracle = cfgmod.build_oracle(doc)
     secondary = _build_secondary(doc, space)
-    n_sec = len(cfgmod.build_shaping(doc).epsilon0)
+    shaping = cfgmod.build_shaping(doc)
+    n_sec = len(shaping.epsilon0)
     seeds = [seed + i for i in range(replicates)]
-
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            traces = list(pool.map(_run_one, [config_path] * replicates,
-                                   seeds, [False] * replicates))
-    else:
-        traces = [_run_one(config_path, s, False) for s in seeds]
+    traces = _run_replicates(doc, space, secondary, shaping, jobs, seeds,
+                             [None] * replicates)
 
     rows, timings, failed = [], [], []
     for trace in traces:
@@ -267,18 +274,15 @@ def cmd_compare(config_path, seed: int, replicates: int, jobs: int,
     """Shaped vs scalarized on identical seeds; reports the plateau speedup."""
     doc = cfgmod.load_config(config_path)
     _ensure_out(out_dir, config_path)
-    n_sec = len(cfgmod.build_shaping(doc).epsilon0)
+    space = cfgmod.build_space(doc)
+    shaping = cfgmod.build_shaping(doc)
+    n_sec = len(shaping.epsilon0)
     seeds = [seed + i for i in range(replicates)]
-
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            shaped = list(pool.map(_run_one, [config_path] * replicates,
-                                   seeds, [False] * replicates))
-            scalar = list(pool.map(_run_one, [config_path] * replicates,
-                                   seeds, [True] * replicates))
-    else:
-        shaped = [_run_one(config_path, s, False) for s in seeds]
-        scalar = [_run_one(config_path, s, True) for s in seeds]
+    weights = tuple(cfgmod.require(doc, "scalarized_weights"))
+    traces = _run_replicates(doc, space, _build_secondary(doc, space),
+                             shaping, jobs, seeds * 2,
+                             [None] * replicates + [weights] * replicates)
+    shaped, scalar = traces[:replicates], traces[replicates:]
 
     failed = []
     shaped_ep, scalar_ep = [], []

@@ -14,7 +14,8 @@ import numpy as np
 
 from . import dataset as ds
 from .design_space import (ActionCatalog, CandidateNetwork, ContextSpec,
-                           apply_action, legal_actions)
+                           apply_action, encode_context, encode_layer,
+                           feature_columns, legal_actions)
 
 
 def encode_chain(actions) -> str:
@@ -163,12 +164,12 @@ def gen_synth_stats(catalog: ActionCatalog, contexts, true_model: SynthStatsMode
     if len(true_model.context_multipliers) != len(contexts):
         raise ValueError("one context multiplier per context required")
     rng = np.random.default_rng(seed)
-    task_arity = len(contexts[0].task)
-    raw_rows = []
+    raw_rows, X_rows, Y_rows = [], [], []
     while len(raw_rows) < count:
         net, _ = random_network(catalog, input_shape, rng)
         ci = int(rng.integers(len(contexts)))
         ctx, mult = contexts[ci], true_model.context_multipliers[ci]
+        ctx_vec = encode_context(ctx)
         shape = net.input_shape
         for layer in net.layers:
             if len(raw_rows) >= count:
@@ -197,22 +198,17 @@ def gen_synth_stats(catalog: ActionCatalog, contexts, true_model: SynthStatsMode
             for i, v in enumerate(ctx.task):
                 row[f"Task {i}"] = v
             if feasible:
-                row["Execution time"] = true_model.layer_latency(layer, mult)
-                row["Memory Usage"] = true_model.layer_memory(layer, mult)
+                targets = [true_model.layer_latency(layer, mult),
+                           true_model.layer_memory(layer, mult)]
             else:
-                row["Execution time"] = ""
-                row["Memory Usage"] = ""
+                targets = ["", ""]
+            row.update(zip(TARGET_NAMES, targets))
             raw_rows.append(row)
+            X_rows.append(encode_layer(layer, shape) + ctx_vec)
+            Y_rows.append(targets if feasible else [np.nan, np.nan])
             shape = (layer.channels, layer.height, layer.width)
 
-    import os
-    import tempfile
-    fd, tmp = tempfile.mkstemp(suffix=".csv")
-    os.close(fd)
-    try:
-        ds.write_stats(raw_rows, TARGET_NAMES, tmp, has_processor=True,
-                       task_arity=task_arity)
-        data = ds.ingest_stats(tmp)
-    finally:
-        os.unlink(tmp)
+    data = ds.MetaDataset(feature_columns(len(contexts[0].task)),
+                          list(TARGET_NAMES), X_rows, Y_rows,
+                          [r["feasible"] for r in raw_rows])
     return data, raw_rows

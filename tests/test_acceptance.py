@@ -12,13 +12,15 @@ import pytest
 from shapenas import (ActionCatalog, ContextSpec, LayerTemplate, SearchSpace,
                       ShapingConfig, SyntheticOracle, SyntheticTaskSpec,
                       brute_force_best_chain, check_epsilon_schedule,
-                      greedy_rollout, run_search, run_search_scalarized)
+                      greedy_rollout, run_search)
 from shapenas.bob import BobConfig, learn_meta, load_model, save_model, score
 from shapenas.controller import CallableSecondary
 from shapenas.dataset import train_holdout_split
-from shapenas.function_approx import (MlpApprox, finite_difference_gradients)
+from shapenas.function_approx import MlpApprox
 from shapenas.harness import episodes_to_plateau
 from shapenas.oracle import SynthStatsModel, gen_synth_stats
+
+from gradcheck import finite_difference_gradients
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -91,8 +93,8 @@ def test_a2_plateau_speedup():
     for seed in A2_SEEDS:
         ts = run_search(SMALL_SPACE, A2_ORACLE, A2_SECONDARY, A2_CFG,
                         seed=seed)
-        tc = run_search_scalarized(SMALL_SPACE, A2_ORACLE, A2_SECONDARY,
-                                   A2_CFG, seed=seed, weights=(1.0, 0.1))
+        tc = run_search(SMALL_SPACE, A2_ORACLE, A2_SECONDARY,
+                        A2_CFG, seed=seed, weights=(1.0, 0.1))
         shaped.append(episodes_to_plateau(ts.episode_returns))
         scalar.append(episodes_to_plateau(tc.episode_returns))
     ratio = float(np.mean(scalar)) / float(np.mean(shaped))
@@ -173,8 +175,8 @@ def test_a5_degenerate_equivalence():
     exact = 0
     for seed in range(5):
         a = run_search(SMALL_SPACE, oracle, secondary, cfg0, seed=seed)
-        b = run_search_scalarized(SMALL_SPACE, oracle, secondary, cfg0,
-                                  seed=seed, weights=(1.0, 0.0))
+        b = run_search(SMALL_SPACE, oracle, secondary, cfg0,
+                       seed=seed, weights=(1.0, 0.0))
         assert [(r.action, r.r_p, r.q_target) for r in a.records] == \
             [(r.action, r.r_p, r.q_target) for r in b.records]
         exact += len(a.records)

@@ -5,13 +5,11 @@ import pytest
 
 from shapenas import (SearchSpace, ShapingConfig, SyntheticOracle,
                       SyntheticTaskSpec, brute_force_best_chain,
-                      check_epsilon_schedule, greedy_rollout, run_search,
-                      run_search_scalarized)
-from shapenas.controller import (CallableSecondary, RewardVector,
-                                 TerminalStateError, epsilon_update,
-                                 load_checkpoint, potential_update, q_update,
-                                 run_episodes, save_checkpoint, select_action,
-                                 softmax)
+                      check_epsilon_schedule, greedy_rollout, run_search)
+from shapenas.controller import (CallableSecondary, TerminalStateError,
+                                 epsilon_update, load_checkpoint,
+                                 potential_update, q_update,
+                                 save_checkpoint, select_action, softmax)
 from shapenas.function_approx import TabularValues
 
 
@@ -120,10 +118,11 @@ def test_select_action_terminal_raises():
                       np.random.default_rng(0))
 
 
-def test_reward_vector_validation():
-    with pytest.raises(ValueError):
-        RewardVector(float("nan"))
-    RewardVector(0.5, (0.2, 0.3))
+def test_q_update_rejects_non_finite_primary():
+    for r_p in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="primary"):
+            q_update(TabularValues(), [], (), ("s",), None, 0, ("t",), None,
+                     r_p, [0], gamma=0.9, n_actions=1)
 
 
 # --- search loop ------------------------------------------------------------
@@ -182,9 +181,8 @@ def test_epsilon_zero_matches_plain_q_learning(toy_space):
     secondary = make_secondary([5, 40, 70])
     cfg_shaped = config(episodes=25, epsilon0=(0.0,))
     shaped = run_search(toy_space, oracle, secondary, cfg_shaped, seed=7)
-    plain = run_search_scalarized(toy_space, oracle, secondary,
-                                  config(episodes=25), seed=7,
-                                  weights=(1.0, 0.0))
+    plain = run_search(toy_space, oracle, secondary, config(episodes=25),
+                       seed=7, weights=(1.0, 0.0))
     assert [r.q_target for r in shaped.records] == \
         [r.q_target for r in plain.records]
     assert [r.action for r in shaped.records] == \
@@ -219,10 +217,8 @@ def test_epsilon_schedule_closed_form_on_traces(toy_space):
 
 
 def test_scalarized_zero_weights_uniform_policy(toy_space):
-    trace = run_search_scalarized(toy_space, make_oracle(),
-                                  make_secondary([5, 40, 70]),
-                                  config(episodes=10), seed=1,
-                                  weights=(0.0, 0.0))
+    trace = run_search(toy_space, make_oracle(), make_secondary([5, 40, 70]),
+                       config(episodes=10), seed=1, weights=(0.0, 0.0))
     assert all(r.q_target == 0.0 for r in trace.records)
     # all three root actions appear under the uniform policy
     roots = {r.action for r in trace.records if r.step == 0}
@@ -261,6 +257,16 @@ def test_mlp_backend_runs(toy_space):
                        cfg, seed=0)
     assert len(trace.episode_returns) == 5
     check_epsilon_schedule(trace, cfg)
+
+
+def test_mlp_potentials_stay_within_return_bound(toy_space):
+    # r_s lies in [0, 1], so no potential should leave 1/(1-gamma)
+    cfg = config(episodes=10, backend="mlp")
+    trace = run_search(toy_space, make_oracle(), make_secondary([5, 40, 70]),
+                       cfg, seed=0)
+    bound = 1.0 / (1.0 - cfg.gamma)
+    assert all(abs(phi) <= bound
+               for r in trace.records for phi in r.phi_values)
 
 
 def test_mlp_backend_deterministic(toy_space):
@@ -305,6 +311,16 @@ def test_trace_export_columns(tmp_path, toy_space):
     assert lines[0] == ("episode,step,action,r_p,r_s_1,epsilon_1,delta,"
                         "q_target,phi_1,cum_return,infeasible")
     assert len(lines) == len(trace.records) + 1
+
+
+def test_trace_export_cells_are_numbers(tmp_path, toy_space):
+    trace = run_search(toy_space, make_oracle(), make_secondary([5, 40, 70]),
+                       config(episodes=4), seed=0)
+    path = tmp_path / "trace.csv"
+    trace.export_csv(path)
+    for line in path.read_text().strip().splitlines()[1:]:
+        for cell in line.split(","):
+            float(cell)
 
 
 def test_shaping_config_validation():

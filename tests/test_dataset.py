@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from shapenas.dataset import (MetaSample, SchemaError, StatsParseError,
-                              ingest_stats, oversample, write_stats)
+from shapenas.dataset import (SchemaError, StatsParseError, ingest_stats,
+                              oversample, write_stats)
 
 ROW = {
     "Type": "conv", "Kernel Size": 3, "Stride": 1, "Padding": 1,
@@ -73,11 +73,14 @@ def test_extra_columns_become_targets(tmp_path):
     assert data.Y.shape == (2, 2)
 
 
-def test_meta_sample_invariant():
-    with pytest.raises(ValueError):
-        MetaSample((1.0,), None, feasible=True)
-    with pytest.raises(ValueError):
-        MetaSample((1.0,), (-2.0,), feasible=True)
+def test_feasible_row_with_bad_target_rejected(tmp_path):
+    for i, bad in enumerate(("nan", "inf", -2.0, "")):
+        path = make_csv(tmp_path, [vary(), vary(**{"Execution time": bad})],
+                        name=f"bad{i}.csv")
+        with pytest.raises(StatsParseError, match="Execution time") as err:
+            ingest_stats(path)
+        assert err.value.line == 3
+        assert str(path) in str(err.value)
 
 
 def test_oversample_factor_one_is_identity(tmp_path):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from shapenas.function_approx import (DimensionError, MlpApprox, MlpValues,
-                                      TabularValues,
-                                      finite_difference_gradients, sgd_step)
+                                      TabularValues, sgd_step)
+
+from gradcheck import finite_difference_gradients
 
 
 def test_zero_weights_give_zero_output():

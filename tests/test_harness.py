@@ -231,6 +231,34 @@ def test_search_parallel_matches_serial(tmp_path):
             sha(tmp_path / "parallel" / name)
 
 
+def test_search_reads_config_and_model_once(tmp_path, monkeypatch):
+    from shapenas import bob, config
+    cfg = predictor_setup(tmp_path, count=300)
+    cmd_train_predictor(cfg, seed=0, out_dir=str(tmp_path / "model"))
+    search_cfg = write_config(tmp_path, {
+        "secondary": {"kind": "predictor",
+                      "model_path": str(tmp_path / "model" / "model.json")},
+        "shaping": {"episodes": 3, "epsilon0": [1.0, 1.0],
+                    "budgets": [500.0, 500.0]},
+    }, name="search.yaml")
+    calls = {"load_config": 0, "load_model": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(config, "load_config")
+    counted(bob, "load_model")
+    cmd_search(search_cfg, seed=0, replicates=2, jobs=1,
+               out_dir=str(tmp_path / "run"))
+    assert calls == {"load_config": 1, "load_model": 1}
+
+
 # --- compare ----------------------------------------------------------------
 
 

@@ -5,7 +5,8 @@ import pytest
 
 from shapenas import (ActionCatalog, CandidateNetwork, ContextSpec,
                       LayerTemplate, apply_action)
-from shapenas.oracle import (SyntheticOracle, SyntheticTaskSpec,
+from shapenas.dataset import ingest_stats, write_stats
+from shapenas.oracle import (TARGET_NAMES, SyntheticOracle, SyntheticTaskSpec,
                              SynthStatsModel, TabularLookupError,
                              TabularOracle, encode_chain, gen_synth_stats)
 
@@ -117,3 +118,23 @@ def test_gen_synth_count_and_validation():
         gen_synth_stats(CAT, [CTX], model, count=0, seed=1)
     with pytest.raises(ValueError):
         gen_synth_stats(CAT, [CTX, CTX], model, count=5, seed=1)
+
+
+def test_gen_synth_dataset_matches_ingest_of_written_rows(tmp_path):
+    ctxs = [ContextSpec(4, 2, 2048, 2000, 12.8, "gpu", task=(1, 0.5)),
+            ContextSpec(2, 1, 15.5, 800, 6.4, "dsp", task=(0.25, 3))]
+    cat = ActionCatalog((LayerTemplate("conv", 3, 1, 1, 2.5, True, 8),
+                         LayerTemplate("dense", channels=4),
+                         LayerTemplate("pool", 2, 2)), max_depth=4)
+    model = SynthStatsModel(context_multipliers=(1.0, 3.0))
+    data, rows = gen_synth_stats(cat, ctxs, model, count=200, seed=3)
+    path = tmp_path / "stats.csv"
+    write_stats(rows, TARGET_NAMES, path, has_processor=True, task_arity=2)
+    back = ingest_stats(path)
+    assert data.feasible.any() and not data.feasible.all()
+    assert data.columns == back.columns
+    assert data.target_names == back.target_names
+    assert np.array_equal(data.X, back.X)
+    assert np.array_equal(data.Y, back.Y, equal_nan=True)
+    assert np.array_equal(data.feasible, back.feasible)
+    assert data.infeasible_registry == back.infeasible_registry
