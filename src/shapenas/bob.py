@@ -221,11 +221,15 @@ def load_model(path) -> BobModel:
         raise ModelFormatError(
             f"{path}: format version {version}, this build reads "
             f"{MODEL_FORMAT_VERSION}")
-    members = [{name: BoostedRegressor.from_dict(reg)
-                for name, reg in member.items()}
-               for member in doc["members"]]
-    gate = (BoostedRegressor.from_dict(doc["gate"])
-            if doc["gate"] is not None else None)
-    registry = {(tuple(a), tuple(c)) for a, c in doc["infeasible_registry"]}
-    return BobModel(doc["columns"], doc["target_names"], members, gate,
-                    registry)
+    try:
+        members = [{name: BoostedRegressor.from_dict(reg)
+                    for name, reg in member.items()}
+                   for member in doc["members"]]
+        gate = (BoostedRegressor.from_dict(doc["gate"])
+                if doc["gate"] is not None else None)
+        registry = {(tuple(a), tuple(c))
+                    for a, c in doc["infeasible_registry"]}
+        return BobModel(doc["columns"], doc["target_names"], members, gate,
+                        registry)
+    except KeyError as exc:
+        raise ModelFormatError(f"{path}: model file lacks key {exc}") from exc

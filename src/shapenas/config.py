@@ -1,14 +1,19 @@
 """Declarative experiment configuration (YAML, versioned by schema_version)."""
 from __future__ import annotations
 
+import dataclasses
+import typing
+
 import yaml
 
 from .controller import SearchSpace, ShapingConfig
 from .bob import BobConfig
-from .design_space import ActionCatalog, ContextSpec, LayerTemplate
+from .design_space import (ActionCatalog, ContextSpec, LayerTemplate,
+                           legal_actions)
 from .oracle import SyntheticOracle, SyntheticTaskSpec, SynthStatsModel, TabularOracle
 
 CONFIG_SCHEMA_VERSION = 1
+_NUMBER_TYPES = (int, float, int | None)
 
 
 class ConfigError(ValueError):
@@ -33,69 +38,86 @@ def require(doc: dict, key: str):
     return doc[key]
 
 
+def _tuples(value):
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
+
+
+def build_section(cls, mapping, section: str, other_keys=()):
+    """Build the dataclass ``cls`` from the config mapping at ``section``.
+
+    Lists become tuples. Keys in ``other_keys`` belong to the section but
+    not to ``cls`` and are skipped. An unknown key, a missing required key
+    and a string where ``cls`` takes a number (PyYAML reads ``1.0e9``, with
+    no sign after the ``e``, as a string) raise ConfigError naming the key.
+    """
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"config section {section!r} must be a mapping")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for key, value in mapping.items():
+        if key in other_keys:
+            continue
+        if key not in fields:
+            raise ConfigError(f"unknown config key '{section}.{key}'")
+        if isinstance(value, str) and hints[key] in _NUMBER_TYPES:
+            raise ConfigError(f"config key '{section}.{key}' must be a "
+                              f"number, got the string {value!r}")
+        kwargs[key] = _tuples(value)
+    for name, f in fields.items():
+        if name not in kwargs and f.default is dataclasses.MISSING \
+                and f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"missing required config key "
+                              f"'{section}.{name}'")
+    return cls(**kwargs)
+
+
 def build_catalog(doc: dict) -> ActionCatalog:
     cat = require(doc, "catalog")
-    actions = tuple(LayerTemplate(**a) for a in require(cat, "actions"))
+    actions = tuple(build_section(LayerTemplate, a, f"catalog.actions[{i}]")
+                    for i, a in enumerate(require(cat, "actions")))
     return ActionCatalog(actions, max_depth=require(cat, "max_depth"))
 
 
-def _context_from(d: dict) -> ContextSpec:
-    d = dict(d)
-    if "task" in d:
-        d["task"] = tuple(d["task"])
-    return ContextSpec(**d)
-
-
 def build_context(doc: dict) -> ContextSpec:
-    return _context_from(require(doc, "context"))
+    return build_section(ContextSpec, require(doc, "context"), "context")
 
 
 def build_contexts(doc: dict) -> list[ContextSpec]:
-    return [_context_from(c) for c in require(doc, "contexts")]
+    return [build_section(ContextSpec, c, f"contexts[{i}]")
+            for i, c in enumerate(require(doc, "contexts"))]
 
 
 def build_space(doc: dict) -> SearchSpace:
-    return SearchSpace(build_catalog(doc), build_context(doc),
-                       tuple(doc.get("input_shape", (3, 16, 16))))
+    space = SearchSpace(build_catalog(doc), build_context(doc),
+                        tuple(doc.get("input_shape", (3, 16, 16))))
+    if not legal_actions(space.empty_network(), space.catalog):
+        raise ConfigError(f"input_shape {list(space.input_shape)}: no "
+                          f"catalog action fits the empty network")
+    return space
 
 
 def build_shaping(doc: dict) -> ShapingConfig:
-    cfg = dict(require(doc, "shaping"))
-    for key in ("epsilon0", "budgets", "hidden"):
-        if key in cfg:
-            cfg[key] = tuple(cfg[key])
-    return ShapingConfig(**cfg)
+    return build_section(ShapingConfig, require(doc, "shaping"), "shaping")
 
 
 def build_predictor_cfg(doc: dict) -> BobConfig:
-    cfg = dict(doc.get("predictor", {}))
-    cfg.pop("stats_path", None)
-    cfg.pop("test_fraction", None)
-    cfg.pop("oversample_factor", None)
-    return BobConfig(**cfg)
+    return build_section(BobConfig, doc.get("predictor", {}), "predictor",
+                         other_keys=("stats_path", "test_fraction",
+                                     "oversample_factor"))
 
 
 def build_oracle(doc: dict):
     spec = require(doc, "oracle")
     kind = require(spec, "kind")
     if kind == "synthetic":
-        return SyntheticOracle(SyntheticTaskSpec(
-            base_utility=tuple(require(spec, "base_utility")),
-            diminishing=spec.get("diminishing", 0.9),
-            interaction_bonus=tuple(tuple(b) for b in
-                                    spec.get("interaction_bonus", ())),
-            noise_sigma=spec.get("noise_sigma", 0.0),
-            accuracy_cap=spec.get("accuracy_cap", 1.0),
-            min_depth=spec.get("min_depth", 0),
-            seed=spec.get("seed", 0)))
+        return SyntheticOracle(build_section(SyntheticTaskSpec, spec,
+                                             "oracle", other_keys=("kind",)))
     if kind == "tabular":
         return TabularOracle(require(spec, "path"))
     raise ConfigError(f"unknown oracle kind {kind!r}")
 
 
 def build_synth_stats_model(doc: dict) -> SynthStatsModel:
-    spec = dict(doc.get("synth_stats_model", {}))
-    for key in ("latency_coeffs", "memory_coeffs", "context_multipliers"):
-        if key in spec:
-            spec[key] = tuple(spec[key])
-    return SynthStatsModel(**spec)
+    return build_section(SynthStatsModel, doc.get("synth_stats_model", {}),
+                         "synth_stats_model")

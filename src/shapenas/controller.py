@@ -5,8 +5,8 @@ reward (a normalized hardware metric) trains its own potential function,
 which is added to the Q targets weighted by a trade-off epsilon. Epsilon is
 coupled back to the primary signal: it multiplies by exp(growth in primary
 reward) each step while above a cutoff and drops to zero permanently once
-below it. A scalarized single-reward controller with the same loop is kept
-as the comparison baseline.
+below it. The comparison baseline is the same loop without potentials or
+epsilons: plain Q-learning on the scalarized reward w0*r_P + sum_i w_i*r_S^i.
 """
 from __future__ import annotations
 
@@ -196,20 +196,21 @@ def epsilon_update(eps_i: float, delta_i: float, threshold: float) -> float:
 def potential_update(phi, s_key, s_embed, a, sp_key, sp_embed, a_prime,
                      r_s: float, beta: float, gamma: float, n_actions: int,
                      terminal: bool = False):
-    """SARSA-style step of the potential toward r_s + gamma*Phi(s',a')."""
+    """SARSA-style step of the potential toward r_s + gamma*Phi(s',a'), in
+    place."""
     if not np.isfinite(r_s):
         raise ValueError(f"non-finite secondary reward {r_s!r}")
     succ = 0.0 if terminal else phi.value(sp_key, sp_embed, a_prime, n_actions)
-    target = r_s + gamma * succ
-    return phi.blend(s_key, s_embed, a, n_actions, target, rate=beta)
+    phi.blend(s_key, s_embed, a, n_actions, r_s + gamma * succ, rate=beta)
 
 
 def q_update(q, phis, epsilons, s_key, s_embed, a, sp_key, sp_embed,
-             r_p: float, legal_prime, gamma: float, n_actions: int):
+             r_p: float, legal_prime, gamma: float, n_actions: int) -> float:
     """Shaped Q step toward r_P + gamma*max Q(s',.) + sum_i eps_i*Phi_i(s,a).
 
     With the tabular backend the blend rate is 1, which applies the update
-    rule literally (the new value *is* the target). Returns (new_q, target).
+    rule literally (the new value *is* the target). Updates ``q`` in place
+    and returns the target.
     """
     if not np.isfinite(r_p):
         raise ValueError(f"non-finite primary reward {r_p!r}")
@@ -222,7 +223,8 @@ def q_update(q, phis, epsilons, s_key, s_embed, a, sp_key, sp_embed,
     for eps_i, phi in zip(epsilons, phis):
         shaping += eps_i * phi.value(s_key, s_embed, a, n_actions)
     target = r_p + gamma * max_q + shaping
-    return q.blend(s_key, s_embed, a, n_actions, target), target
+    q.blend(s_key, s_embed, a, n_actions, target)
+    return target
 
 
 def shaped_scores(q, phis, epsilons, s_key, s_embed, legal, n_actions):
@@ -265,19 +267,18 @@ def _make_values(cfg: ShapingConfig, space: SearchSpace, seed: int, tag: int):
                             cfg.q_step_size, seed=seed * 1000 + tag)
 
 
-def init_state(cfg: ShapingConfig, space: SearchSpace, seed: int) -> ShapingState:
-    n_sec = len(cfg.epsilon0)
+def init_state(cfg: ShapingConfig, space: SearchSpace, seed: int,
+               shaped: bool = True) -> ShapingState:
+    """Fresh controller state; ``shaped=False`` gives the scalarized
+    baseline's state, which has no potentials and no epsilons."""
+    n_phi = len(cfg.epsilon0) if shaped else 0
     return ShapingState(
         q=_make_values(cfg, space, seed, 0),
-        phis=[_make_values(cfg, space, seed, 1 + i) for i in range(n_sec)],
-        epsilons=np.asarray(cfg.epsilon0, dtype=float),
+        phis=[_make_values(cfg, space, seed, 1 + i) for i in range(n_phi)],
+        epsilons=np.asarray(cfg.epsilon0[:n_phi], dtype=float),
         last_primary=None,
         last_secondary=None,
         rng=np.random.default_rng(seed))
-
-
-def _shaping_active(cfg: ShapingConfig, episode: int) -> bool:
-    return cfg.shaping_episodes is None or episode < cfg.shaping_episodes
 
 
 def run_episodes(state: ShapingState, space: SearchSpace, oracle, secondary,
@@ -285,19 +286,21 @@ def run_episodes(state: ShapingState, space: SearchSpace, oracle, secondary,
                  scalar_weights=None) -> None:
     """Advance the controller by n_episodes, appending to the trace in place.
 
-    ``scalar_weights`` switches to the scalarized baseline: a single reward
-    w0*r_P + sum_i w_i*r_S^i fed to plain Q-learning, no potentials, no
-    epsilon coupling.
+    Potentials and epsilons are those of ``state``; the scalarized baseline
+    runs on a state without them (``init_state(..., shaped=False)``).
+    ``scalar_weights`` (w0, w1, ...) makes the Q reward
+    w0*r_P + sum_i w_i*r_S^i instead of r_P.
     """
     catalog, ctx = space.catalog, space.context
     n_actions = len(catalog.actions)
-    scalarized = scalar_weights is not None
-    n_sec = (len(scalar_weights) - 1) if scalarized else len(cfg.epsilon0)
+    n_sec = (len(cfg.epsilon0) if scalar_weights is None
+             else len(scalar_weights) - 1)
 
     for _ in range(n_episodes):
         episode = state.episode_count
-        if not scalarized and cfg.shaping_episodes is not None \
-                and episode == cfg.shaping_episodes:
+        shaping_phase = cfg.shaping_episodes is None \
+            or episode < cfg.shaping_episodes
+        if not shaping_phase:  # a finite shaping phase is over
             state.epsilons = np.zeros_like(state.epsilons)
         net = space.empty_network()
         actions: list[int] = []
@@ -310,22 +313,15 @@ def run_episodes(state: ShapingState, space: SearchSpace, oracle, secondary,
                 break
             s_key = tuple(actions)
             s_embed = embed_state(net, ctx)
-            if scalarized:
-                a = select_action(state.q, [], (), s_key, s_embed, legal,
-                                  cfg.softmax_temperature, n_actions,
-                                  state.rng)
-            else:
-                a = select_action(state.q, state.phis, state.epsilons, s_key,
-                                  s_embed, legal, cfg.softmax_temperature,
-                                  n_actions, state.rng)
-                if pending is not None:
-                    p_key, p_embed, p_a, p_rs = pending
-                    state.phis = [
-                        potential_update(phi, p_key, p_embed, p_a, s_key,
-                                         s_embed, a, p_rs[i], cfg.beta,
-                                         cfg.gamma, n_actions)
-                        for i, phi in enumerate(state.phis)]
-                    pending = None
+            a = select_action(state.q, state.phis, state.epsilons, s_key,
+                              s_embed, legal, cfg.softmax_temperature,
+                              n_actions, state.rng)
+            if pending is not None:
+                p_key, p_embed, p_a, p_rs = pending
+                for i, phi in enumerate(state.phis):
+                    potential_update(phi, p_key, p_embed, p_a, s_key,
+                                     s_embed, a, p_rs[i], cfg.beta,
+                                     cfg.gamma, n_actions)
             net_next = apply_action(net, catalog.actions[a])
             chain = actions + [a]
             try:
@@ -338,12 +334,8 @@ def run_episodes(state: ShapingState, space: SearchSpace, oracle, secondary,
                 return
             raw = secondary.metrics(net_next, chain) if n_sec else None
             infeasible = n_sec > 0 and raw is None
-            if n_sec == 0:
-                r_s = np.zeros(0)
-            elif infeasible:
-                r_s = np.zeros(n_sec)  # worst normalized score
-            else:
-                r_s = normalize_secondary(raw, cfg.budgets[:n_sec])
+            r_s = (np.zeros(n_sec) if raw is None  # worst normalized score
+                   else normalize_secondary(raw, cfg.budgets[:n_sec]))
 
             delta = 0.0 if state.last_primary is None \
                 else r_p - state.last_primary
@@ -354,42 +346,33 @@ def run_episodes(state: ShapingState, space: SearchSpace, oracle, secondary,
             sp_embed = embed_state(net_next, ctx)
             legal_prime = legal_actions(net_next, catalog)
 
-            if scalarized:
-                reward = scalar_weights[0] * r_p + sum(
-                    w * v for w, v in zip(scalar_weights[1:], r_s))
-                state.q, target = q_update(state.q, [], (), s_key, s_embed,
-                                           a, sp_key, sp_embed, reward,
-                                           legal_prime, cfg.gamma, n_actions)
-                eps_rec, phi_rec = (), ()
+            if cfg.delta_mode == "per_secondary" and n_sec:
+                deltas = (np.zeros(n_sec) if state.last_secondary is None
+                          else r_s - state.last_secondary)
             else:
-                if cfg.delta_mode == "per_secondary" and n_sec:
-                    deltas = (np.zeros(n_sec)
-                              if state.last_secondary is None
-                              else r_s - state.last_secondary)
-                else:
-                    deltas = np.full(n_sec, delta)
-                if _shaping_active(cfg, episode):
-                    state.epsilons = np.asarray([
-                        min(cfg.epsilon_cap,
-                            epsilon_update(state.epsilons[i], deltas[i],
-                                           cfg.epsilon_threshold))
-                        for i in range(n_sec)])
-                pending = (s_key, s_embed, a, r_s)
-                state.q, target = q_update(state.q, state.phis,
-                                           state.epsilons, s_key, s_embed, a,
-                                           sp_key, sp_embed, r_p, legal_prime,
-                                           cfg.gamma, n_actions)
-                eps_rec = tuple(float(e) for e in state.epsilons)
-                phi_rec = tuple(phi.value(s_key, s_embed, a, n_actions)
-                                for phi in state.phis)
+                deltas = np.full(n_sec, delta)
+            if shaping_phase:
+                state.epsilons = np.asarray([
+                    min(cfg.epsilon_cap,
+                        epsilon_update(eps_i, delta_i, cfg.epsilon_threshold))
+                    for eps_i, delta_i in zip(state.epsilons, deltas)])
+            pending = (s_key, s_embed, a, r_s)
+            reward = r_p if scalar_weights is None else \
+                scalar_weights[0] * r_p + sum(
+                    w * v for w, v in zip(scalar_weights[1:], r_s))
+            target = q_update(state.q, state.phis, state.epsilons, s_key,
+                              s_embed, a, sp_key, sp_embed, reward,
+                              legal_prime, cfg.gamma, n_actions)
 
             ep_return += r_p
             trace.records.append(StepRecord(
                 episode=episode, step=step, state_key=s_key, action=a,
                 r_p=r_p, r_s=tuple(float(v) for v in r_s),
-                epsilons=eps_rec, delta=delta, q_target=float(target),
-                phi_values=phi_rec, cum_return=ep_return,
-                infeasible=bool(infeasible)))
+                epsilons=tuple(float(e) for e in state.epsilons),
+                delta=delta, q_target=float(target),
+                phi_values=tuple(phi.value(s_key, s_embed, a, n_actions)
+                                 for phi in state.phis),
+                cum_return=ep_return, infeasible=bool(infeasible)))
 
             net, actions = net_next, chain
             state.last_primary = r_p
@@ -399,13 +382,12 @@ def run_episodes(state: ShapingState, space: SearchSpace, oracle, secondary,
             if step + 1 >= cfg.warmup and delta_stop < cfg.tau:
                 break
         # flush the trailing potential update with a terminal successor
-        if not scalarized and pending is not None:
+        if pending is not None:
             p_key, p_embed, p_a, p_rs = pending
-            state.phis = [
+            for i, phi in enumerate(state.phis):
                 potential_update(phi, p_key, p_embed, p_a, None, None, 0,
                                  p_rs[i], cfg.beta, cfg.gamma, n_actions,
                                  terminal=True)
-                for i, phi in enumerate(state.phis)]
         state.episode_count += 1
         trace.episode_returns.append(ep_return)
         trace.final_network = net
@@ -418,11 +400,15 @@ def run_search(space: SearchSpace, oracle, secondary, cfg: ShapingConfig,
     """Full search: init (or resume from ``state``), run episodes.
 
     Shaped by default; ``weights`` (w0, w1, ...) selects the scalarized
-    baseline on the same loop (see ``run_episodes``).
+    baseline, the same loop on a state without potentials (see
+    ``run_episodes``).
     """
     t0 = time.perf_counter()
     if state is None:
-        state = init_state(cfg, space, seed)
+        state = init_state(cfg, space, seed, shaped=weights is None)
+    elif weights is not None and (state.phis or len(state.epsilons)):
+        raise ValueError("the scalarized baseline runs on a state without "
+                         "potentials or epsilons")
     trace = SearchTrace([], [], None, (), 0.0, seed)
     run_episodes(state, space, oracle, secondary, cfg,
                  episodes if episodes is not None else cfg.episodes, trace,

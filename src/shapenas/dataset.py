@@ -30,24 +30,6 @@ REQUIRED_COLUMNS = (
     "Execution time", "Cores", "Compute Units", "Memory", "Clock Freq.",
     "Memory B/w",
 )
-# CSV numeric feature header -> encoded column name
-_CSV_TO_COLUMN = {
-    "Kernel Size": "kernel_size",
-    "Stride": "stride",
-    "Padding": "padding",
-    "Expansion Ratio": "expansion_ratio",
-    "Idskip": "id_skip",
-    "Channels": "channels",
-    "Height": "height",
-    "Width": "width",
-    "Input Volume": "input_volume",
-    "Output Volume": "output_volume",
-    "Cores": "cores",
-    "Compute Units": "compute_units",
-    "Memory": "memory_mb",
-    "Clock Freq.": "clock_freq_mhz",
-    "Memory B/w": "memory_bandwidth",
-}
 _OPTIONAL_FEATURES = ("Processor Kind",)
 
 

@@ -121,6 +121,10 @@ class ContextSpec:
                      "memory_bandwidth"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
+        if self.processor_kind not in PROCESSOR_KINDS:
+            raise ValueError(f"unknown processor_kind "
+                             f"{self.processor_kind!r}; expected one of "
+                             f"{', '.join(PROCESSOR_KINDS)}")
 
 
 def one_hot(value: str, levels: tuple[str, ...], what: str) -> list[float]:

@@ -6,8 +6,9 @@ state embedding concatenated with an action one-hot; the tabular backend
 keys on a discrete (state key, action index) pair and is exact, which is
 what the policy-invariance tests need.
 
-Approximators are values: updates return a new object and never touch the
-input.
+Approximators are mutable stores: ``blend`` and ``sgd_step`` update the
+table or the net's arrays in place and return nothing, so a caller that
+needs an earlier state must take a copy (``to_dict``) first.
 """
 from __future__ import annotations
 
@@ -83,16 +84,15 @@ class MlpApprox:
 
 
 def sgd_step(fa: MlpApprox, x, target: float,
-             step_size: float | None = None) -> MlpApprox:
-    """One gradient step on 0.5*(forward(x) - target)^2; returns a new net."""
+             step_size: float | None = None) -> None:
+    """One gradient step on 0.5*(forward(x) - target)^2, in place."""
     if not np.isfinite(target):
         raise ValueError(f"non-finite regression target {target!r}")
     lr = fa.step_size if step_size is None else step_size
     out, grad_w, grad_b = fa.gradients(x)
     err = out - target
-    weights = [W - lr * err * gW for W, gW in zip(fa.weights, grad_w)]
-    biases = [b - lr * err * gb for b, gb in zip(fa.biases, grad_b)]
-    return MlpApprox(weights, biases, fa.step_size)
+    for param, grad in zip(fa.weights + fa.biases, grad_w + grad_b):
+        param -= lr * err * grad
 
 
 # ---------------------------------------------------------------------------
@@ -110,16 +110,13 @@ class TabularValues:
         return self.table.get((key, action), 0.0)
 
     def blend(self, key, embed, action, n_actions, target,
-              rate=None) -> "TabularValues":
-        """v <- v + rate * (target - v); rate=1 (the default) assigns exactly."""
+              rate=1.0) -> None:
+        """v <- v + rate * (target - v) in place; rate=1 (the default)
+        assigns exactly."""
         if not np.isfinite(target):
             raise ValueError(f"non-finite regression target {target!r}")
-        if rate is None:
-            rate = 1.0
-        new = TabularValues(self.table)
-        v = new.table.get((key, action), 0.0)
-        new.table[(key, action)] = v + rate * (target - v)
-        return new
+        v = self.table.get((key, action), 0.0)
+        self.table[(key, action)] = v + rate * (target - v)
 
     def to_dict(self):
         return {"backend": "tabular",
@@ -153,11 +150,11 @@ class MlpValues:
         return self.net.forward(self._input(embed, action, n_actions))
 
     def blend(self, key, embed, action, n_actions, target,
-              rate=None) -> "MlpValues":
-        """One SGD step at the net's own step size; ``rate`` (the tabular
-        blend fraction) is ignored, since as a step size it diverges."""
-        x = self._input(embed, action, n_actions)
-        return MlpValues(sgd_step(self.net, x, target))
+              rate=1.0) -> None:
+        """One SGD step in place at the net's own step size; ``rate`` (the
+        tabular blend fraction) is ignored, since as a step size it
+        diverges."""
+        sgd_step(self.net, self._input(embed, action, n_actions), target)
 
     def to_dict(self):
         return {"backend": "mlp",

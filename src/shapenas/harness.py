@@ -66,9 +66,10 @@ def reference_network(space, reference_chain=None):
 
 
 def normalize_curve(returns) -> np.ndarray:
-    """Map per-episode returns to [0,1]; constant curves map to all-ones."""
+    """Map per-episode returns to [0,1]; constant (and empty) curves map
+    to all-ones."""
     r = np.asarray(returns, dtype=float)
-    lo, hi = r.min(), r.max()
+    lo, hi = (r.min(), r.max()) if r.size else (0.0, 0.0)
     if hi == lo:
         return np.ones_like(r)
     return (r - lo) / (hi - lo)
@@ -86,8 +87,10 @@ def smooth(values, window: int = 3) -> np.ndarray:
 def episodes_to_plateau(returns, fraction: float = 0.95,
                         window: int = 3) -> int:
     """First episode (1-based) whose smoothed normalized return reaches
-    ``fraction`` of the final smoothed value."""
+    ``fraction`` of the final smoothed value; 0 for an empty curve."""
     sm = smooth(normalize_curve(returns), window)
+    if not sm.size:
+        return 0
     level = fraction * sm[-1]
     hits = np.nonzero(sm >= level)[0]
     return int(hits[0]) + 1 if len(hits) else len(sm)

@@ -3,8 +3,9 @@ import copy
 import numpy as np
 import pytest
 
-from shapenas.bob import (BobConfig, BobModel, ModelFormatError,
-                          SchemaMismatchError, learn_meta, load_model,
+from shapenas.bob import (MODEL_FORMAT_VERSION, BobConfig, BobModel,
+                          ModelFormatError, SchemaMismatchError,
+                          learn_meta, load_model,
                           predict, predict_network, save_model, score)
 from shapenas.dataset import MetaDataset
 
@@ -163,6 +164,13 @@ def test_load_corrupt_file(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     with pytest.raises(ModelFormatError):
+        load_model(path)
+
+
+def test_load_missing_key_names_file_and_key(tmp_path):
+    path = tmp_path / "partial.json"
+    path.write_text(f'{{"format_version": {MODEL_FORMAT_VERSION}}}')
+    with pytest.raises(ModelFormatError, match="partial.json.*'members'"):
         load_model(path)
 
 

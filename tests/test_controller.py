@@ -39,24 +39,24 @@ def config(**kw):
 
 def test_potential_zero_reward_zero_fixed_point():
     phi = TabularValues()
-    phi2 = potential_update(phi, ("s",), None, 0, ("t",), None, 1, 0.0,
-                            beta=0.5, gamma=0.9, n_actions=2)
-    assert phi2.value(("s",), None, 0, 2) == 0.0
+    assert potential_update(phi, ("s",), None, 0, ("t",), None, 1, 0.0,
+                            beta=0.5, gamma=0.9, n_actions=2) is None
+    assert phi.value(("s",), None, 0, 2) == 0.0
 
 
 def test_potential_single_update_arithmetic():
     phi = TabularValues()
-    phi2 = potential_update(phi, ("s",), None, 0, ("t",), None, 1, 0.8,
-                            beta=0.5, gamma=0.9, n_actions=2)
-    assert phi2.value(("s",), None, 0, 2) == pytest.approx(0.4)
+    potential_update(phi, ("s",), None, 0, ("t",), None, 1, 0.8,
+                     beta=0.5, gamma=0.9, n_actions=2)
+    assert phi.value(("s",), None, 0, 2) == pytest.approx(0.4)
 
 
 def test_potential_self_loop_converges_to_geometric_sum():
     gamma, c = 0.9, 0.5
     phi = TabularValues()
     for _ in range(3000):
-        phi = potential_update(phi, ("s",), None, 0, ("s",), None, 0, c,
-                               beta=0.5, gamma=gamma, n_actions=1)
+        potential_update(phi, ("s",), None, 0, ("s",), None, 0, c,
+                         beta=0.5, gamma=gamma, n_actions=1)
     assert phi.value(("s",), None, 0, 1) == pytest.approx(c / (1 - gamma),
                                                           rel=1e-6)
 
@@ -68,30 +68,32 @@ def test_potential_rejects_non_finite_reward():
 
 
 def test_q_update_no_shaping_is_plain_q_target():
-    q = TabularValues().blend(("t",), None, 1, 2, target=2.0)
-    q2, target = q_update(q, [], (), ("s",), None, 0, ("t",), None, 1.0,
-                          [0, 1], gamma=0.9, n_actions=2)
+    q = TabularValues()
+    q.blend(("t",), None, 1, 2, target=2.0)
+    target = q_update(q, [], (), ("s",), None, 0, ("t",), None, 1.0,
+                      [0, 1], gamma=0.9, n_actions=2)
     assert target == pytest.approx(1.0 + 0.9 * 2.0)
-    assert q2.value(("s",), None, 0, 2) == pytest.approx(target)
+    assert q.value(("s",), None, 0, 2) == pytest.approx(target)
 
 
 def test_q_update_from_zero_tables():
-    q2, target = q_update(TabularValues(), [TabularValues()], (1.0,),
-                          ("s",), None, 0, ("t",), None, 1.0, [0],
-                          gamma=0.9, n_actions=1)
+    target = q_update(TabularValues(), [TabularValues()], (1.0,),
+                      ("s",), None, 0, ("t",), None, 1.0, [0],
+                      gamma=0.9, n_actions=1)
     assert target == 1.0
 
 
 def test_q_update_shaping_term():
-    phi = TabularValues().blend(("s",), None, 0, 1, target=2.0)
-    q2, target = q_update(TabularValues(), [phi], (0.5,), ("s",), None, 0,
-                          ("t",), None, 1.0, [0], gamma=0.9, n_actions=1)
+    phi = TabularValues()
+    phi.blend(("s",), None, 0, 1, target=2.0)
+    target = q_update(TabularValues(), [phi], (0.5,), ("s",), None, 0,
+                      ("t",), None, 1.0, [0], gamma=0.9, n_actions=1)
     assert target == pytest.approx(2.0)  # 1 + 0.9*0 + 0.5*2
 
 
 def test_q_update_terminal_successor():
-    _, target = q_update(TabularValues(), [], (), ("s",), None, 0, ("t",),
-                         None, 0.7, [], gamma=0.9, n_actions=1)
+    target = q_update(TabularValues(), [], (), ("s",), None, 0, ("t",),
+                      None, 0.7, [], gamma=0.9, n_actions=1)
     assert target == pytest.approx(0.7)
 
 
@@ -179,14 +181,24 @@ def test_small_task_recovers_brute_force_optimum(toy_space):
 def test_epsilon_zero_matches_plain_q_learning(toy_space):
     oracle = make_oracle()
     secondary = make_secondary([5, 40, 70])
-    cfg_shaped = config(episodes=25, epsilon0=(0.0,))
-    shaped = run_search(toy_space, oracle, secondary, cfg_shaped, seed=7)
-    plain = run_search(toy_space, oracle, secondary, config(episodes=25),
-                       seed=7, weights=(1.0, 0.0))
-    assert [r.q_target for r in shaped.records] == \
-        [r.q_target for r in plain.records]
-    assert [r.action for r in shaped.records] == \
-        [r.action for r in plain.records]
+    for backend in ("tabular", "mlp"):
+        cfg_shaped = config(episodes=25, epsilon0=(0.0,), backend=backend)
+        shaped = run_search(toy_space, oracle, secondary, cfg_shaped, seed=7)
+        plain = run_search(toy_space, oracle, secondary,
+                           config(episodes=25, backend=backend), seed=7,
+                           weights=(1.0, 0.0))
+        assert [r.q_target for r in shaped.records] == \
+            [r.q_target for r in plain.records]
+        assert [r.action for r in shaped.records] == \
+            [r.action for r in plain.records]
+
+
+def test_scalarized_rejects_state_with_potentials(toy_space):
+    args = (toy_space, make_oracle(), make_secondary([5, 40, 70]),
+            config(episodes=2))
+    shaped = run_search(*args, seed=0)
+    with pytest.raises(ValueError, match="potentials"):
+        run_search(*args, seed=0, state=shaped.state, weights=(1.0, 0.1))
 
 
 def test_null_second_secondary_reduces_to_single(toy_space):
@@ -279,20 +291,26 @@ def test_mlp_backend_deterministic(toy_space):
 def test_checkpoint_resume_reproduces_trace(tmp_path, toy_space):
     oracle = make_oracle()
     secondary = make_secondary([5, 40, 70])
-    cfg = config(episodes=20)
-    full = run_search(toy_space, oracle, secondary, cfg, seed=9)
+    for backend in ("tabular", "mlp"):
+        for weights in (None, (1.0, 0.1)):
+            cfg = config(episodes=20, backend=backend, hidden=(8,))
+            full = run_search(toy_space, oracle, secondary, cfg, seed=9,
+                              weights=weights)
 
-    half = run_search(toy_space, oracle, secondary, cfg, seed=9, episodes=10)
-    path = tmp_path / "ckpt.json"
-    save_checkpoint(half.state, path)
-    resumed_state = load_checkpoint(path)
-    rest = run_search(toy_space, oracle, secondary, cfg, seed=9,
-                      state=resumed_state, episodes=10)
-    combined = half.records + rest.records
-    assert [r.q_target for r in combined] == \
-        [r.q_target for r in full.records]
-    assert [r.action for r in combined] == [r.action for r in full.records]
-    assert rest.final_actions == full.final_actions
+            half = run_search(toy_space, oracle, secondary, cfg, seed=9,
+                              episodes=10, weights=weights)
+            path = tmp_path / "ckpt.json"
+            save_checkpoint(half.state, path)
+            resumed_state = load_checkpoint(path)
+            rest = run_search(toy_space, oracle, secondary, cfg, seed=9,
+                              state=resumed_state, episodes=10,
+                              weights=weights)
+            combined = half.records + rest.records
+            assert [r.q_target for r in combined] == \
+                [r.q_target for r in full.records]
+            assert [r.action for r in combined] == \
+                [r.action for r in full.records]
+            assert rest.final_actions == full.final_actions
 
 
 def test_checkpoint_version_mismatch(tmp_path):

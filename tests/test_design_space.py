@@ -135,6 +135,12 @@ def test_context_validation():
                     memory_bandwidth=1)
 
 
+def test_unknown_processor_kind_rejected():
+    # mis-cased: the encoder would otherwise give all-zero processor columns
+    with pytest.raises(ValueError, match="cpu, dsp, gpu, npu"):
+        ContextSpec(8, 2, 4096, 2800, 25.6, "GPU")
+
+
 def test_unknown_block_kind_rejected():
     with pytest.raises(ValueError):
         LayerTemplate("transformer")

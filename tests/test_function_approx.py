@@ -34,15 +34,17 @@ def test_sgd_step_zero_gradient_at_target():
     net = MlpApprox.create(4, hidden=(6,), seed=2)
     x = np.ones(4)
     target = net.forward(x)
-    stepped = sgd_step(net, x, target)
-    for W, W2 in zip(net.weights, stepped.weights):
+    before = [W.copy() for W in net.weights]
+    sgd_step(net, x, target)
+    for W, W2 in zip(before, net.weights):
         assert np.array_equal(W, W2)
 
 
 def test_sgd_step_zero_learning_rate_is_identity():
     net = MlpApprox.create(4, hidden=(6,), seed=2)
-    stepped = sgd_step(net, np.ones(4), 5.0, step_size=0.0)
-    for W, W2 in zip(net.weights, stepped.weights):
+    before = [W.copy() for W in net.weights]
+    sgd_step(net, np.ones(4), 5.0, step_size=0.0)
+    for W, W2 in zip(before, net.weights):
         assert np.array_equal(W, W2)
 
 
@@ -51,10 +53,10 @@ def test_linear_sgd_matches_closed_form():
     # (wx+b-t)*x for w and (wx+b-t) for b
     w, b, x, t, lr = 1.5, 0.25, 2.0, 4.0, 0.1
     net = MlpApprox([np.array([[w]])], [np.array([b])])
-    stepped = sgd_step(net, [x], t, step_size=lr)
+    assert sgd_step(net, [x], t, step_size=lr) is None
     err = w * x + b - t
-    assert stepped.weights[0][0, 0] == pytest.approx(w - lr * err * x)
-    assert stepped.biases[0][0] == pytest.approx(b - lr * err)
+    assert net.weights[0][0, 0] == pytest.approx(w - lr * err * x)
+    assert net.biases[0][0] == pytest.approx(b - lr * err)
 
 
 def test_sgd_step_rejects_non_finite_target():
@@ -63,12 +65,23 @@ def test_sgd_step_rejects_non_finite_target():
         sgd_step(net, np.ones(3), float("nan"))
 
 
-def test_value_semantics_input_untouched():
+def test_blend_updates_in_place():
     net = MlpApprox.create(3, hidden=(4,), seed=5)
-    before = [W.copy() for W in net.weights]
-    sgd_step(net, np.ones(3), 10.0)
-    for W, W0 in zip(net.weights, before):
-        assert np.array_equal(W, W0)
+    arrays = net.weights + net.biases
+    expected = MlpApprox([W.copy() for W in net.weights],
+                         [b.copy() for b in net.biases], net.step_size)
+    out, grad_w, grad_b = expected.gradients(np.ones(3))
+    err = out - 10.0
+    mlp = MlpValues(net)
+    assert mlp.blend(None, np.ones(2), 0, 1, target=10.0) is None
+    assert mlp.net is net
+    for param, grad, got in zip(expected.weights + expected.biases,
+                                grad_w + grad_b, arrays):
+        assert np.array_equal(got, param - net.step_size * err * grad)
+    tab = TabularValues()
+    table = tab.table
+    assert tab.blend(("s",), None, 0, 1, target=2.0) is None
+    assert tab.table is table and table == {(("s",), 0): 2.0}
 
 
 def test_backprop_matches_finite_differences():
@@ -89,7 +102,7 @@ def test_repeated_steps_converge_monotonically():
     target = 3.0
     last = abs(net.forward(x) - target)
     for _ in range(1000):
-        net = sgd_step(net, x, target)
+        sgd_step(net, x, target)
         gap = abs(net.forward(x) - target)
         assert gap <= last + 1e-12
         last = gap
@@ -100,15 +113,16 @@ def test_repeated_steps_converge_monotonically():
 def test_tabular_backend_same_interface():
     tab = TabularValues()
     assert tab.value(("s",), None, 0, 3) == 0.0
-    tab2 = tab.blend(("s",), None, 0, 3, target=5.0)
-    assert tab2.value(("s",), None, 0, 3) == 5.0
-    assert tab.value(("s",), None, 0, 3) == 0.0  # value semantics
-    tab3 = tab2.blend(("s",), None, 0, 3, target=1.0, rate=0.5)
-    assert tab3.value(("s",), None, 0, 3) == 3.0
+    tab.blend(("s",), None, 0, 3, target=5.0)
+    assert tab.value(("s",), None, 0, 3) == 5.0
+    assert tab.value(("s",), None, 1, 3) == 0.0  # other actions untouched
+    tab.blend(("s",), None, 0, 3, target=1.0, rate=0.5)
+    assert tab.value(("s",), None, 0, 3) == 3.0
 
 
 def test_values_roundtrip():
-    tab = TabularValues().blend((0, 1), None, 2, 3, target=1.25)
+    tab = TabularValues()
+    tab.blend((0, 1), None, 2, 3, target=1.25)
     clone = TabularValues.from_dict(tab.to_dict())
     assert clone.value((0, 1), None, 2, 3) == 1.25
     mlp = MlpValues.create(4, 3, hidden=(6,), seed=0)

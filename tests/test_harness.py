@@ -311,6 +311,65 @@ def test_unknown_secondary_kind(tmp_path):
                    out_dir=str(tmp_path / "out"))
 
 
+def run_cli(tmp_path, capsys, cfg, command="search"):
+    rc = cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+    return rc, capsys.readouterr().err
+
+
+def test_misspelt_shaping_key_names_section_and_key(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"shaping": {"epsilonn0": [1.0]}})
+    rc, err = run_cli(tmp_path, capsys, cfg)
+    assert rc == 2
+    assert "shaping.epsilonn0" in err
+
+
+def test_misspelt_oracle_key_rejected(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"oracle": {"diminshing": 0.5}})
+    rc, err = run_cli(tmp_path, capsys, cfg)
+    assert rc == 2
+    assert "oracle.diminshing" in err
+
+
+def test_number_read_as_string_names_key(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    with open(cfg) as fh:
+        text = fh.read()
+    # PyYAML reads an exponent without a sign as a string
+    text = text.replace("tau: -1000000000.0", "tau: -1.0e9")
+    with open(cfg, "w") as fh:
+        fh.write(text)
+    assert load_config(cfg)["shaping"]["tau"] == "-1.0e9"
+    rc, err = run_cli(tmp_path, capsys, cfg)
+    assert rc == 2
+    assert "shaping.tau" in err and "number" in err
+
+
+def test_no_legal_first_action_names_input_shape(tmp_path, capsys):
+    unpadded = [{"block_kind": "conv", "kernel_size": 3, "channels": 8},
+                {"block_kind": "conv", "kernel_size": 3, "channels": 4},
+                {"block_kind": "pool", "kernel_size": 2, "stride": 2}]
+    cfg = write_config(tmp_path, {"input_shape": [3, 1, 1],
+                                  "catalog": {"actions": unpadded}})
+    rc, err = run_cli(tmp_path, capsys, cfg)
+    assert rc == 2
+    assert "input_shape" in err
+
+
+def test_oracle_lacking_first_chain_fails_the_seed(tmp_path, capsys):
+    table = tmp_path / "oracle.csv"
+    table.write_text("chain,accuracy\n9-9,0.5\n")
+    cfg = write_config(tmp_path, {"oracle": {"kind": "tabular",
+                                             "path": str(table)}})
+    rc, err = run_cli(tmp_path, capsys, cfg)
+    assert rc == 1
+    assert "seeds [0]" in err
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["failed_seeds"] == [0]
+    assert report["replicates"][0]["episodes_to_95"] == 0
+    rc, _ = run_cli(tmp_path, capsys, cfg, command="compare")
+    assert rc == 1
+
+
 # --- CLI --------------------------------------------------------------------
 
 
