@@ -54,7 +54,15 @@ INFEASIBLE = MetaPrediction(feasible=False)
 
 
 class BobModel:
-    """Bootstrap bag of boosted regressors, one regressor per target."""
+    """Bootstrap bag of boosted regressors, one regressor per target.
+
+    A model is read-only once built. ``predict`` and ``predict_network``
+    memoize each layer row's prediction in ``row_cache`` (row bytes to
+    MetaPrediction), since it depends on the row alone; the cache is never
+    evicted, because one design space has finitely many distinct layer rows.
+    ``cache_hits`` and ``cache_misses`` count the rows served from it and
+    the rows predicted.
+    """
 
     def __init__(self, columns, target_names, members, gate,
                  infeasible_registry):
@@ -63,6 +71,9 @@ class BobModel:
         self.members = members  # list of {target: BoostedRegressor}
         self.gate = gate  # BoostedRegressor over 0/1 labels, or None
         self.infeasible_registry = set(infeasible_registry)
+        self.row_cache: dict[bytes, MetaPrediction] = {}
+        self.cache_hits = 0
+        self.cache_misses = 0
 
     @property
     def schema_fingerprint(self) -> str:
@@ -91,17 +102,39 @@ class BobModel:
         return np.clip(out, 0.0, None)  # responses are physical, never < 0
 
 
+def predict_layers(model: BobModel, X: np.ndarray) -> list[MetaPrediction]:
+    """Per-row piecewise prediction: infeasible when the registry or the gate
+    fires, otherwise the bag-mean regression values.
+
+    Rows not in the model's row cache go through one registry pass, one gate
+    call and one regression call together, and are then cached.
+    """
+    model._check_schema(X)
+    keys = [row.tobytes() for row in X]
+    cache = model.row_cache
+    new = {}
+    for key, row in zip(keys, X):
+        if key not in cache:
+            new.setdefault(key, row)
+    model.cache_misses += len(new)
+    model.cache_hits += len(keys) - len(new)
+    if new:
+        rows = np.asarray(list(new.values()))
+        ok = np.asarray([row_signature(r) not in model.infeasible_registry
+                         for r in rows], dtype=bool)
+        if ok.any():
+            ok[ok] = model.gate_feasible(rows[ok])
+        values = iter(model.predict_matrix(rows[ok]) if ok.any() else ())
+        for key, feasible in zip(new, ok):
+            cache[key] = INFEASIBLE if not feasible else MetaPrediction(
+                True, tuple(float(v) for v in next(values)))
+    return [cache[key] for key in keys]
+
+
 def predict(model: BobModel, features: np.ndarray) -> MetaPrediction:
-    """Piecewise prediction: infeasible when the registry or gate fires,
-    otherwise the bag-mean regression values."""
+    """Piecewise prediction for one feature row (see predict_layers)."""
     row = np.asarray(features, dtype=float).ravel()
-    model._check_schema(row)
-    if row_signature(row) in model.infeasible_registry:
-        return INFEASIBLE
-    if not bool(model.gate_feasible(row[None, :])[0]):
-        return INFEASIBLE
-    values = model.predict_matrix(row[None, :])[0]
-    return MetaPrediction(True, tuple(float(v) for v in values))
+    return predict_layers(model, row[None, :])[0]
 
 
 def predict_network(model: BobModel, feature_matrix: np.ndarray) -> MetaPrediction:
@@ -113,7 +146,7 @@ def predict_network(model: BobModel, feature_matrix: np.ndarray) -> MetaPredicti
     X = np.atleast_2d(np.asarray(feature_matrix, dtype=float))
     if X.shape[0] == 0 or X.size == 0:
         return MetaPrediction(True, tuple(0.0 for _ in model.target_names))
-    per_layer = [predict(model, X[i]) for i in range(len(X))]
+    per_layer = predict_layers(model, X)
     if any(not p.feasible for p in per_layer):
         return INFEASIBLE
     total = np.sum([p.values for p in per_layer], axis=0)

@@ -14,6 +14,10 @@ from .oracle import SyntheticOracle, SyntheticTaskSpec, SynthStatsModel, Tabular
 
 CONFIG_SCHEMA_VERSION = 1
 _NUMBER_TYPES = (int, float, int | None)
+TOP_LEVEL_KEYS = frozenset((
+    "schema_version", "input_shape", "catalog", "context", "contexts",
+    "oracle", "shaping", "secondary", "scalarized_weights", "reference_chain",
+    "predictor", "synth_stats", "synth_stats_model"))
 
 
 class ConfigError(ValueError):
@@ -29,6 +33,9 @@ def load_config(path) -> dict:
     if version != CONFIG_SCHEMA_VERSION:
         raise ConfigError(f"{path}: schema_version {version!r}, this build "
                           f"reads {CONFIG_SCHEMA_VERSION}")
+    for key in doc:
+        if key not in TOP_LEVEL_KEYS:
+            raise ConfigError(f"{path}: unknown config key {key!r}")
     return doc
 
 
@@ -36,6 +43,16 @@ def require(doc: dict, key: str):
     if key not in doc:
         raise ConfigError(f"missing required config key {key!r}")
     return doc[key]
+
+
+def check_keys(mapping, section: str, known) -> None:
+    """Raise ConfigError unless ``mapping`` is a mapping whose keys are all
+    in ``known``."""
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"config section {section!r} must be a mapping")
+    for key in mapping:
+        if key not in known:
+            raise ConfigError(f"unknown config key '{section}.{key}'")
 
 
 def _tuples(value):
@@ -50,16 +67,13 @@ def build_section(cls, mapping, section: str, other_keys=()):
     and a string where ``cls`` takes a number (PyYAML reads ``1.0e9``, with
     no sign after the ``e``, as a string) raise ConfigError naming the key.
     """
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"config section {section!r} must be a mapping")
     fields = {f.name: f for f in dataclasses.fields(cls)}
+    check_keys(mapping, section, fields.keys() | set(other_keys))
     hints = typing.get_type_hints(cls)
     kwargs = {}
     for key, value in mapping.items():
         if key in other_keys:
             continue
-        if key not in fields:
-            raise ConfigError(f"unknown config key '{section}.{key}'")
         if isinstance(value, str) and hints[key] in _NUMBER_TYPES:
             raise ConfigError(f"config key '{section}.{key}' must be a "
                               f"number, got the string {value!r}")
@@ -74,6 +88,7 @@ def build_section(cls, mapping, section: str, other_keys=()):
 
 def build_catalog(doc: dict) -> ActionCatalog:
     cat = require(doc, "catalog")
+    check_keys(cat, "catalog", ("actions", "max_depth"))
     actions = tuple(build_section(LayerTemplate, a, f"catalog.actions[{i}]")
                     for i, a in enumerate(require(cat, "actions")))
     return ActionCatalog(actions, max_depth=require(cat, "max_depth"))
@@ -113,7 +128,9 @@ def build_oracle(doc: dict):
     if kind == "synthetic":
         return SyntheticOracle(build_section(SyntheticTaskSpec, spec,
                                              "oracle", other_keys=("kind",)))
-    if kind == "tabular":
+    if kind == "tabular":  # the synthetic oracle's keys are ignored
+        check_keys(spec, "oracle", {"kind", "path"}
+                   | {f.name for f in dataclasses.fields(SyntheticTaskSpec)})
         return TabularOracle(require(spec, "path"))
     raise ConfigError(f"unknown oracle kind {kind!r}")
 

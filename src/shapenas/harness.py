@@ -9,6 +9,7 @@ from __future__ import annotations
 import concurrent.futures
 import functools
 import json
+import logging
 import os
 import shutil
 
@@ -16,6 +17,8 @@ import numpy as np
 
 from . import bob, config as cfgmod, controller, dataset as ds, oracle as orc
 from .design_space import parse_network
+
+log = logging.getLogger(__name__)
 
 
 class HarnessError(RuntimeError):
@@ -128,7 +131,9 @@ def cmd_gen_synth(config_path, seed: int, out_dir) -> str:
     catalog = cfgmod.build_catalog(doc)
     contexts = cfgmod.build_contexts(doc)
     model = cfgmod.build_synth_stats_model(doc)
-    count = doc.get("synth_stats", {}).get("count", 1000)
+    synth_stats = doc.get("synth_stats", {})
+    cfgmod.check_keys(synth_stats, "synth_stats", ("count",))
+    count = synth_stats.get("count", 1000)
     input_shape = tuple(doc.get("input_shape", (3, 16, 16)))
     _, raw_rows = orc.gen_synth_stats(catalog, contexts, model, count, seed,
                                       input_shape)
@@ -176,6 +181,8 @@ def _build_secondary(doc, space):
     """The configured secondary source; module-level callables, so that it
     pickles into worker processes."""
     spec = doc.get("secondary", {"kind": "none"})
+    # the keys of all kinds: a kind ignores the others' keys
+    cfgmod.check_keys(spec, "secondary", ("kind", "model_path", "metric"))
     kind = spec.get("kind", "none")
     if kind == "predictor":
         model = bob.load_model(cfgmod.require(spec, "model_path"))
@@ -187,6 +194,21 @@ def _build_secondary(doc, space):
     if kind == "none":
         return controller.CallableSecondary(_no_metrics, 0)
     raise cfgmod.ConfigError(f"unknown secondary kind {kind!r}")
+
+
+def _check_metric_count(secondary, key: str, count: int) -> None:
+    if count != secondary.n_metrics:
+        raise cfgmod.ConfigError(
+            f"config key '{key}' is for {count} secondary metrics, but the "
+            f"secondary supplies {secondary.n_metrics}")
+
+
+def _log_row_cache(secondary) -> None:
+    """Log the predictor row cache's hits and misses in this process; the
+    caches of worker processes (``jobs > 1``) are not counted."""
+    if isinstance(secondary, controller.PredictorSecondary):
+        log.debug("predictor row cache: %d hits, %d misses",
+                  secondary.model.cache_hits, secondary.model.cache_misses)
 
 
 def _run_one(doc, space, secondary, shaping, seed, weights):
@@ -250,6 +272,7 @@ def cmd_search(config_path, seed: int, replicates: int, jobs: int,
     secondary = _build_secondary(doc, space)
     shaping = cfgmod.build_shaping(doc)
     n_sec = len(shaping.epsilon0)
+    _check_metric_count(secondary, "shaping.epsilon0", n_sec)
     seeds = [seed + i for i in range(replicates)]
     traces = _run_replicates(doc, space, secondary, shaping, jobs, seeds,
                              [None] * replicates)
@@ -267,6 +290,7 @@ def cmd_search(config_path, seed: int, replicates: int, jobs: int,
               "failed_seeds": failed}
     _write_json(os.path.join(out_dir, "report.json"), report)
     _write_json(os.path.join(out_dir, "timings.json"), timings)
+    _log_row_cache(secondary)
     if failed:
         raise HarnessError(f"replicates failed for seeds {failed}")
     return report
@@ -282,9 +306,12 @@ def cmd_compare(config_path, seed: int, replicates: int, jobs: int,
     n_sec = len(shaping.epsilon0)
     seeds = [seed + i for i in range(replicates)]
     weights = tuple(cfgmod.require(doc, "scalarized_weights"))
-    traces = _run_replicates(doc, space, _build_secondary(doc, space),
-                             shaping, jobs, seeds * 2,
+    secondary = _build_secondary(doc, space)
+    _check_metric_count(secondary, "shaping.epsilon0", n_sec)
+    _check_metric_count(secondary, "scalarized_weights", len(weights) - 1)
+    traces = _run_replicates(doc, space, secondary, shaping, jobs, seeds * 2,
                              [None] * replicates + [weights] * replicates)
+    _log_row_cache(secondary)
     shaped, scalar = traces[:replicates], traces[replicates:]
 
     failed = []

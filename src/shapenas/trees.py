@@ -1,6 +1,8 @@
 """Regression trees and squared-error gradient boosting, numpy only."""
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 
@@ -9,7 +11,9 @@ class RegressionTree:
 
     Stored as flat arrays: internal node i splits on ``feature[i]`` at
     ``threshold[i]`` (left if x <= t), leaves have feature -1 and carry the
-    mean of their training targets in ``value[i]``.
+    mean of their training targets in ``value[i]``. ``predict`` walks one
+    tree and serves the in-sample step of boosting; ``BoostedRegressor``
+    scores its trees from compiled copies of these arrays.
     """
 
     def __init__(self, max_depth=4, min_samples_leaf=5):
@@ -118,7 +122,17 @@ class RegressionTree:
 
 
 class BoostedRegressor:
-    """Gradient boosting on squared error: fit trees to residuals, shrink, sum."""
+    """Gradient boosting on squared error: fit trees to residuals, shrink, sum.
+
+    ``fit`` and ``from_dict`` compile the trees into padded
+    ``(n_trees, max_nodes)`` arrays in which every leaf is its own child, so
+    ``predict`` walks all trees for all rows together, a fixed number of
+    levels (the deepest tree's depth). The terms are summed in tree order,
+    ``base + lr*t1 + lr*t2 ...``, as a per-tree loop would sum them, so
+    predictions are bit-identical to one. The regressor is read-only once
+    fitted or loaded: ``learning_rate`` and ``base_prediction`` are read at
+    each call, the trees only when compiling.
+    """
 
     def __init__(self, rounds=50, learning_rate=0.1, max_depth=4,
                  min_samples_leaf=5):
@@ -143,14 +157,53 @@ class BoostedRegressor:
             self.trees.append(tree)
             current = current + self.learning_rate * tree.predict(X)
             self.train_losses.append(float(((y - current) ** 2).mean()))
+        self._compile()
         return self
+
+    def _compile(self) -> None:
+        sizes = np.array([len(t.feature) for t in self.trees], dtype=np.intp)
+        width = int(sizes.max(initial=1))
+        n_slots = len(sizes) * width
+        # node j of tree k is entry k*width + j of the flattened arrays
+        self._roots = np.arange(len(sizes)) * width
+        offset = np.repeat(self._roots, sizes)
+        slot = offset + np.arange(len(offset)) \
+            - np.repeat(np.cumsum(sizes) - sizes, sizes)
+
+        def stacked(name, dtype):
+            return np.fromiter(itertools.chain.from_iterable(
+                getattr(t, name) for t in self.trees), dtype, len(slot))
+
+        feature = stacked("feature", np.intp)
+        leaf = feature < 0
+        self._feature = np.zeros(n_slots, dtype=np.intp)
+        self._feature[slot] = np.where(leaf, 0, feature)
+        self._threshold = np.zeros(n_slots)
+        self._threshold[slot] = stacked("threshold", float)
+        self._value = np.zeros(n_slots)
+        self._value[slot] = stacked("value", float)
+        # a leaf, like a padding entry, is its own left and right child
+        self._left, self._right = np.arange(n_slots), np.arange(n_slots)
+        self._left[slot] = np.where(leaf, slot,
+                                    offset + stacked("left", np.intp))
+        self._right[slot] = np.where(leaf, slot,
+                                     offset + stacked("right", np.intp))
+        self._levels, nodes = 0, self._roots  # the deepest tree's depth
+        while (inner := nodes[self._left[nodes] != nodes]).size:
+            nodes = np.concatenate([self._left[inner], self._right[inner]])
+            self._levels += 1
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        out = np.full(len(X), self.base_prediction)
-        for tree in self.trees:
-            out = out + self.learning_rate * tree.predict(X)
-        return out
+        rows = np.arange(len(X))
+        node = np.repeat(self._roots[:, None], len(X), axis=1)
+        for _ in range(self._levels):
+            go_left = X[rows, self._feature[node]] <= self._threshold[node]
+            node = np.where(go_left, self._left[node], self._right[node])
+        terms = np.empty((len(self._roots) + 1, len(X)))
+        terms[0] = self.base_prediction
+        terms[1:] = self.learning_rate * self._value[node]
+        return np.cumsum(terms, axis=0)[-1]  # sequential, in tree order
 
     def to_dict(self) -> dict:
         return {
@@ -170,4 +223,6 @@ class BoostedRegressor:
         model.base_prediction = float(d["base_prediction"])
         model.train_losses = [float(v) for v in d["train_losses"]]
         model.trees = [RegressionTree.from_dict(t) for t in d["trees"]]
+        model._compile()
         return model
+

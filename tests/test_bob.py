@@ -2,12 +2,14 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from shapenas.bob import (MODEL_FORMAT_VERSION, BobConfig, BobModel,
-                          ModelFormatError, SchemaMismatchError,
-                          learn_meta, load_model,
+from shapenas.bob import (INFEASIBLE, MODEL_FORMAT_VERSION, BobConfig,
+                          BobModel, MetaPrediction, ModelFormatError,
+                          SchemaMismatchError, learn_meta, load_model,
                           predict, predict_network, save_model, score)
 from shapenas.dataset import MetaDataset
+from shapenas.design_space import row_signature
 
 from test_dataset import make_csv, vary
 from shapenas.dataset import ingest_stats
@@ -190,3 +192,78 @@ def test_predict_network_sums_layers_and_empty_is_zero(tmp_path):
     assert both.values[0] == pytest.approx(2 * one[0])
     empty = predict_network(model, np.zeros((0, data.X.shape[1])))
     assert empty.feasible and empty.values == (0.0,)
+
+
+# --- batched, cached layer prediction ---------------------------------------
+
+
+def reference_predict(model, row):
+    """The uncached one-row path that the batched layer prediction replaces."""
+    if row_signature(row) in model.infeasible_registry \
+            or not model.gate_feasible(row[None, :])[0]:
+        return INFEASIBLE
+    values = model.predict_matrix(row[None, :])[0]
+    return MetaPrediction(True, tuple(float(v) for v in values))
+
+
+def fresh(model):
+    """The same predictor with an empty row cache."""
+    return BobModel(model.columns, model.target_names, model.members,
+                    model.gate, model.infeasible_registry)
+
+
+@pytest.fixture(scope="module")
+def gated(tmp_path_factory):
+    """A model whose registry holds channels 31..41 and whose gate rejects
+    channels above 30; its row pool adds unseen rows on both sides."""
+    rows = [vary(Channels=ch, feasible=0 if ch > 30 else 1,
+                 **{"Execution time": "" if ch > 30 else 1.0 + ch,
+                    "Memory Usage": "" if ch > 30 else 0.5 * ch})
+            for ch in range(2, 42)]
+    data = ingest_stats(make_csv(tmp_path_factory.mktemp("gated"), rows,
+                                 targets=("Execution time", "Memory Usage")))
+    model = learn_meta(data, BobConfig(bag_size=2, rounds=30, min_samples=5),
+                       seed=0)
+    col = data.columns.index("channels")
+    probes = np.repeat(data.X[:1], 2, axis=0)
+    probes[:, col] = (10.5, 35.5)
+    return model, np.vstack([data.X, probes])
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_predict_network_is_sum_of_row_predictions(gated, data):
+    model, pool = gated
+    chain = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
+                               max_size=8))
+    X = pool[chain]
+    rows = [reference_predict(model, x) for x in X]
+    if all(p.feasible for p in rows):
+        total = np.sum([p.values for p in rows], axis=0)
+        expected = MetaPrediction(True, tuple(float(v) for v in total))
+    else:
+        expected = INFEASIBLE
+    assert [predict(fresh(model), x) for x in X] == rows
+    cached = fresh(model)
+    assert predict_network(cached, X) == expected
+    distinct = len(set(map(bytes, X)))
+    assert (cached.cache_misses, cached.cache_hits) == \
+        (distinct, len(X) - distinct)
+    # later calls are served from the cache and return the same results
+    assert predict_network(cached, X) == expected
+    assert [predict(cached, x) for x in X] == rows
+    assert (cached.cache_misses, cached.cache_hits) == \
+        (distinct, 3 * len(X) - distinct)
+
+
+def test_registry_or_gate_row_makes_network_infeasible(gated):
+    model, pool = gated
+    registry_row, feasible_row = pool[35], pool[-2]
+    gate_row = pool[-1]
+    assert row_signature(registry_row) in model.infeasible_registry
+    assert row_signature(gate_row) not in model.infeasible_registry
+    assert not model.gate_feasible(gate_row[None, :])[0]
+    assert predict_network(fresh(model), feasible_row[None, :]).feasible
+    for bad in (registry_row, gate_row):
+        chain = np.vstack([feasible_row, bad, feasible_row])
+        assert predict_network(fresh(model), chain) == INFEASIBLE

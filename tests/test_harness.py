@@ -1,5 +1,7 @@
 import hashlib
 import json
+import logging
+import re
 
 import pytest
 import yaml
@@ -433,3 +435,61 @@ def test_cli_compare_exit_zero(tmp_path, capsys):
                    "--out", str(tmp_path / "out")])
     assert rc == 0
     assert "speedup ratio" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, overrides, message", [
+    ("search", {"shaping": {"epsilon0": [1.0, 1.0], "budgets": [200.0, 200.0]}},
+     "'shaping.epsilon0' is for 2 secondary metrics, but the secondary "
+     "supplies 1"),
+    ("search", {"secondary": {"kind": "none"}},
+     "'shaping.epsilon0' is for 1 secondary metrics, but the secondary "
+     "supplies 0"),
+    ("compare", {"scalarized_weights": [1.0, 0.1, 0.1]},
+     "'scalarized_weights' is for 2 secondary metrics, but the secondary "
+     "supplies 1"),
+], ids=["per_action_two_epsilons", "none_one_epsilon",
+        "compare_three_weights"])
+def test_secondary_metric_count_checked(tmp_path, capsys, command, overrides,
+                                        message):
+    cfg = write_config(tmp_path, overrides)
+    rc, err = run_cli(tmp_path, capsys, cfg, command=command)
+    assert rc == 2
+    assert message in err
+
+
+@pytest.mark.parametrize("command, overrides, key", [
+    ("search", {"secondry": {"kind": "none"}}, "'secondry'"),
+    ("search", {"secondary": {"model_pth": "model.json"}},
+     "'secondary.model_pth'"),
+    ("search", {"catalog": {"max_dpeth": 3}}, "'catalog.max_dpeth'"),
+    ("search", {"oracle": {"kind": "tabular", "path": "oracle.csv",
+                           "pth": "oracle.csv"}}, "'oracle.pth'"),
+    ("gen-synth", dict(SYNTH, synth_stats={"cuont": 10}),
+     "'synth_stats.cuont'"),
+], ids=["top_level", "secondary", "catalog", "tabular_oracle", "synth_stats"])
+def test_unknown_config_key_rejected(tmp_path, capsys, command, overrides,
+                                     key):
+    cfg = write_config(tmp_path, overrides)
+    rc, err = run_cli(tmp_path, capsys, cfg, command=command)
+    assert rc == 2
+    assert f"unknown config key {key}" in err
+
+
+def test_predictor_row_cache_counts_logged(tmp_path, caplog):
+    cfg = predictor_setup(tmp_path, count=300)
+    cmd_train_predictor(cfg, seed=0, out_dir=str(tmp_path / "model"))
+    search_cfg = write_config(tmp_path, {
+        "secondary": {"kind": "predictor",
+                      "model_path": str(tmp_path / "model" / "model.json")},
+        "shaping": {"episodes": 3, "epsilon0": [1.0, 1.0],
+                    "budgets": [500.0, 500.0]},
+    }, name="search.yaml")
+    with caplog.at_level(logging.DEBUG, logger="shapenas.harness"):
+        cmd_search(search_cfg, seed=0, replicates=1, jobs=1,
+                   out_dir=str(tmp_path / "run"))
+    [message] = [r.getMessage() for r in caplog.records
+                 if "row cache" in r.getMessage()]
+    hits, misses = map(int, re.findall(r"(\d+) hits, (\d+) misses",
+                                       message)[0])
+    # 3 episodes of up to 4 layers; the chains repeat their prefixes
+    assert misses > 0 and hits > misses

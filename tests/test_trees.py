@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shapenas.trees import BoostedRegressor, RegressionTree
 
@@ -56,3 +57,77 @@ def test_tree_roundtrip_is_exact():
     model = BoostedRegressor(rounds=15).fit(X, y)
     clone = BoostedRegressor.from_dict(model.to_dict())
     assert np.array_equal(model.predict(X), clone.predict(X))
+
+
+# --- compiled ensemble walk -------------------------------------------------
+
+N_FEATURES = 3
+# thresholds on the grid the rows are rounded to, so that x == t occurs
+THRESHOLDS = st.one_of(st.sampled_from([-0.5, 0.0, 0.3]),
+                       st.floats(-1.0, 1.0))
+
+
+def reference_predict(model, X):
+    """The per-tree loop that the compiled walk replaces."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    out = np.full(len(X), model.base_prediction)
+    for tree in model.trees:
+        out = out + model.learning_rate * tree.predict(X)
+    return out
+
+
+@st.composite
+def tree_dicts(draw, max_depth=5):
+    nodes = {"feature": [], "threshold": [], "left": [], "right": [],
+             "value": []}
+
+    def grow(depth):
+        node = len(nodes["feature"])
+        for key, blank in (("feature", -1), ("threshold", 0.0), ("left", -1),
+                           ("right", -1)):
+            nodes[key].append(blank)
+        nodes["value"].append(draw(st.floats(-10.0, 10.0)))
+        if depth < max_depth and draw(st.booleans()):
+            nodes["feature"][node] = draw(st.integers(0, N_FEATURES - 1))
+            nodes["threshold"][node] = draw(THRESHOLDS)
+            nodes["left"][node] = grow(depth + 1)
+            nodes["right"][node] = grow(depth + 1)
+        return node
+
+    grow(0)
+    return dict(nodes, max_depth=max_depth, min_samples_leaf=1)
+
+
+def random_rows(seed, n_rows):
+    rng = np.random.default_rng(seed)
+    return np.round(rng.uniform(-1.2, 1.2, size=(n_rows, N_FEATURES)), 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(trees=st.lists(tree_dicts(), max_size=8),
+       base=st.floats(-5.0, 5.0), learning_rate=st.floats(0.01, 1.0),
+       n_rows=st.sampled_from([1, 1000]), seed=st.integers(0, 2 ** 16))
+def test_compiled_walk_equals_per_tree_loop(trees, base, learning_rate,
+                                            n_rows, seed):
+    # unequal sizes and depths, single-leaf trees, and no trees at all
+    model = BoostedRegressor.from_dict({
+        "rounds": len(trees), "learning_rate": learning_rate,
+        "max_depth": 5, "min_samples_leaf": 1, "base_prediction": base,
+        "train_losses": [0.0] * len(trees), "trees": trees})
+    X = random_rows(seed, n_rows)
+    assert np.array_equal(model.predict(X), reference_predict(model, X))
+
+
+@settings(max_examples=30, deadline=None)
+@given(rounds=st.integers(0, 6), max_depth=st.integers(0, 4),
+       min_samples_leaf=st.integers(1, 6), n_rows=st.sampled_from([1, 1000]),
+       seed=st.integers(0, 2 ** 16))
+def test_fitted_walk_equals_per_tree_loop(rounds, max_depth,
+                                          min_samples_leaf, n_rows, seed):
+    X = random_rows(seed, 60)
+    y = np.sin(3 * X[:, 0]) + X[:, 1] * X[:, 2]
+    model = BoostedRegressor(rounds, 0.3, max_depth,
+                             min_samples_leaf).fit(X, y)
+    assert len(model.trees) == rounds
+    rows = random_rows(seed + 1, n_rows)
+    assert np.array_equal(model.predict(rows), reference_predict(model, rows))
