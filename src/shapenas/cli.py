@@ -2,9 +2,13 @@
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 
 from . import harness
+
+log = logging.getLogger("shapenas")
+LOG_LEVELS = ("debug", "info", "warning", "error")
 
 
 def _add_common(sub):
@@ -14,6 +18,10 @@ def _add_common(sub):
     sub.add_argument("--jobs", type=int, default=1,
                      help="parallel replicate processes")
     sub.add_argument("--out", required=True, help="output directory")
+    sub.add_argument("--log-level", choices=LOG_LEVELS, default="warning",
+                     help="level of the shapenas loggers, printed to "
+                          "stderr; debug also prints the traceback of an "
+                          "unexpected error")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -28,6 +36,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    handler = logging.StreamHandler()
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: "
+                                           "%(message)s"))
+    old_level = log.level
+    log.addHandler(handler)
+    log.setLevel(args.log_level.upper())
+    try:
+        return _run(args)
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(old_level)
+
+
+def _run(args) -> int:
     try:
         if args.command == "gen-synth":
             path = harness.cmd_gen_synth(args.config, args.seed, args.out)
@@ -55,6 +77,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:
+        log.debug("unexpected error", exc_info=True)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

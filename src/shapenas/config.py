@@ -55,6 +55,10 @@ def check_keys(mapping, section: str, known) -> None:
             raise ConfigError(f"unknown config key '{section}.{key}'")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _tuples(value):
     return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
@@ -117,9 +121,24 @@ def build_shaping(doc: dict) -> ShapingConfig:
 
 
 def build_predictor_cfg(doc: dict) -> BobConfig:
-    return build_section(BobConfig, doc.get("predictor", {}), "predictor",
-                         other_keys=("stats_path", "test_fraction",
-                                     "oversample_factor"))
+    """The predictor section's ``BobConfig``; also checks the section's
+    ``test_fraction`` and ``oversample_factor``, which the caller reads."""
+    section = doc.get("predictor", {})
+    cfg = build_section(BobConfig, section, "predictor",
+                        other_keys=("stats_path", "test_fraction",
+                                    "oversample_factor"))
+    if cfg.bag_size < 1:
+        raise ConfigError(f"config key 'predictor.bag_size' must be at "
+                          f"least 1, got {cfg.bag_size}")
+    fraction = section.get("test_fraction", 0.25)
+    if not _is_number(fraction) or not 0 < fraction < 1:
+        raise ConfigError(f"config key 'predictor.test_fraction' must be "
+                          f"between 0 and 1 (exclusive), got {fraction!r}")
+    factor = section.get("oversample_factor", 1.0)
+    if not _is_number(factor):
+        raise ConfigError(f"config key 'predictor.oversample_factor' must "
+                          f"be a number, got {factor!r}")
+    return cfg
 
 
 def build_oracle(doc: dict):

@@ -148,6 +148,7 @@ def cmd_train_predictor(config_path, seed: int, out_dir) -> dict:
     doc = cfgmod.load_config(config_path)
     _ensure_out(out_dir, config_path)
     pred_doc = doc.get("predictor", {})
+    bob_cfg = cfgmod.build_predictor_cfg(doc)
     stats_path = pred_doc.get("stats_path")
     if not stats_path:
         raise cfgmod.ConfigError("missing required config key "
@@ -158,7 +159,7 @@ def cmd_train_predictor(config_path, seed: int, out_dir) -> dict:
     factor = pred_doc.get("oversample_factor", 1.0)
     if factor > 1.0:
         train = ds.oversample(train, factor, seed)
-    model = bob.learn_meta(train, cfgmod.build_predictor_cfg(doc), seed)
+    model = bob.learn_meta(train, bob_cfg, seed)
     report = bob.score(model, holdout)
     model_path = os.path.join(out_dir, "model.json")
     bob.save_model(model, model_path)

@@ -493,3 +493,42 @@ def test_predictor_row_cache_counts_logged(tmp_path, caplog):
                                        message)[0])
     # 3 episodes of up to 4 layers; the chains repeat their prefixes
     assert misses > 0 and hits > misses
+
+
+@pytest.mark.parametrize("setting, key", [
+    ({"bag_size": 0}, "'predictor.bag_size'"),
+    ({"test_fraction": 1.0}, "'predictor.test_fraction'"),
+    ({"oversample_factor": "1.5e0"}, "'predictor.oversample_factor'"),
+], ids=["empty_bag", "all_holdout", "factor_read_as_string"])
+def test_bad_predictor_setting_names_key(tmp_path, capsys, setting, key):
+    cfg = predictor_setup(tmp_path, count=100)
+    train = write_config(tmp_path, {"predictor": dict(
+        load_config(cfg)["predictor"], **setting)}, name="bad.yaml")
+    rc, err = run_cli(tmp_path, capsys, train, command="train-predictor")
+    assert rc == 2
+    assert key in err
+    assert not (tmp_path / "out" / "model.json").exists()
+
+
+@pytest.mark.parametrize("level", ["debug", "warning"])
+def test_log_level_shows_cache_log_and_traceback_only_at_debug(
+        tmp_path, capsys, level):
+    cfg = predictor_setup(tmp_path, count=300)
+    cmd_train_predictor(cfg, seed=0, out_dir=str(tmp_path / "model"))
+    search_cfg = write_config(tmp_path, {
+        "secondary": {"kind": "predictor",
+                      "model_path": str(tmp_path / "model" / "model.json")},
+        "shaping": {"episodes": 3, "epsilon0": [1.0, 1.0],
+                    "budgets": [500.0, 500.0]},
+    }, name="search.yaml")
+    assert cli.main(["search", "--config", search_cfg, "--log-level", level,
+                     "--out", str(tmp_path / "run")]) == 0
+    err = capsys.readouterr().err
+    assert ("DEBUG shapenas.harness: predictor row cache" in err) \
+        == (level == "debug")
+    bad = write_config(tmp_path, {"schema_version": 99}, name="bad.yaml")
+    assert cli.main(["search", "--config", bad, "--log-level", level,
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "schema_version 99" in err
+    assert ("Traceback (most recent call last)" in err) == (level == "debug")

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -131,3 +133,118 @@ def test_fitted_walk_equals_per_tree_loop(rounds, max_depth,
     assert len(model.trees) == rounds
     rows = random_rows(seed + 1, n_rows)
     assert np.array_equal(model.predict(rows), reference_predict(model, rows))
+
+
+# --- presorted fit ------------------------------------------------------------
+
+
+class ReferenceTree(RegressionTree):
+    """The grower the presorted fit replaces: a stable argsort of every
+    feature at every node. ``order`` is accepted and ignored, so that
+    boosting can run on this grower."""
+
+    def fit(self, X, y, order=None):
+        self.feature, self.threshold = [], []
+        self.left, self.right, self.value = [], [], []
+        self._grow(X, y, depth=0)
+        return self
+
+    def _grow(self, X, y, depth):
+        node = self._new_node()
+        self.value[node] = float(y.mean())
+        if depth >= self.max_depth or len(y) < 2 * self.min_samples_leaf:
+            return node
+        split = self._best_split(X, y)
+        if split is None:
+            return node
+        f, t = split
+        mask = X[:, f] <= t
+        self.feature[node] = f
+        self.threshold[node] = t
+        self.left[node] = self._grow(X[mask], y[mask], depth + 1)
+        self.right[node] = self._grow(X[~mask], y[~mask], depth + 1)
+        return node
+
+    def _best_split(self, X, y):
+        n = len(y)
+        best_gain, best = 1e-12, None
+        total_ss = float(((y - y.mean()) ** 2).sum())
+        m = self.min_samples_leaf
+        for f in range(X.shape[1]):
+            order = np.argsort(X[:, f], kind="stable")
+            xs, ys = X[order, f], y[order]
+            csum = np.cumsum(ys)
+            csq = np.cumsum(ys * ys)
+            sizes = np.arange(1, n)
+            valid = (sizes >= m) & (n - sizes >= m) & (xs[:-1] < xs[1:])
+            if not valid.any():
+                continue
+            left_ss = csq[:-1] - csum[:-1] ** 2 / sizes
+            rsum = csum[-1] - csum[:-1]
+            rsq = csq[-1] - csq[:-1]
+            right_ss = rsq - rsum ** 2 / (n - sizes)
+            gain = np.where(valid, total_ss - left_ss - right_ss, -np.inf)
+            i = int(np.argmax(gain))
+            if gain[i] > best_gain:
+                best_gain = float(gain[i])
+                best = (f, float((xs[i] + xs[i + 1]) / 2.0))
+        return best
+
+
+@st.composite
+def fit_data(draw):
+    """Rows and targets with the ties that decide splits: columns of 1-4
+    levels (a constant one among them), copies of earlier columns (equal
+    gains across features), continuous columns, bootstrap duplicates, and
+    few-level or constant targets."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 80))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["levels", "continuous", "copy"]))
+        if kind == "copy" and columns:
+            columns.append(columns[draw(st.integers(0, len(columns) - 1))])
+        elif kind == "continuous":
+            columns.append(rng.normal(size=n))
+        else:
+            levels = draw(st.integers(1, 4))
+            columns.append(rng.integers(0, levels, n) * 0.5 - 1.0)
+    X = np.stack(columns, axis=1)
+    target = draw(st.sampled_from(["continuous", "levels", "constant"]))
+    if target == "continuous":
+        y = rng.normal(size=n) * 10.0
+    elif target == "levels":
+        y = rng.integers(0, 3, n).astype(float)
+    else:
+        y = np.full(n, 2.75)
+    if draw(st.booleans()):  # a bootstrap draw, as each bag member fits
+        boot = rng.integers(0, n, n)
+        X, y = X[boot], y[boot]
+    return X, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=fit_data(), max_depth=st.integers(0, 4),
+       min_samples_leaf=st.integers(0, 6))
+def test_presorted_fit_equals_per_node_sort(data, max_depth,
+                                            min_samples_leaf):
+    # covers n < 2 * min_samples_leaf too: n starts at 1
+    X, y = data
+    tree = RegressionTree(max_depth, min_samples_leaf).fit(X, y)
+    ref = ReferenceTree(max_depth, min_samples_leaf).fit(X, y)
+    for name in ("feature", "threshold", "left", "right", "value"):
+        assert getattr(tree, name) == getattr(ref, name), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=fit_data(), rounds=st.integers(0, 5),
+       max_depth=st.integers(0, 4), min_samples_leaf=st.integers(0, 6))
+def test_presorted_boosting_equals_per_node_sort(data, rounds, max_depth,
+                                                 min_samples_leaf):
+    X, y = data
+    params = (rounds, 0.3, max_depth, min_samples_leaf)
+    fitted = BoostedRegressor(*params).fit(X, y).to_dict()
+    with mock.patch("shapenas.trees.RegressionTree", ReferenceTree):
+        reference = BoostedRegressor(*params).fit(X, y).to_dict()
+    assert fitted == reference
+
