@@ -37,6 +37,11 @@ class BobConfig:
     min_samples_leaf: int = 5
     min_samples: int = 20  # minimum feasible rows required to train
 
+    def __post_init__(self):
+        if self.bag_size < 1:
+            raise ValueError(f"bag_size must be at least 1, got "
+                             f"{self.bag_size}")
+
 
 @dataclass(frozen=True)
 class MetaPrediction:
@@ -79,11 +84,11 @@ class BobModel:
     def schema_fingerprint(self) -> str:
         return "|".join(self.columns)
 
-    def _check_schema(self, row: np.ndarray) -> None:
-        if row.shape[-1] != len(self.columns):
+    def _check_schema(self, X: np.ndarray) -> None:
+        if X.shape[-1] != len(self.columns):
             raise SchemaMismatchError(
                 f"expected {len(self.columns)} features "
-                f"({self.schema_fingerprint}), got {row.shape[-1]}")
+                f"({self.schema_fingerprint}), got {X.shape[-1]}")
 
     def gate_feasible(self, X: np.ndarray) -> np.ndarray:
         if self.gate is None:
@@ -93,7 +98,7 @@ class BobModel:
     def predict_matrix(self, X: np.ndarray) -> np.ndarray:
         """Per-target ensemble means for feasible rows; no gate applied."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        self._check_schema(X[0])
+        self._check_schema(X)
         out = np.zeros((len(X), len(self.target_names)))
         for member in self.members:
             for t, name in enumerate(self.target_names):
@@ -166,8 +171,9 @@ def _stratified_bootstrap(rng, feasible: np.ndarray) -> np.ndarray:
 def learn_meta(data: MetaDataset, cfg: BobConfig, seed: int) -> BobModel:
     """Fit the bagged predictor; deterministic given (data, cfg, seed).
 
-    Each bag member trains on its own bootstrap sample (RNG stream
-    seed+member_index, so serial and parallel fits agree). Regressors see
+    Each bag member trains on its own bootstrap sample from its own RNG
+    stream, seed+member_index, so a member does not depend on the members
+    before it (the bag is fitted serially). Regressors see
     feasible rows only; the gate's bootstrap is stratified over both classes
     so the infeasible registry informs sample selection.
     """
@@ -243,6 +249,17 @@ def save_model(model: BobModel, path) -> None:
         json.dump(doc, fh)
 
 
+def _regressor(path, where: str, mapping, key, n_features: int):
+    """``mapping[key]`` compiled over ``n_features`` columns; a malformed
+    regressor raises ModelFormatError naming the file and ``where``."""
+    try:
+        return BoostedRegressor.from_dict(mapping[key], n_features)
+    except KeyError as exc:
+        raise ModelFormatError(f"{path}: {where}: no key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ModelFormatError(f"{path}: {where}: {exc}") from exc
+
+
 def load_model(path) -> BobModel:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -255,10 +272,14 @@ def load_model(path) -> BobModel:
             f"{path}: format version {version}, this build reads "
             f"{MODEL_FORMAT_VERSION}")
     try:
-        members = [{name: BoostedRegressor.from_dict(reg)
-                    for name, reg in member.items()}
-                   for member in doc["members"]]
-        gate = (BoostedRegressor.from_dict(doc["gate"])
+        if not doc["members"]:
+            raise ModelFormatError(f"{path}: model file has no members")
+        n_features = len(doc["columns"])
+        members = [{name: _regressor(path, f"member {i}, target {name!r}",
+                                     member, name, n_features)
+                    for name in doc["target_names"]}
+                   for i, member in enumerate(doc["members"])]
+        gate = (_regressor(path, "gate", doc, "gate", n_features)
                 if doc["gate"] is not None else None)
         registry = {(tuple(a), tuple(c))
                     for a, c in doc["infeasible_registry"]}

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 import typing
 
 import yaml
@@ -70,6 +71,8 @@ def build_section(cls, mapping, section: str, other_keys=()):
     not to ``cls`` and are skipped. An unknown key, a missing required key
     and a string where ``cls`` takes a number (PyYAML reads ``1.0e9``, with
     no sign after the ``e``, as a string) raise ConfigError naming the key.
+    So does a ValueError from ``cls``'s own checks, which names the first
+    field its message mentions (or the section, if it mentions none).
     """
     fields = {f.name: f for f in dataclasses.fields(cls)}
     check_keys(mapping, section, fields.keys() | set(other_keys))
@@ -87,7 +90,13 @@ def build_section(cls, mapping, section: str, other_keys=()):
                 and f.default_factory is dataclasses.MISSING:
             raise ConfigError(f"missing required config key "
                               f"'{section}.{name}'")
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        key = next((word for word in re.findall(r"\w+", str(exc))
+                    if word in fields), None)
+        where = f"key '{section}.{key}'" if key else f"section '{section}'"
+        raise ConfigError(f"config {where}: {exc}") from exc
 
 
 def build_catalog(doc: dict) -> ActionCatalog:
@@ -127,9 +136,6 @@ def build_predictor_cfg(doc: dict) -> BobConfig:
     cfg = build_section(BobConfig, section, "predictor",
                         other_keys=("stats_path", "test_fraction",
                                     "oversample_factor"))
-    if cfg.bag_size < 1:
-        raise ConfigError(f"config key 'predictor.bag_size' must be at "
-                          f"least 1, got {cfg.bag_size}")
     fraction = section.get("test_fraction", 0.25)
     if not _is_number(fraction) or not 0 < fraction < 1:
         raise ConfigError(f"config key 'predictor.test_fraction' must be "

@@ -53,8 +53,10 @@ class ShapingConfig:
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
-        if self.beta <= 0 or self.softmax_temperature <= 0:
-            raise ValueError("beta and softmax_temperature must be positive")
+        if self.beta <= 0:
+            raise ValueError("beta must be positive")
+        if self.softmax_temperature <= 0:
+            raise ValueError("softmax_temperature must be positive")
         if self.epsilon_threshold <= 0:
             raise ValueError("epsilon_threshold must be positive")
         for e0 in self.epsilon0:

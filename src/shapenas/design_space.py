@@ -49,9 +49,10 @@ class LayerTemplate:
 
     def __post_init__(self):
         if self.block_kind not in BLOCK_KINDS:
-            raise ValueError(f"unknown block kind {self.block_kind!r}")
-        if self.kernel_size < 1 or self.stride < 1 or self.padding < 0:
-            raise ValueError("kernel_size/stride must be >= 1, padding >= 0")
+            raise ValueError(f"unknown block_kind {self.block_kind!r}")
+        for name, low in (("kernel_size", 1), ("stride", 1), ("padding", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
         if self.expansion_ratio <= 0:
             raise ValueError("expansion_ratio must be positive")
         if self.channels < 0:

@@ -9,11 +9,13 @@ import numpy as np
 class RegressionTree:
     """Binary CART regressor with variance-reduction splits.
 
-    Stored as flat arrays: internal node i splits on ``feature[i]`` at
-    ``threshold[i]`` (left if x <= t), leaves have feature -1 and carry the
-    mean of their training targets in ``value[i]``. ``predict`` walks one
-    tree and serves the in-sample step of boosting; ``BoostedRegressor``
-    scores its trees from compiled copies of these arrays.
+    Grown as node lists: internal node i splits on ``feature[i]`` at
+    ``threshold[i]`` (left if x <= t) into ``left[i]`` and ``right[i]``,
+    which come after it; leaves have feature -1 and carry the mean of their
+    training targets in ``value[i]``. ``fitted`` holds, per training row,
+    the value of the leaf the row reached: boosting's in-sample step. A tree
+    has no predict of its own: ``to_dict`` is the form that boosting keeps,
+    ``model.json`` stores and ``BoostedRegressor`` compiles.
 
     ``fit`` sorts each feature once (XGBoost's presorted column blocks,
     Chen & Guestrin, KDD 2016) and no node sorts again: a node holds every
@@ -32,6 +34,7 @@ class RegressionTree:
         self.left: list[int] = []
         self.right: list[int] = []
         self.value: list[float] = []
+        self.fitted = np.empty(0)
 
     def fit(self, X: np.ndarray, y: np.ndarray,
             order: np.ndarray | None = None) -> "RegressionTree":
@@ -42,6 +45,7 @@ class RegressionTree:
             order = np.argsort(X, axis=0, kind="stable")
         self.feature, self.threshold = [], []
         self.left, self.right, self.value = [], [], []
+        self.fitted = np.empty(len(y))
         # block[f] lists the node's rows by ascending X[:, f], ties in row
         # order: what a stable argsort of the node's own rows would give
         self._grow(X, y, np.arange(len(y)), np.ascontiguousarray(order.T),
@@ -62,6 +66,7 @@ class RegressionTree:
         node = self._new_node()
         node_y = y[rows]
         self.value[node] = float(node_y.mean())
+        self.fitted[rows] = self.value[node]  # children overwrite their rows
         if depth >= self.max_depth:
             return node
         split = self._best_split(X, y, node_y, block)
@@ -120,50 +125,24 @@ class RegressionTree:
         f, i = int(f[k]), int(i[k])
         return f, float((xs[f, i] + xs[f, i + 1]) / 2.0)
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(X)
-        feature = np.asarray(self.feature)
-        threshold = np.asarray(self.threshold)
-        left = np.asarray(self.left)
-        right = np.asarray(self.right)
-        value = np.asarray(self.value)
-        idx = np.zeros(len(X), dtype=int)
-        while True:
-            internal = feature[idx] >= 0
-            if not internal.any():
-                break
-            rows = np.nonzero(internal)[0]
-            nodes = idx[rows]
-            go_left = X[rows, feature[nodes]] <= threshold[nodes]
-            idx[rows] = np.where(go_left, left[nodes], right[nodes])
-        return value[idx]
-
     def to_dict(self) -> dict:
         return {
             "max_depth": self.max_depth,
             "min_samples_leaf": self.min_samples_leaf,
-            "feature": list(self.feature),
-            "threshold": list(self.threshold),
-            "left": list(self.left),
-            "right": list(self.right),
-            "value": list(self.value),
+            "feature": self.feature,
+            "threshold": self.threshold,
+            "left": self.left,
+            "right": self.right,
+            "value": self.value,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RegressionTree":
-        tree = cls(d["max_depth"], d["min_samples_leaf"])
-        tree.feature = list(d["feature"])
-        tree.threshold = [float(t) for t in d["threshold"]]
-        tree.left = list(d["left"])
-        tree.right = list(d["right"])
-        tree.value = [float(v) for v in d["value"]]
-        return tree
 
 
 class BoostedRegressor:
     """Gradient boosting on squared error: fit trees to residuals, shrink, sum.
 
-    ``fit`` and ``from_dict`` compile the trees into padded
+    ``trees`` holds each round's node dict (``RegressionTree.to_dict()``),
+    the one form a tree takes from fit to file; there is no per-tree
+    predict. ``fit`` and ``from_dict`` compile the dicts into padded
     ``(n_trees, max_nodes)`` arrays in which every leaf is its own child, so
     ``predict`` walks all trees for all rows together, a fixed number of
     levels (the deepest tree's depth). The terms are summed in tree order,
@@ -180,7 +159,7 @@ class BoostedRegressor:
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
         self.base_prediction = 0.0
-        self.trees: list[RegressionTree] = []
+        self.trees: list[dict] = []
         self.train_losses: list[float] = []
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "BoostedRegressor":
@@ -194,40 +173,65 @@ class BoostedRegressor:
             residual = y - current
             tree = RegressionTree(self.max_depth, self.min_samples_leaf).fit(
                 X, residual, order)
-            self.trees.append(tree)
-            current = current + self.learning_rate * tree.predict(X)
+            self.trees.append(tree.to_dict())
+            current = current + self.learning_rate * tree.fitted
             self.train_losses.append(float(((y - current) ** 2).mean()))
-        self._compile()
+        self._compile(X.shape[1])
         return self
 
-    def _compile(self) -> None:
-        sizes = np.array([len(t.feature) for t in self.trees], dtype=np.intp)
+    def _compile(self, n_features: int) -> None:
+        """Stack the node dicts into the arrays ``predict`` walks. Raises
+        ValueError naming the tree and node unless every tree's node lists
+        share one nonzero length, values are finite, and each feature is -1
+        (a leaf) or a column below ``n_features`` with a finite threshold
+        and children after it in its own tree, so that every walk ends at a
+        leaf."""
+        sizes = np.array([len(t["feature"]) for t in self.trees],
+                         dtype=np.intp)
+        for k, tree in enumerate(self.trees):
+            if not sizes[k] or any(len(tree[name]) != sizes[k] for name in
+                                   ("threshold", "left", "right", "value")):
+                raise ValueError(f"tree {k}: node lists are empty or differ "
+                                 f"in length")
         width = int(sizes.max(initial=1))
         n_slots = len(sizes) * width
         # node j of tree k is entry k*width + j of the flattened arrays
         self._roots = np.arange(len(sizes)) * width
         offset = np.repeat(self._roots, sizes)
-        slot = offset + np.arange(len(offset)) \
-            - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        local = np.arange(len(offset)) - np.repeat(np.cumsum(sizes) - sizes,
+                                                   sizes)
+        slot = offset + local
 
         def stacked(name, dtype):
             return np.fromiter(itertools.chain.from_iterable(
-                getattr(t, name) for t in self.trees), dtype, len(slot))
+                t[name] for t in self.trees), dtype, len(slot))
 
-        feature = stacked("feature", np.intp)
-        leaf = feature < 0
+        feature, left, right = (stacked(name, np.intp)
+                                for name in ("feature", "left", "right"))
+        threshold, value = stacked("threshold", float), stacked("value", float)
+        leaf = feature == -1
+        size = np.repeat(sizes, sizes)
+        bad = ~np.isfinite(value) | ~leaf & (
+            (feature < 0) | (feature >= n_features) | ~np.isfinite(threshold)
+            | (left <= local) | (left >= size)
+            | (right <= local) | (right >= size))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(
+                f"tree {offset[i] // width} node {local[i]}: feature "
+                f"{feature[i]}, threshold {threshold[i]}, children {left[i]} "
+                f"and {right[i]}, value {value[i]}: not a node of a "
+                f"{size[i]}-node tree over {n_features} columns")
         self._feature = np.zeros(n_slots, dtype=np.intp)
         self._feature[slot] = np.where(leaf, 0, feature)
         self._threshold = np.zeros(n_slots)
-        self._threshold[slot] = stacked("threshold", float)
+        self._threshold[slot] = threshold
         self._value = np.zeros(n_slots)
-        self._value[slot] = stacked("value", float)
+        self._value[slot] = value
         # a leaf, like a padding entry, is its own left and right child
         self._left, self._right = np.arange(n_slots), np.arange(n_slots)
-        self._left[slot] = np.where(leaf, slot,
-                                    offset + stacked("left", np.intp))
-        self._right[slot] = np.where(leaf, slot,
-                                     offset + stacked("right", np.intp))
+        self._left[slot] = np.where(leaf, slot, offset + left)
+        self._right[slot] = np.where(leaf, slot, offset + right)
         self._levels, nodes = 0, self._roots  # the deepest tree's depth
         while (inner := nodes[self._left[nodes] != nodes]).size:
             nodes = np.concatenate([self._left[inner], self._right[inner]])
@@ -252,17 +256,18 @@ class BoostedRegressor:
             "max_depth": self.max_depth,
             "min_samples_leaf": self.min_samples_leaf,
             "base_prediction": self.base_prediction,
-            "train_losses": list(self.train_losses),
-            "trees": [t.to_dict() for t in self.trees],
+            "train_losses": self.train_losses,
+            "trees": self.trees,
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "BoostedRegressor":
+    def from_dict(cls, d: dict, n_features: int) -> "BoostedRegressor":
+        """The regressor ``to_dict`` wrote, over ``n_features`` columns;
+        ValueError (see ``_compile``) on node lists that are not trees."""
         model = cls(d["rounds"], d["learning_rate"], d["max_depth"],
                     d["min_samples_leaf"])
         model.base_prediction = float(d["base_prediction"])
-        model.train_losses = [float(v) for v in d["train_losses"]]
-        model.trees = [RegressionTree.from_dict(t) for t in d["trees"]]
-        model._compile()
+        model.train_losses = d["train_losses"]
+        model.trees = d["trees"]
+        model._compile(n_features)
         return model
-

@@ -1,4 +1,6 @@
 import copy
+import json
+import re
 
 import numpy as np
 import pytest
@@ -45,6 +47,12 @@ def test_learn_meta_deterministic(tmp_path):
     b = learn_meta(data, CFG, seed=3)
     X = data.X[:10]
     assert np.array_equal(a.predict_matrix(X), b.predict_matrix(X))
+
+
+def test_empty_bag_rejected(tmp_path):
+    data = toy_dataset(tmp_path)
+    with pytest.raises(ValueError, match="bag_size must be at least 1"):
+        learn_meta(data, BobConfig(bag_size=0, min_samples=5), seed=0)
 
 
 def test_all_infeasible_raises(tmp_path):
@@ -181,6 +189,75 @@ def test_load_version_mismatch_names_versions(tmp_path):
     path.write_text('{"format_version": 99}')
     with pytest.raises(ModelFormatError, match="99"):
         load_model(path)
+
+
+def corrupt_tree(doc):
+    """Tree 2 of member 1's 'Memory Usage' regressor and its first split."""
+    tree = doc["members"][1]["Memory Usage"]["trees"][2]
+    return tree, next(j for j, f in enumerate(tree["feature"]) if f >= 0)
+
+
+def left_into_next_tree(doc):
+    tree, j = corrupt_tree(doc)
+    tree["left"][j] = len(tree["feature"])
+    return f"member 1, target 'Memory Usage': tree 2 node {j}:"
+
+
+def feature_past_columns(doc):
+    tree, j = corrupt_tree(doc)
+    tree["feature"][j] = len(doc["columns"])
+    return f"member 1, target 'Memory Usage': tree 2 node {j}:"
+
+
+def short_threshold(doc):
+    tree, _ = corrupt_tree(doc)
+    tree["threshold"].pop()
+    return "member 1, target 'Memory Usage': tree 2: node lists"
+
+
+def child_before_parent(doc):  # a cycle: the walk would never end
+    tree, j = corrupt_tree(doc)
+    j = next(k for k, f in enumerate(tree["feature"]) if k > j and f >= 0)
+    tree["left"][j] = 0
+    return f"member 1, target 'Memory Usage': tree 2 node {j}:"
+
+
+def null_threshold(doc):
+    tree, j = corrupt_tree(doc)
+    tree["threshold"][j] = None
+    return f"member 1, target 'Memory Usage': tree 2 node {j}:"
+
+
+def member_lacks_target(doc):
+    del doc["members"][1]["Memory Usage"]
+    return "member 1, target 'Memory Usage': no key 'Memory Usage'"
+
+
+def no_members(doc):
+    doc["members"] = []
+    return "model file has no members"
+
+
+@pytest.mark.parametrize("corrupt", [
+    left_into_next_tree, feature_past_columns, short_threshold,
+    child_before_parent, null_threshold, member_lacks_target, no_members])
+def test_load_rejects_malformed_model(gated, tmp_path, corrupt):
+    model, _ = gated
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    where = corrupt(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError,
+                       match=re.escape(f"{path}: {where}")):
+        load_model(path)
+
+
+def test_predict_matrix_on_zero_rows(tmp_path):
+    data = toy_dataset(tmp_path)
+    model = learn_meta(data, CFG, seed=0)
+    out = model.predict_matrix(data.X[:0])
+    assert out.shape == (0, 1)
 
 
 def test_predict_network_sums_layers_and_empty_is_zero(tmp_path):

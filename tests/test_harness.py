@@ -510,6 +510,30 @@ def test_bad_predictor_setting_names_key(tmp_path, capsys, setting, key):
     assert not (tmp_path / "out" / "model.json").exists()
 
 
+POOL_STRIDE_0 = {"catalog": {"actions": [
+    {"block_kind": "conv", "kernel_size": 3, "stride": 1, "padding": 1,
+     "channels": 8},
+    {"block_kind": "pool", "kernel_size": 2, "stride": 0}]}}
+
+
+@pytest.mark.parametrize("overrides, where", [
+    ({"shaping": {"gamma": 1.5}},
+     "config key 'shaping.gamma': gamma must lie in (0, 1)"),
+    ({"shaping": {"softmax_temperature": 0.0}},
+     "config key 'shaping.softmax_temperature'"),
+    (POOL_STRIDE_0, "config key 'catalog.actions[1].stride'"),
+    ({"shaping": {"budgets": [1.0, 2.0]}},
+     "config section 'shaping': one budget per secondary required"),
+], ids=["field_named", "second_of_two_fields", "template_field",
+        "no_field_named"])
+def test_dataclass_check_names_section_and_key(tmp_path, capsys, overrides,
+                                               where):
+    cfg = write_config(tmp_path, overrides)
+    rc, err = run_cli(tmp_path, capsys, cfg)
+    assert rc == 2
+    assert where in err
+
+
 @pytest.mark.parametrize("level", ["debug", "warning"])
 def test_log_level_shows_cache_log_and_traceback_only_at_debug(
         tmp_path, capsys, level):

@@ -7,11 +7,31 @@ from hypothesis import given, settings, strategies as st
 from shapenas.trees import BoostedRegressor, RegressionTree
 
 
+def walk(tree, X):
+    """The value of the leaf each row of ``X`` reaches in the node dict
+    ``tree``, one tree at a time: the reference for the compiled walk and
+    for a grown tree's ``fitted``."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    feature, threshold, left, right, value = (np.asarray(tree[name]) for name
+                                              in ("feature", "threshold",
+                                                  "left", "right", "value"))
+    idx = np.zeros(len(X), dtype=int)
+    while True:
+        internal = feature[idx] >= 0
+        if not internal.any():
+            break
+        rows = np.nonzero(internal)[0]
+        nodes = idx[rows]
+        go_left = X[rows, feature[nodes]] <= threshold[nodes]
+        idx[rows] = np.where(go_left, left[nodes], right[nodes])
+    return value[idx]
+
+
 def test_tree_fits_step_function():
     X = np.linspace(0, 1, 40).reshape(-1, 1)
     y = (X[:, 0] > 0.5).astype(float)
     tree = RegressionTree(max_depth=2, min_samples_leaf=2).fit(X, y)
-    assert np.allclose(tree.predict(X), y)
+    assert np.allclose(walk(tree.to_dict(), X), y)
 
 
 def test_tree_respects_depth_and_leaf_means():
@@ -22,7 +42,7 @@ def test_tree_respects_depth_and_leaf_means():
     # internal node count of a binary tree of depth d is < 2^d
     assert sum(1 for f in tree.feature if f >= 0) < 2 ** 3
     # a leaf prediction is a mean of targets, hence inside the target range
-    pred = tree.predict(X)
+    pred = walk(tree.to_dict(), X)
     assert pred.min() >= y.min() and pred.max() <= y.max()
 
 
@@ -57,7 +77,7 @@ def test_tree_roundtrip_is_exact():
     X = rng.uniform(size=(60, 3))
     y = X[:, 0] * X[:, 1]
     model = BoostedRegressor(rounds=15).fit(X, y)
-    clone = BoostedRegressor.from_dict(model.to_dict())
+    clone = BoostedRegressor.from_dict(model.to_dict(), 3)
     assert np.array_equal(model.predict(X), clone.predict(X))
 
 
@@ -74,7 +94,7 @@ def reference_predict(model, X):
     X = np.atleast_2d(np.asarray(X, dtype=float))
     out = np.full(len(X), model.base_prediction)
     for tree in model.trees:
-        out = out + model.learning_rate * tree.predict(X)
+        out = out + model.learning_rate * walk(tree, X)
     return out
 
 
@@ -115,7 +135,7 @@ def test_compiled_walk_equals_per_tree_loop(trees, base, learning_rate,
     model = BoostedRegressor.from_dict({
         "rounds": len(trees), "learning_rate": learning_rate,
         "max_depth": 5, "min_samples_leaf": 1, "base_prediction": base,
-        "train_losses": [0.0] * len(trees), "trees": trees})
+        "train_losses": [0.0] * len(trees), "trees": trees}, N_FEATURES)
     X = random_rows(seed, n_rows)
     assert np.array_equal(model.predict(X), reference_predict(model, X))
 
@@ -141,12 +161,14 @@ def test_fitted_walk_equals_per_tree_loop(rounds, max_depth,
 class ReferenceTree(RegressionTree):
     """The grower the presorted fit replaces: a stable argsort of every
     feature at every node. ``order`` is accepted and ignored, so that
-    boosting can run on this grower."""
+    boosting can run on this grower. ``fitted`` comes from the reference
+    walk."""
 
     def fit(self, X, y, order=None):
         self.feature, self.threshold = [], []
         self.left, self.right, self.value = [], [], []
         self._grow(X, y, depth=0)
+        self.fitted = walk(self.to_dict(), X)
         return self
 
     def _grow(self, X, y, depth):
@@ -248,3 +270,12 @@ def test_presorted_boosting_equals_per_node_sort(data, rounds, max_depth,
         reference = BoostedRegressor(*params).fit(X, y).to_dict()
     assert fitted == reference
 
+
+@settings(max_examples=200, deadline=None)
+@given(data=fit_data(), max_depth=st.integers(0, 4),
+       min_samples_leaf=st.integers(0, 6))
+def test_fitted_equals_walk_over_training_rows(data, max_depth,
+                                               min_samples_leaf):
+    X, y = data
+    tree = RegressionTree(max_depth, min_samples_leaf).fit(X, y)
+    assert np.array_equal(tree.fitted, walk(tree.to_dict(), X))
