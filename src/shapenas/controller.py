@@ -195,19 +195,18 @@ def epsilon_update(eps_i: float, delta_i: float, threshold: float) -> float:
     return 0.0
 
 
-def potential_update(phi, s_key, s_embed, a, sp_key, sp_embed, a_prime,
-                     r_s: float, beta: float, gamma: float, n_actions: int,
-                     terminal: bool = False):
+def potential_update(phi, s, a, sp, a_prime, r_s: float, beta: float,
+                     gamma: float):
     """SARSA-style step of the potential toward r_s + gamma*Phi(s',a'), in
-    place."""
+    place; ``sp`` None is a terminal successor."""
     if not np.isfinite(r_s):
         raise ValueError(f"non-finite secondary reward {r_s!r}")
-    succ = 0.0 if terminal else phi.value(sp_key, sp_embed, a_prime, n_actions)
-    phi.blend(s_key, s_embed, a, n_actions, r_s + gamma * succ, rate=beta)
+    succ = 0.0 if sp is None else phi.value(sp, a_prime)
+    phi.blend(s, a, r_s + gamma * succ, rate=beta)
 
 
-def q_update(q, phis, epsilons, s_key, s_embed, a, sp_key, sp_embed,
-             r_p: float, legal_prime, gamma: float, n_actions: int) -> float:
+def q_update(q, phis, epsilons, s, a, sp, r_p: float, legal_prime,
+             gamma: float) -> float:
     """Shaped Q step toward r_P + gamma*max Q(s',.) + sum_i eps_i*Phi_i(s,a).
 
     With the tabular backend the blend rate is 1, which applies the update
@@ -217,24 +216,23 @@ def q_update(q, phis, epsilons, s_key, s_embed, a, sp_key, sp_embed,
     if not np.isfinite(r_p):
         raise ValueError(f"non-finite primary reward {r_p!r}")
     if legal_prime:
-        max_q = max(q.value(sp_key, sp_embed, ap, n_actions)
-                    for ap in legal_prime)
+        max_q = max(q.value(sp, ap) for ap in legal_prime)
     else:
         max_q = 0.0  # terminal successor
     shaping = 0.0
     for eps_i, phi in zip(epsilons, phis):
-        shaping += eps_i * phi.value(s_key, s_embed, a, n_actions)
+        shaping += eps_i * phi.value(s, a)
     target = r_p + gamma * max_q + shaping
-    q.blend(s_key, s_embed, a, n_actions, target)
+    q.blend(s, a, target)
     return target
 
 
-def shaped_scores(q, phis, epsilons, s_key, s_embed, legal, n_actions):
+def shaped_scores(q, phis, epsilons, s, legal):
     scores = []
     for a in legal:
-        v = q.value(s_key, s_embed, a, n_actions)
+        v = q.value(s, a)
         for eps_i, phi in zip(epsilons, phis):
-            v += eps_i * phi.value(s_key, s_embed, a, n_actions)
+            v += eps_i * phi.value(s, a)
         scores.append(v)
     return np.asarray(scores)
 
@@ -246,12 +244,11 @@ def softmax(scores: np.ndarray, temperature: float) -> np.ndarray:
     return e / e.sum()
 
 
-def select_action(q, phis, epsilons, s_key, s_embed, legal, temperature,
-                  n_actions, rng) -> int:
+def select_action(q, phis, epsilons, s, legal, temperature, rng) -> int:
     """Sample from the softmax over shaped scores restricted to legal actions."""
     if not legal:
         raise TerminalStateError("no legal actions in this state")
-    scores = shaped_scores(q, phis, epsilons, s_key, s_embed, legal, n_actions)
+    scores = shaped_scores(q, phis, epsilons, s, legal)
     probs = softmax(scores, temperature)
     return int(legal[int(rng.choice(len(legal), p=probs))])
 
@@ -265,8 +262,18 @@ def _make_values(cfg: ShapingConfig, space: SearchSpace, seed: int, tag: int):
     if cfg.backend == "tabular":
         return TabularValues()
     dim = embed_state(space.empty_network(), space.context).shape[0]
-    return MlpValues.create(dim, len(space.catalog.actions), cfg.hidden,
+    return MlpValues.create(dim + len(space.catalog.actions), cfg.hidden,
                             cfg.q_step_size, seed=seed * 1000 + tag)
+
+
+def _state_of(q, ctx):
+    """The value stores' state of a chain, by the store's type: its
+    ``embed_state`` vector for the MLP, its action tuple for the table.
+    ``embed_state`` is looked up in this module at each call, where the
+    traced benchmark run wraps it."""
+    if isinstance(q, MlpValues):
+        return lambda net, actions: embed_state(net, ctx)
+    return lambda net, actions: tuple(actions)
 
 
 def init_state(cfg: ShapingConfig, space: SearchSpace, seed: int,
@@ -293,10 +300,12 @@ def run_episodes(state: ShapingState, space: SearchSpace, oracle, secondary,
     ``scalar_weights`` (w0, w1, ...) makes the Q reward
     w0*r_P + sum_i w_i*r_S^i instead of r_P.
     """
-    catalog, ctx = space.catalog, space.context
-    n_actions = len(catalog.actions)
+    catalog = space.catalog
+    state_of = _state_of(state.q, space.context)
     n_sec = (len(cfg.epsilon0) if scalar_weights is None
              else len(scalar_weights) - 1)
+    root = space.empty_network()
+    root_legal, root_s = legal_actions(root, catalog), state_of(root, [])
 
     for _ in range(n_episodes):
         episode = state.episode_count
@@ -304,26 +313,21 @@ def run_episodes(state: ShapingState, space: SearchSpace, oracle, secondary,
             or episode < cfg.shaping_episodes
         if not shaping_phase:  # a finite shaping phase is over
             state.epsilons = np.zeros_like(state.epsilons)
-        net = space.empty_network()
-        actions: list[int] = []
+        # each step's successor is the next step's (net, chain, legal, s)
+        net, actions, legal, s = root, [], root_legal, root_s
         ep_return = 0.0
         episode_last_primary = None
-        pending = None  # (s_key, s_embed, a, r_s) awaiting successor action
+        pending = None  # (s, a, r_s) awaiting successor action
         for step in range(cfg.max_steps):
-            legal = legal_actions(net, catalog)
             if not legal:
                 break
-            s_key = tuple(actions)
-            s_embed = embed_state(net, ctx)
-            a = select_action(state.q, state.phis, state.epsilons, s_key,
-                              s_embed, legal, cfg.softmax_temperature,
-                              n_actions, state.rng)
+            a = select_action(state.q, state.phis, state.epsilons, s, legal,
+                              cfg.softmax_temperature, state.rng)
             if pending is not None:
-                p_key, p_embed, p_a, p_rs = pending
+                p_s, p_a, p_rs = pending
                 for i, phi in enumerate(state.phis):
-                    potential_update(phi, p_key, p_embed, p_a, s_key,
-                                     s_embed, a, p_rs[i], cfg.beta,
-                                     cfg.gamma, n_actions)
+                    potential_update(phi, p_s, p_a, s, a, p_rs[i], cfg.beta,
+                                     cfg.gamma)
             net_next = apply_action(net, catalog.actions[a])
             chain = actions + [a]
             try:
@@ -344,8 +348,7 @@ def run_episodes(state: ShapingState, space: SearchSpace, oracle, secondary,
             delta_stop = math.inf if episode_last_primary is None \
                 else r_p - episode_last_primary
 
-            sp_key = tuple(chain)
-            sp_embed = embed_state(net_next, ctx)
+            sp = state_of(net_next, chain)
             legal_prime = legal_actions(net_next, catalog)
 
             if cfg.delta_mode == "per_secondary" and n_sec:
@@ -358,25 +361,23 @@ def run_episodes(state: ShapingState, space: SearchSpace, oracle, secondary,
                     min(cfg.epsilon_cap,
                         epsilon_update(eps_i, delta_i, cfg.epsilon_threshold))
                     for eps_i, delta_i in zip(state.epsilons, deltas)])
-            pending = (s_key, s_embed, a, r_s)
+            pending = (s, a, r_s)
             reward = r_p if scalar_weights is None else \
                 scalar_weights[0] * r_p + sum(
                     w * v for w, v in zip(scalar_weights[1:], r_s))
-            target = q_update(state.q, state.phis, state.epsilons, s_key,
-                              s_embed, a, sp_key, sp_embed, reward,
-                              legal_prime, cfg.gamma, n_actions)
+            target = q_update(state.q, state.phis, state.epsilons, s, a,
+                              sp, reward, legal_prime, cfg.gamma)
 
             ep_return += r_p
             trace.records.append(StepRecord(
-                episode=episode, step=step, state_key=s_key, action=a,
-                r_p=r_p, r_s=tuple(float(v) for v in r_s),
+                episode=episode, step=step, state_key=tuple(actions),
+                action=a, r_p=r_p, r_s=tuple(float(v) for v in r_s),
                 epsilons=tuple(float(e) for e in state.epsilons),
                 delta=delta, q_target=float(target),
-                phi_values=tuple(phi.value(s_key, s_embed, a, n_actions)
-                                 for phi in state.phis),
+                phi_values=tuple(phi.value(s, a) for phi in state.phis),
                 cum_return=ep_return, infeasible=bool(infeasible)))
 
-            net, actions = net_next, chain
+            net, actions, legal, s = net_next, chain, legal_prime, sp
             state.last_primary = r_p
             state.last_secondary = r_s if n_sec else None
             state.step_count += 1
@@ -385,11 +386,10 @@ def run_episodes(state: ShapingState, space: SearchSpace, oracle, secondary,
                 break
         # flush the trailing potential update with a terminal successor
         if pending is not None:
-            p_key, p_embed, p_a, p_rs = pending
+            p_s, p_a, p_rs = pending
             for i, phi in enumerate(state.phis):
-                potential_update(phi, p_key, p_embed, p_a, None, None, 0,
-                                 p_rs[i], cfg.beta, cfg.gamma, n_actions,
-                                 terminal=True)
+                potential_update(phi, p_s, p_a, None, 0, p_rs[i], cfg.beta,
+                                 cfg.gamma)
         state.episode_count += 1
         trace.episode_returns.append(ep_return)
         trace.final_network = net
@@ -422,17 +422,15 @@ def run_search(space: SearchSpace, oracle, secondary, cfg: ShapingConfig,
 
 def greedy_rollout(state: ShapingState, space: SearchSpace) -> tuple:
     """Argmax rollout of the shaped score; ties break to the lowest index."""
+    state_of = _state_of(state.q, space.context)
     net = space.empty_network()
     actions = []
-    n_actions = len(space.catalog.actions)
     while True:
         legal = legal_actions(net, space.catalog)
         if not legal:
             return tuple(actions)
-        s_key = tuple(actions)
-        s_embed = embed_state(net, space.context)
-        scores = shaped_scores(state.q, state.phis, state.epsilons, s_key,
-                               s_embed, legal, n_actions)
+        scores = shaped_scores(state.q, state.phis, state.epsilons,
+                               state_of(net, actions), legal)
         a = legal[int(np.argmax(scores))]
         net = apply_action(net, space.catalog.actions[a])
         actions.append(a)

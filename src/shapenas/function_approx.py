@@ -1,10 +1,12 @@
 """Value-function approximators: a small MLP and an exact tabular backend.
 
-Both backends answer "what is the value of (state, action)?" and accept
-one-step regression toward a scalar target. The MLP consumes the fixed
-state embedding concatenated with an action one-hot; the tabular backend
-keys on a discrete (state key, action index) pair and is exact, which is
-what the policy-invariance tests need.
+Both backends answer ``value(s, a)``, "what is the value of (state,
+action)?", and take ``blend(s, a, target, rate)``, one regression step
+toward a scalar target. The state ``s`` is the backend's own view of a
+chain: the tabular backend keys on the chain's action tuple and is exact,
+which is what the policy-invariance tests need; the MLP consumes the
+chain's fixed-length ``embed_state`` vector concatenated with an action
+one-hot.
 
 Approximators are mutable stores: ``blend`` and ``sgd_step`` update the
 table or the net's arrays in place and return nothing, so a caller that
@@ -101,22 +103,21 @@ def sgd_step(fa: MlpApprox, x, target: float,
 
 
 class TabularValues:
-    """Exact dictionary over discrete (state key, action index) pairs."""
+    """Exact dictionary over discrete (action tuple, action index) pairs."""
 
     def __init__(self, table=None):
         self.table = dict(table or {})
 
-    def value(self, key, embed, action, n_actions) -> float:
-        return self.table.get((key, action), 0.0)
+    def value(self, s, a) -> float:
+        return self.table.get((s, a), 0.0)
 
-    def blend(self, key, embed, action, n_actions, target,
-              rate=1.0) -> None:
+    def blend(self, s, a, target, rate=1.0) -> None:
         """v <- v + rate * (target - v) in place; rate=1 (the default)
         assigns exactly."""
         if not np.isfinite(target):
             raise ValueError(f"non-finite regression target {target!r}")
-        v = self.table.get((key, action), 0.0)
-        self.table[(key, action)] = v + rate * (target - v)
+        v = self.table.get((s, a), 0.0)
+        self.table[(s, a)] = v + rate * (target - v)
 
     def to_dict(self):
         return {"backend": "tabular",
@@ -129,32 +130,29 @@ class TabularValues:
 
 
 class MlpValues:
-    """MLP over (state embedding ++ action one-hot)."""
+    """MLP over (state embedding ++ action one-hot); the one-hot fills the
+    net's input past the embedding."""
 
     def __init__(self, net: MlpApprox):
         self.net = net
 
     @classmethod
-    def create(cls, state_dim, n_actions, hidden=(32, 32), step_size=1e-3,
-               seed=0):
-        return cls(MlpApprox.create(state_dim + n_actions, hidden, step_size,
-                                    seed))
+    def create(cls, input_dim, hidden=(32, 32), step_size=1e-3, seed=0):
+        return cls(MlpApprox.create(input_dim, hidden, step_size, seed))
 
-    @staticmethod
-    def _input(embed, action, n_actions):
-        onehot = np.zeros(n_actions)
-        onehot[action] = 1.0
-        return np.concatenate([np.asarray(embed, dtype=float), onehot])
+    def _input(self, s, a):
+        onehot = np.zeros(self.net.input_dim - len(s))
+        onehot[a] = 1.0
+        return np.concatenate([np.asarray(s, dtype=float), onehot])
 
-    def value(self, key, embed, action, n_actions) -> float:
-        return self.net.forward(self._input(embed, action, n_actions))
+    def value(self, s, a) -> float:
+        return self.net.forward(self._input(s, a))
 
-    def blend(self, key, embed, action, n_actions, target,
-              rate=1.0) -> None:
+    def blend(self, s, a, target, rate=1.0) -> None:
         """One SGD step in place at the net's own step size; ``rate`` (the
         tabular blend fraction) is ignored, since as a step size it
         diverges."""
-        sgd_step(self.net, self._input(embed, action, n_actions), target)
+        sgd_step(self.net, self._input(s, a), target)
 
     def to_dict(self):
         return {"backend": "mlp",

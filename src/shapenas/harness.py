@@ -15,8 +15,8 @@ import shutil
 
 import numpy as np
 
-from . import bob, config as cfgmod, controller, dataset as ds, oracle as orc
-from .design_space import parse_network
+from . import (bob, config as cfgmod, controller, dataset as ds,
+               design_space, oracle as orc)
 
 log = logging.getLogger(__name__)
 
@@ -54,17 +54,17 @@ def network_size(net) -> float:
 
 def reference_network(space, reference_chain=None):
     """Reference for size ratios: a configured chain, or the greedy-largest one."""
-    from .design_space import apply_action, legal_actions
     net = space.empty_network()
     if reference_chain is not None:
         for a in reference_chain:
-            net = apply_action(net, space.catalog.actions[a])
+            net = design_space.apply_action(net, space.catalog.actions[a])
         return net
     while True:
-        legal = legal_actions(net, space.catalog)
+        legal = design_space.legal_actions(net, space.catalog)
         if not legal:
             return net
-        grown = [apply_action(net, space.catalog.actions[a]) for a in legal]
+        grown = [design_space.apply_action(net, space.catalog.actions[a])
+                 for a in legal]
         net = max(grown, key=network_size)
 
 
@@ -186,7 +186,9 @@ def _build_secondary(doc, space):
     cfgmod.check_keys(spec, "secondary", ("kind", "model_path", "metric"))
     kind = spec.get("kind", "none")
     if kind == "predictor":
-        model = bob.load_model(cfgmod.require(spec, "model_path"))
+        path = cfgmod.require(spec, "model_path")
+        model = bob.load_model(path)
+        _check_columns(model, path, space.context)
         return controller.PredictorSecondary(model, space.context)
     if kind == "per_action":
         metric = list(cfgmod.require(spec, "metric"))
@@ -195,6 +197,23 @@ def _build_secondary(doc, space):
     if kind == "none":
         return controller.CallableSecondary(_no_metrics, 0)
     raise cfgmod.ConfigError(f"unknown secondary kind {kind!r}")
+
+
+def _check_columns(model, path, context) -> None:
+    """The predictor must read the rows ``parse_network`` builds for the
+    search context; a mismatch is named here, not at the first step."""
+    want = design_space.feature_columns(len(context.task))
+    if model.columns == want:
+        return
+    i = next((i for i, (a, b) in enumerate(zip(model.columns, want))
+              if a != b), min(len(model.columns), len(want)))
+    got, need = (repr(cols[i]) if i < len(cols) else "missing"
+                 for cols in (model.columns, want))
+    raise cfgmod.ConfigError(
+        f"config key 'secondary.model_path': the model in {path} does not "
+        f"fit the search context: its feature column {i} is {got}, the "
+        f"context's is {need} (the context has {len(context.task)} task "
+        f"values and the model {len(model.columns)} columns)")
 
 
 def _check_metric_count(secondary, key: str, count: int) -> None:
@@ -233,7 +252,7 @@ def _replicate_summary(doc, space, oracle, secondary, trace) -> dict:
     final_acc = (float(oracle.accuracy(final_net, list(trace.final_actions)))
                  if final_net is not None and final_net.depth else 0.0)
     raw = secondary.metrics(final_net, list(trace.final_actions)) \
-        if final_net is not None and getattr(secondary, "n_metrics", 0) else None
+        if final_net is not None and secondary.n_metrics else None
     ref = reference_network(space, doc.get("reference_chain"))
     ref_size = network_size(ref)
     summary = {

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from shapenas import (SearchSpace, ShapingConfig, SyntheticOracle,
                       SyntheticTaskSpec, brute_force_best_chain,
                       check_epsilon_schedule, greedy_rollout, run_search)
+from shapenas import controller
 from shapenas.controller import (CallableSecondary, TerminalStateError,
                                  epsilon_update, load_checkpoint,
                                  potential_update, q_update,
@@ -39,61 +41,57 @@ def config(**kw):
 
 def test_potential_zero_reward_zero_fixed_point():
     phi = TabularValues()
-    assert potential_update(phi, ("s",), None, 0, ("t",), None, 1, 0.0,
-                            beta=0.5, gamma=0.9, n_actions=2) is None
-    assert phi.value(("s",), None, 0, 2) == 0.0
+    assert potential_update(phi, ("s",), 0, ("t",), 1, 0.0,
+                            beta=0.5, gamma=0.9) is None
+    assert phi.value(("s",), 0) == 0.0
 
 
 def test_potential_single_update_arithmetic():
     phi = TabularValues()
-    potential_update(phi, ("s",), None, 0, ("t",), None, 1, 0.8,
-                     beta=0.5, gamma=0.9, n_actions=2)
-    assert phi.value(("s",), None, 0, 2) == pytest.approx(0.4)
+    potential_update(phi, ("s",), 0, ("t",), 1, 0.8, beta=0.5, gamma=0.9)
+    assert phi.value(("s",), 0) == pytest.approx(0.4)
 
 
 def test_potential_self_loop_converges_to_geometric_sum():
     gamma, c = 0.9, 0.5
     phi = TabularValues()
     for _ in range(3000):
-        potential_update(phi, ("s",), None, 0, ("s",), None, 0, c,
-                         beta=0.5, gamma=gamma, n_actions=1)
-    assert phi.value(("s",), None, 0, 1) == pytest.approx(c / (1 - gamma),
-                                                          rel=1e-6)
+        potential_update(phi, ("s",), 0, ("s",), 0, c, beta=0.5,
+                         gamma=gamma)
+    assert phi.value(("s",), 0) == pytest.approx(c / (1 - gamma), rel=1e-6)
 
 
 def test_potential_rejects_non_finite_reward():
     with pytest.raises(ValueError):
-        potential_update(TabularValues(), ("s",), None, 0, ("t",), None, 0,
-                         float("inf"), beta=0.5, gamma=0.9, n_actions=1)
+        potential_update(TabularValues(), ("s",), 0, ("t",), 0,
+                         float("inf"), beta=0.5, gamma=0.9)
 
 
 def test_q_update_no_shaping_is_plain_q_target():
     q = TabularValues()
-    q.blend(("t",), None, 1, 2, target=2.0)
-    target = q_update(q, [], (), ("s",), None, 0, ("t",), None, 1.0,
-                      [0, 1], gamma=0.9, n_actions=2)
+    q.blend(("t",), 1, target=2.0)
+    target = q_update(q, [], (), ("s",), 0, ("t",), 1.0, [0, 1], gamma=0.9)
     assert target == pytest.approx(1.0 + 0.9 * 2.0)
-    assert q.value(("s",), None, 0, 2) == pytest.approx(target)
+    assert q.value(("s",), 0) == pytest.approx(target)
 
 
 def test_q_update_from_zero_tables():
     target = q_update(TabularValues(), [TabularValues()], (1.0,),
-                      ("s",), None, 0, ("t",), None, 1.0, [0],
-                      gamma=0.9, n_actions=1)
+                      ("s",), 0, ("t",), 1.0, [0], gamma=0.9)
     assert target == 1.0
 
 
 def test_q_update_shaping_term():
     phi = TabularValues()
-    phi.blend(("s",), None, 0, 1, target=2.0)
-    target = q_update(TabularValues(), [phi], (0.5,), ("s",), None, 0,
-                      ("t",), None, 1.0, [0], gamma=0.9, n_actions=1)
+    phi.blend(("s",), 0, target=2.0)
+    target = q_update(TabularValues(), [phi], (0.5,), ("s",), 0,
+                      ("t",), 1.0, [0], gamma=0.9)
     assert target == pytest.approx(2.0)  # 1 + 0.9*0 + 0.5*2
 
 
 def test_q_update_terminal_successor():
-    target = q_update(TabularValues(), [], (), ("s",), None, 0, ("t",),
-                      None, 0.7, [], gamma=0.9, n_actions=1)
+    target = q_update(TabularValues(), [], (), ("s",), 0, ("t",),
+                      0.7, [], gamma=0.9)
     assert target == pytest.approx(0.7)
 
 
@@ -116,15 +114,15 @@ def test_softmax_uniform_and_exact_values():
 
 def test_select_action_terminal_raises():
     with pytest.raises(TerminalStateError):
-        select_action(TabularValues(), [], (), ("s",), None, [], 1.0, 2,
+        select_action(TabularValues(), [], (), ("s",), [], 1.0,
                       np.random.default_rng(0))
 
 
 def test_q_update_rejects_non_finite_primary():
     for r_p in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="primary"):
-            q_update(TabularValues(), [], (), ("s",), None, 0, ("t",), None,
-                     r_p, [0], gamma=0.9, n_actions=1)
+            q_update(TabularValues(), [], (), ("s",), 0, ("t",),
+                     r_p, [0], gamma=0.9)
 
 
 # --- search loop ------------------------------------------------------------
@@ -191,6 +189,31 @@ def test_epsilon_zero_matches_plain_q_learning(toy_space):
             [r.q_target for r in plain.records]
         assert [r.action for r in shaped.records] == \
             [r.action for r in plain.records]
+
+
+def test_each_chain_state_computed_once(toy_space, monkeypatch):
+    # a step's successor is the next step's state: one legality check and
+    # (MLP only) one embedding per step, plus the empty network's
+    calls = Counter()
+    for name in ("legal_actions", "embed_state"):
+        def counted(*args, _fn=getattr(controller, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(controller, name, counted)
+    for backend in ("tabular", "mlp"):
+        for weights in (None, (1.0, 0.1)):
+            calls.clear()
+            trace = run_search(toy_space, make_oracle(),
+                               make_secondary([5, 40, 70]),
+                               config(episodes=10, backend=backend,
+                                      hidden=(8,)), seed=0, weights=weights)
+            bound = len(trace.records) + len(trace.episode_returns)
+            assert len(trace.records) == 40
+            assert calls["legal_actions"] <= bound
+            if backend == "tabular":
+                assert calls["embed_state"] == 0
+            else:
+                assert 0 < calls["embed_state"] <= bound
 
 
 def test_scalarized_rejects_state_with_potentials(toy_space):

@@ -73,14 +73,14 @@ def test_blend_updates_in_place():
     out, grad_w, grad_b = expected.gradients(np.ones(3))
     err = out - 10.0
     mlp = MlpValues(net)
-    assert mlp.blend(None, np.ones(2), 0, 1, target=10.0) is None
+    assert mlp.blend(np.ones(2), 0, target=10.0) is None
     assert mlp.net is net
     for param, grad, got in zip(expected.weights + expected.biases,
                                 grad_w + grad_b, arrays):
         assert np.array_equal(got, param - net.step_size * err * grad)
     tab = TabularValues()
     table = tab.table
-    assert tab.blend(("s",), None, 0, 1, target=2.0) is None
+    assert tab.blend(("s",), 0, target=2.0) is None
     assert tab.table is table and table == {(("s",), 0): 2.0}
 
 
@@ -112,20 +112,20 @@ def test_repeated_steps_converge_monotonically():
 
 def test_tabular_backend_same_interface():
     tab = TabularValues()
-    assert tab.value(("s",), None, 0, 3) == 0.0
-    tab.blend(("s",), None, 0, 3, target=5.0)
-    assert tab.value(("s",), None, 0, 3) == 5.0
-    assert tab.value(("s",), None, 1, 3) == 0.0  # other actions untouched
-    tab.blend(("s",), None, 0, 3, target=1.0, rate=0.5)
-    assert tab.value(("s",), None, 0, 3) == 3.0
+    assert tab.value(("s",), 0) == 0.0
+    tab.blend(("s",), 0, target=5.0)
+    assert tab.value(("s",), 0) == 5.0
+    assert tab.value(("s",), 1) == 0.0  # other actions untouched
+    tab.blend(("s",), 0, target=1.0, rate=0.5)
+    assert tab.value(("s",), 0) == 3.0
 
 
 def test_values_roundtrip():
     tab = TabularValues()
-    tab.blend((0, 1), None, 2, 3, target=1.25)
+    tab.blend((0, 1), 2, target=1.25)
     clone = TabularValues.from_dict(tab.to_dict())
-    assert clone.value((0, 1), None, 2, 3) == 1.25
-    mlp = MlpValues.create(4, 3, hidden=(6,), seed=0)
+    assert clone.value((0, 1), 2) == 1.25
+    mlp = MlpValues.create(4 + 3, hidden=(6,), seed=0)
     clone = MlpValues.from_dict(mlp.to_dict())
     embed = np.ones(4)
-    assert clone.value(None, embed, 1, 3) == mlp.value(None, embed, 1, 3)
+    assert clone.value(embed, 1) == mlp.value(embed, 1)

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import logging
@@ -493,6 +494,39 @@ def test_predictor_row_cache_counts_logged(tmp_path, caplog):
                                        message)[0])
     # 3 episodes of up to 4 layers; the chains repeat their prefixes
     assert misses > 0 and hits > misses
+
+
+def drop_column(path, name):
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    j = rows[0].index(name)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(row[:j] + row[j + 1:] for row in rows)
+
+
+@pytest.mark.parametrize("context, dropped, mismatch", [
+    ({"task": [0.5]}, None, "column 24 is missing, the context's is "
+                            "'task_0'"),
+    ({}, "Processor Kind", "column 20 is missing, the context's is "
+                           "'processor=cpu'"),
+], ids=["task_features", "processor_kind"])
+def test_predictor_columns_checked_against_context(tmp_path, capsys, context,
+                                                   dropped, mismatch):
+    cfg = predictor_setup(tmp_path, count=300)
+    if dropped:
+        drop_column(load_config(cfg)["predictor"]["stats_path"], dropped)
+    cmd_train_predictor(cfg, seed=0, out_dir=str(tmp_path / "model"))
+    model = str(tmp_path / "model" / "model.json")
+    search_cfg = write_config(tmp_path, {
+        "context": context,
+        "secondary": {"kind": "predictor", "model_path": model},
+        "shaping": {"epsilon0": [1.0, 1.0], "budgets": [500.0, 500.0]},
+    }, name="search.yaml")
+    rc, err = run_cli(tmp_path, capsys, search_cfg)
+    assert rc == 2
+    assert f"config key 'secondary.model_path': the model in {model}" in err
+    assert mismatch in err
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 @pytest.mark.parametrize("setting, key", [

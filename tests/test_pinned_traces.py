@@ -1,0 +1,90 @@
+"""Pinned fingerprints and greedy chains of small tabular searches.
+
+The other trace tests compare two runs of the same code, so a refactor of
+the search loop that changed every result would still pass them. These
+values were recorded before the value stores took one state argument, and
+must not move under any change that claims to keep results.
+
+Tabular backend only: MLP values depend on the BLAS summation order of the
+host, so their digests are not portable across machines.
+"""
+import pytest
+
+from shapenas import (ShapingConfig, SyntheticOracle, SyntheticTaskSpec,
+                      greedy_rollout, run_search)
+from shapenas.controller import CallableSecondary
+
+
+def per_action(net, actions):
+    """One metric; infeasible (None) when a chain of 3+ ends in a pool."""
+    if len(actions) >= 3 and actions[-1] == 2:
+        return None
+    return [sum((5.0, 40.0, 70.0)[a] for a in actions)]
+
+
+def two_metrics(net, actions):
+    return [sum((5.0, 40.0, 70.0)[a] for a in actions),
+            sum((30.0, 10.0, 1.0)[a] for a in actions)]
+
+
+TWO = dict(epsilon0=(1.0, 0.7), budgets=(100.0, 80.0))
+
+# name: (config overrides, secondary, scalarized weights)
+CASES = {
+    "shaped_infeasible": ({}, CallableSecondary(per_action, 1), None),
+    "scalarized": ({}, CallableSecondary(per_action, 1), (1.0, 0.1)),
+    "finite_phase_capped": (dict(shaping_episodes=5, epsilon_cap=1.5),
+                            CallableSecondary(per_action, 1), None),
+    "per_secondary_two": (dict(delta_mode="per_secondary", **TWO),
+                          CallableSecondary(two_metrics, 2), None),
+    "tau_warmup": (dict(tau=0.05, warmup=2),
+                   CallableSecondary(per_action, 1), None),
+}
+
+PINNED = {
+    "shaped_infeasible": (
+        "25914d2c86468bf7bb106c93524bc40f4c5487a3ebdd12dc42c242618ef4da81",
+        (0, 0, 1, 0)),
+    "scalarized": (
+        "0a335ddff271ed2da8b87eb95dbedc55d9d88f20475605a5f50ae7fb22856dbb",
+        (0, 1, 2, 0)),
+    "finite_phase_capped": (
+        "dc2acd1f3dfd44bb7c3e67043d256a5fc646803f4aa30519b594098f0a3d63aa",
+        (0, 0, 1, 0)),
+    "per_secondary_two": (
+        "f82930a239ce0d6dc0308fc6df7606cd3f7f177be7bbe87d4f24b4473e58b523",
+        (0, 0, 1, 0)),
+    "tau_warmup": (
+        "90a2190088793f15ab1a83d3df524c12e899d3a1871af6bcb5db6755eee10b0a",
+        (0, 0, 1, 0)),
+}
+
+
+def search(toy_space, name):
+    overrides, secondary, weights = CASES[name]
+    cfg = ShapingConfig(**dict(dict(episodes=12, max_steps=4, tau=-1e9,
+                                    budgets=(100.0,)), **overrides))
+    oracle = SyntheticOracle(SyntheticTaskSpec(
+        (0.25, 0.1, 0.02), diminishing=0.7, interaction_bonus=((0, 1, 0.05),)))
+    return run_search(toy_space, oracle, secondary, cfg, seed=3,
+                      weights=weights)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_tabular_trace_matches_pinned_values(toy_space, name):
+    trace = search(toy_space, name)
+    fingerprint, chain = PINNED[name]
+    assert trace.fingerprint() == fingerprint
+    assert greedy_rollout(trace.state, toy_space) == chain
+
+
+def test_pinned_cases_cover_what_they_name(toy_space):
+    shaped = search(toy_space, "shaped_infeasible")
+    assert 0 < sum(r.infeasible for r in shaped.records) \
+        < len(shaped.records)
+    capped = search(toy_space, "finite_phase_capped")
+    assert max(max(r.epsilons) for r in capped.records) == 1.5
+    assert all(r.epsilons == (0.0,) for r in capped.records
+               if r.episode >= 5)
+    stopped = search(toy_space, "tau_warmup")
+    assert len(stopped.records) < 12 * 4  # some episode stopped early
