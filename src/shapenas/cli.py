@@ -14,9 +14,6 @@ LOG_LEVELS = ("debug", "info", "warning", "error")
 def _add_common(sub):
     sub.add_argument("--config", required=True, help="YAML experiment config")
     sub.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    sub.add_argument("--replicates", type=int, default=1)
-    sub.add_argument("--jobs", type=int, default=1,
-                     help="parallel replicate processes")
     sub.add_argument("--out", required=True, help="output directory")
     sub.add_argument("--log-level", choices=LOG_LEVELS, default="warning",
                      help="level of the shapenas loggers, printed to "
@@ -30,7 +27,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hardware-aware architecture search experiments")
     subs = parser.add_subparsers(dest="command", required=True)
     for name in ("train-predictor", "search", "compare", "gen-synth"):
-        _add_common(subs.add_parser(name))
+        sub = subs.add_parser(name)
+        _add_common(sub)
+        if name in ("search", "compare"):
+            sub.add_argument("--replicates", type=int, default=1)
+            sub.add_argument("--jobs", type=int, default=1,
+                             help="parallel replicate processes")
     return parser
 
 

@@ -60,6 +60,15 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def number_list(value, key: str) -> tuple:
+    """``value`` as a tuple of numbers; anything but a list of numbers
+    raises a ConfigError naming ``key``."""
+    if not isinstance(value, list) or not all(map(_is_number, value)):
+        raise ConfigError(f"config key {key!r} must be a list of numbers, "
+                          f"got {value!r}")
+    return tuple(value)
+
+
 def _tuples(value):
     return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
@@ -116,9 +125,19 @@ def build_contexts(doc: dict) -> list[ContextSpec]:
             for i, c in enumerate(require(doc, "contexts"))]
 
 
+def build_input_shape(doc: dict) -> tuple[int, int, int]:
+    """The network input's (channels, height, width)."""
+    shape = doc.get("input_shape", [3, 16, 16])
+    if not (isinstance(shape, list) and len(shape) == 3
+            and all(type(v) is int and v >= 1 for v in shape)):
+        raise ConfigError(f"config key 'input_shape' must be three positive "
+                          f"integers (channels, height, width), got {shape!r}")
+    return tuple(shape)
+
+
 def build_space(doc: dict) -> SearchSpace:
     space = SearchSpace(build_catalog(doc), build_context(doc),
-                        tuple(doc.get("input_shape", (3, 16, 16))))
+                        build_input_shape(doc))
     if not legal_actions(space.empty_network(), space.catalog):
         raise ConfigError(f"input_shape {list(space.input_shape)}: no "
                           f"catalog action fits the empty network")

@@ -1,11 +1,9 @@
 """Layerwise execution-stats datasets: CSV ingestion, encoding, oversampling.
 
 The on-disk format is comma-separated UTF-8 with a header. Required columns
-(the layerwise stats schema)::
-
-    Type, Kernel Size, Stride, Padding, Expansion Ratio, Idskip, Channels,
-    Height, Width, Input Volume, Output Volume, Execution time, Cores,
-    Compute Units, Memory, Clock Freq., Memory B/w
+(the layerwise stats schema) are ``Type``, the stats-CSV columns of
+``design_space.ARCH_NUMERIC``, ``Execution time`` and those of
+``design_space.CONTEXT_NUMERIC``, in that order (``REQUIRED_COLUMNS``).
 
 Optional columns: ``Processor Kind`` (categorical hardware feature),
 ``Task 0..n`` (numeric task features), ``feasible`` (0/1, default 1) and any
@@ -21,15 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design_space import (BLOCK_KINDS, PROCESSOR_KINDS, arch_columns,
-                           context_columns, one_hot, row_signature)
+from .design_space import (ARCH_NUMERIC, BLOCK_KINDS, CONTEXT_NUMERIC,
+                           PROCESSOR_KINDS, arch_columns, context_columns,
+                           layer_values, one_hot, row_signature)
 
-REQUIRED_COLUMNS = (
-    "Type", "Kernel Size", "Stride", "Padding", "Expansion Ratio", "Idskip",
-    "Channels", "Height", "Width", "Input Volume", "Output Volume",
-    "Execution time", "Cores", "Compute Units", "Memory", "Clock Freq.",
-    "Memory B/w",
-)
+REQUIRED_COLUMNS = ("Type", *ARCH_NUMERIC.values(), "Execution time",
+                    *CONTEXT_NUMERIC.values())
+_NUMERIC_COLUMNS = (*ARCH_NUMERIC.values(), *CONTEXT_NUMERIC.values())
 _OPTIONAL_FEATURES = ("Processor Kind",)
 
 
@@ -133,14 +129,7 @@ def ingest_stats(path) -> MetaDataset:
                     f"{path}:{line}: expected {len(header)} cells, "
                     f"got {len(row)}", line=line)
             vec = one_hot(cell(row, "Type"), BLOCK_KINDS, "block")
-            for csv_name in ("Kernel Size", "Stride", "Padding",
-                             "Expansion Ratio", "Idskip", "Channels",
-                             "Height", "Width", "Input Volume",
-                             "Output Volume"):
-                vec.append(numeric(row, csv_name, line))
-            for csv_name in ("Cores", "Compute Units", "Memory",
-                             "Clock Freq.", "Memory B/w"):
-                vec.append(numeric(row, csv_name, line))
+            vec += [numeric(row, name, line) for name in _NUMERIC_COLUMNS]
             if has_processor:
                 vec += one_hot(cell(row, "Processor Kind"), PROCESSOR_KINDS,
                                "processor")
@@ -172,15 +161,26 @@ def ingest_stats(path) -> MetaDataset:
     return MetaDataset(columns, target_names, X_rows, Y_rows, feas)
 
 
+def stats_record(layer, in_shape, ctx) -> dict:
+    """The feature cells of one stats-CSV row: ``layer``, whose input has
+    shape ``in_shape``, run on the context ``ctx``."""
+    record = {"Type": layer.block_kind}
+    record.update(zip(ARCH_NUMERIC.values(), layer_values(layer, in_shape)))
+    record.update((column, getattr(ctx, name))
+                  for name, column in CONTEXT_NUMERIC.items())
+    record["Processor Kind"] = ctx.processor_kind
+    record.update((f"Task {i}", v) for i, v in enumerate(ctx.task))
+    return record
+
+
 def write_stats(rows: list[dict], target_names: list[str], path,
-                has_processor=True, task_arity=0) -> None:
+                task_arity=0) -> None:
     """Write raw (un-encoded) stats rows in the ingestion CSV schema."""
     header = list(REQUIRED_COLUMNS)
     for extra in target_names:
         if extra not in header:
             header.append(extra)
-    if has_processor:
-        header.append("Processor Kind")
+    header.append("Processor Kind")
     header += [f"Task {i}" for i in range(task_arity)]
     header.append("feasible")
     with open(path, "w", newline="", encoding="utf-8") as fh:

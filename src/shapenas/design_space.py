@@ -8,7 +8,9 @@ cheaply and feature rows derived without tensor math.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -17,6 +19,20 @@ log = logging.getLogger(__name__)
 # Categorical levels, sorted lexicographically; one-hot columns follow this order.
 BLOCK_KINDS = ("conv", "dense", "dwconv", "pool", "skip")
 PROCESSOR_KINDS = ("cpu", "dsp", "gpu", "npu")
+
+# The numeric feature columns of a layer row, in row order: feature name ->
+# stats-CSV column. Every encoder, reader and writer of rows follows these.
+ARCH_NUMERIC = {
+    "kernel_size": "Kernel Size", "stride": "Stride", "padding": "Padding",
+    "expansion_ratio": "Expansion Ratio", "id_skip": "Idskip",
+    "channels": "Channels", "height": "Height", "width": "Width",
+    "input_volume": "Input Volume", "output_volume": "Output Volume",
+}
+# named after the ContextSpec fields they read
+CONTEXT_NUMERIC = {
+    "cores": "Cores", "compute_units": "Compute Units", "memory_mb": "Memory",
+    "clock_freq_mhz": "Clock Freq.", "memory_bandwidth": "Memory B/w",
+}
 
 
 class ShapeError(ValueError):
@@ -73,6 +89,10 @@ class ArchLayerSpec:
     height: int  # output height
     width: int  # output width
 
+    @property
+    def output_shape(self) -> tuple[int, int, int]:
+        return (self.channels, self.height, self.width)
+
 
 @dataclass(frozen=True)
 class CandidateNetwork:
@@ -87,10 +107,14 @@ class CandidateNetwork:
 
     @property
     def output_shape(self) -> tuple[int, int, int]:
-        if not self.layers:
-            return self.input_shape
-        last = self.layers[-1]
-        return (last.channels, last.height, last.width)
+        return self.layers[-1].output_shape if self.layers else self.input_shape
+
+    def layer_inputs(self):
+        """(input shape, layer) pairs in chain order."""
+        shape = self.input_shape
+        for layer in self.layers:
+            yield shape, layer
+            shape = layer.output_shape
 
 
 @dataclass(frozen=True)
@@ -118,8 +142,7 @@ class ContextSpec:
     task: tuple[float, ...] = ()
 
     def __post_init__(self):
-        for name in ("cores", "compute_units", "memory_mb", "clock_freq_mhz",
-                     "memory_bandwidth"):
+        for name in CONTEXT_NUMERIC:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
         if self.processor_kind not in PROCESSOR_KINDS:
@@ -171,8 +194,7 @@ def instantiate(template: LayerTemplate,
 
 def validate_network(net: CandidateNetwork) -> None:
     """Check shape propagation layer by layer; raise ShapeError on mismatch."""
-    shape = net.input_shape
-    for i, layer in enumerate(net.layers):
+    for i, (shape, layer) in enumerate(net.layer_inputs()):
         template = LayerTemplate(layer.block_kind, layer.kernel_size,
                                  layer.stride, layer.padding,
                                  layer.expansion_ratio, layer.id_skip,
@@ -181,13 +203,11 @@ def validate_network(net: CandidateNetwork) -> None:
             expected = instantiate(template, shape)
         except ShapeError as exc:
             raise ShapeError(f"layer {i}: {exc}", layer_index=i) from exc
-        got = (layer.channels, layer.height, layer.width)
-        want = (expected.channels, expected.height, expected.width)
+        got, want = layer.output_shape, expected.output_shape
         if got != want:
             raise ShapeError(
                 f"layer {i}: recorded output shape {got} != propagated {want}",
                 layer_index=i)
-        shape = got
 
 
 def legal_actions(net: CandidateNetwork, catalog: ActionCatalog) -> list[int]:
@@ -222,13 +242,6 @@ def apply_action(net: CandidateNetwork,
 # Feature encoding
 # ---------------------------------------------------------------------------
 
-ARCH_NUMERIC = ("kernel_size", "stride", "padding", "expansion_ratio",
-                "id_skip", "channels", "height", "width", "input_volume",
-                "output_volume")
-CONTEXT_NUMERIC = ("cores", "compute_units", "memory_mb", "clock_freq_mhz",
-                   "memory_bandwidth")
-
-
 def arch_columns() -> list[str]:
     return [f"type={k}" for k in BLOCK_KINDS] + list(ARCH_NUMERIC)
 
@@ -252,23 +265,28 @@ def feature_columns(task_arity: int) -> list[str]:
     return arch_columns() + context_columns(task_arity)
 
 
+_context_values = attrgetter(*CONTEXT_NUMERIC)
+
+
 def encode_context(ctx: ContextSpec) -> list[float]:
-    vec = [float(ctx.cores), float(ctx.compute_units), float(ctx.memory_mb),
-           float(ctx.clock_freq_mhz), float(ctx.memory_bandwidth)]
+    vec = list(map(float, _context_values(ctx)))
     vec += one_hot(ctx.processor_kind, PROCESSOR_KINDS, "processor")
     vec += [float(v) for v in ctx.task]
     return vec
 
 
+def layer_values(layer: ArchLayerSpec, in_shape: tuple[int, int, int]) -> list:
+    """The layer's ``ARCH_NUMERIC`` values, raw as the stats CSV holds them
+    (``id_skip`` as 0/1)."""
+    return [layer.kernel_size, layer.stride, layer.padding,
+            layer.expansion_ratio, int(layer.id_skip), layer.channels,
+            layer.height, layer.width, math.prod(in_shape),
+            math.prod(layer.output_shape)]
+
+
 def encode_layer(layer: ArchLayerSpec, in_shape: tuple[int, int, int]) -> list[float]:
-    in_c, in_h, in_w = in_shape
-    vec = one_hot(layer.block_kind, BLOCK_KINDS, "block")
-    vec += [float(layer.kernel_size), float(layer.stride),
-            float(layer.padding), float(layer.expansion_ratio),
-            float(layer.id_skip), float(layer.channels), float(layer.height),
-            float(layer.width), float(in_c * in_h * in_w),
-            float(layer.channels * layer.height * layer.width)]
-    return vec
+    return one_hot(layer.block_kind, BLOCK_KINDS, "block") + list(
+        map(float, layer_values(layer, in_shape)))
 
 
 def parse_network(net: CandidateNetwork, ctx: ContextSpec) -> np.ndarray:
@@ -280,11 +298,8 @@ def parse_network(net: CandidateNetwork, ctx: ContextSpec) -> np.ndarray:
     """
     validate_network(net)
     ctx_vec = encode_context(ctx)
-    rows = []
-    shape = net.input_shape
-    for layer in net.layers:
-        rows.append(encode_layer(layer, shape) + ctx_vec)
-        shape = (layer.channels, layer.height, layer.width)
+    rows = [encode_layer(layer, shape) + ctx_vec
+            for shape, layer in net.layer_inputs()]
     n_cols = len(feature_columns(len(ctx.task)))
     if not rows:
         return np.zeros((0, n_cols))
@@ -299,14 +314,9 @@ def embed_state(net: CandidateNetwork, ctx: ContextSpec) -> np.ndarray:
     chain by its newest layer, its depth and its cumulative output volume.
     """
     ctx_vec = encode_context(ctx)
-    if net.layers:
-        shape = net.input_shape if net.depth == 1 else (
-            net.layers[-2].channels, net.layers[-2].height,
-            net.layers[-2].width)
-        last = encode_layer(net.layers[-1], shape)
-        cum_volume = float(sum(l.channels * l.height * l.width
-                               for l in net.layers))
-    else:
-        last = [0.0] * len(arch_columns())
-        cum_volume = 0.0
-    return np.asarray(last + [float(net.depth), cum_volume] + ctx_vec)
+    if not net.layers:
+        return np.asarray([0.0] * len(arch_columns()) + [0.0, 0.0] + ctx_vec)
+    in_shape = net.layers[-2].output_shape if net.depth > 1 else net.input_shape
+    cum_volume = float(sum(math.prod(l.output_shape) for l in net.layers))
+    return np.asarray(encode_layer(net.layers[-1], in_shape)
+                      + [float(net.depth), cum_volume] + ctx_vec)

@@ -10,6 +10,7 @@ import concurrent.futures
 import functools
 import json
 import logging
+import math
 import os
 import shutil
 
@@ -39,25 +40,39 @@ def _write_json(path, doc) -> None:
 def network_size(net) -> float:
     """Parameter-count proxy: kernel area times channel fan for weight layers."""
     size = 0.0
-    shape = net.input_shape
-    for layer in net.layers:
+    for shape, layer in net.layer_inputs():
         in_c = shape[0]
         if layer.block_kind == "conv":
             size += layer.kernel_size ** 2 * in_c * layer.channels
         elif layer.block_kind == "dwconv":
             size += layer.kernel_size ** 2 * in_c + in_c * layer.channels
         elif layer.block_kind == "dense":
-            size += shape[0] * shape[1] * shape[2] * layer.channels
-        shape = (layer.channels, layer.height, layer.width)
+            size += math.prod(shape) * layer.channels
     return size
 
 
 def reference_network(space, reference_chain=None):
-    """Reference for size ratios: a configured chain, or the greedy-largest one."""
+    """Reference for size ratios: a configured chain, or the greedy-largest
+    one. A chain that is not a list of fitting catalog indices raises a
+    ConfigError naming ``reference_chain``."""
     net = space.empty_network()
     if reference_chain is not None:
+        n = len(space.catalog.actions)
+        if not isinstance(reference_chain, list):
+            raise cfgmod.ConfigError(
+                f"config key 'reference_chain' must be a list of catalog "
+                f"indices, got {reference_chain!r}")
         for a in reference_chain:
-            net = design_space.apply_action(net, space.catalog.actions[a])
+            if type(a) is not int or not 0 <= a < n:  # bools are not indices
+                raise cfgmod.ConfigError(
+                    f"config key 'reference_chain': {a!r} is not a catalog "
+                    f"index (0 to {n - 1})")
+            try:
+                net = design_space.apply_action(net, space.catalog.actions[a])
+            except design_space.IllegalActionError as exc:
+                raise cfgmod.ConfigError(
+                    f"config key 'reference_chain': action {a} does not fit "
+                    f"after {net.depth} layers: {exc}") from exc
         return net
     while True:
         legal = design_space.legal_actions(net, space.catalog)
@@ -134,11 +149,10 @@ def cmd_gen_synth(config_path, seed: int, out_dir) -> str:
     synth_stats = doc.get("synth_stats", {})
     cfgmod.check_keys(synth_stats, "synth_stats", ("count",))
     count = synth_stats.get("count", 1000)
-    input_shape = tuple(doc.get("input_shape", (3, 16, 16)))
     _, raw_rows = orc.gen_synth_stats(catalog, contexts, model, count, seed,
-                                      input_shape)
+                                      cfgmod.build_input_shape(doc))
     path = os.path.join(out_dir, "stats.csv")
-    ds.write_stats(raw_rows, orc.TARGET_NAMES, path, has_processor=True,
+    ds.write_stats(raw_rows, orc.TARGET_NAMES, path,
                    task_arity=len(contexts[0].task))
     return path
 
@@ -191,7 +205,12 @@ def _build_secondary(doc, space):
         _check_columns(model, path, space.context)
         return controller.PredictorSecondary(model, space.context)
     if kind == "per_action":
-        metric = list(cfgmod.require(spec, "metric"))
+        metric = cfgmod.number_list(cfgmod.require(spec, "metric"),
+                                    "secondary.metric")
+        if len(metric) != len(space.catalog.actions):
+            raise cfgmod.ConfigError(
+                f"config key 'secondary.metric' has {len(metric)} entries, "
+                f"but the catalog has {len(space.catalog.actions)} actions")
         return controller.CallableSecondary(
             functools.partial(_per_action_total, metric), 1)
     if kind == "none":
@@ -247,14 +266,12 @@ def _run_replicates(doc, space, secondary, shaping, jobs, seeds, weights):
     return list(map(run, seeds, weights))
 
 
-def _replicate_summary(doc, space, oracle, secondary, trace) -> dict:
+def _replicate_summary(oracle, secondary, trace, ref_size: float) -> dict:
     final_net = trace.final_network
     final_acc = (float(oracle.accuracy(final_net, list(trace.final_actions)))
                  if final_net is not None and final_net.depth else 0.0)
     raw = secondary.metrics(final_net, list(trace.final_actions)) \
         if final_net is not None and secondary.n_metrics else None
-    ref = reference_network(space, doc.get("reference_chain"))
-    ref_size = network_size(ref)
     summary = {
         "seed": trace.seed,
         "final_accuracy": final_acc,
@@ -293,6 +310,8 @@ def cmd_search(config_path, seed: int, replicates: int, jobs: int,
     shaping = cfgmod.build_shaping(doc)
     n_sec = len(shaping.epsilon0)
     _check_metric_count(secondary, "shaping.epsilon0", n_sec)
+    ref_size = network_size(reference_network(space,
+                                              doc.get("reference_chain")))
     seeds = [seed + i for i in range(replicates)]
     traces = _run_replicates(doc, space, secondary, shaping, jobs, seeds,
                              [None] * replicates)
@@ -302,7 +321,7 @@ def cmd_search(config_path, seed: int, replicates: int, jobs: int,
         tag = f"replicate_{trace.seed}"
         trace.export_csv(os.path.join(out_dir, f"trace_{tag}.csv"))
         write_curve(os.path.join(out_dir, f"curve_{tag}.csv"), trace, n_sec)
-        rows.append(_replicate_summary(doc, space, oracle, secondary, trace))
+        rows.append(_replicate_summary(oracle, secondary, trace, ref_size))
         timings.append({"seed": trace.seed, "wall_time_s": trace.wall_time})
         if trace.error is not None:
             failed.append(trace.seed)
@@ -325,7 +344,8 @@ def cmd_compare(config_path, seed: int, replicates: int, jobs: int,
     shaping = cfgmod.build_shaping(doc)
     n_sec = len(shaping.epsilon0)
     seeds = [seed + i for i in range(replicates)]
-    weights = tuple(cfgmod.require(doc, "scalarized_weights"))
+    weights = cfgmod.number_list(cfgmod.require(doc, "scalarized_weights"),
+                                 "scalarized_weights")
     secondary = _build_secondary(doc, space)
     _check_metric_count(secondary, "shaping.epsilon0", n_sec)
     _check_metric_count(secondary, "scalarized_weights", len(weights) - 1)

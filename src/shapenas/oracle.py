@@ -8,6 +8,7 @@ truth, which doubles as the brute-force oracle for predictor fidelity tests.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,13 +119,13 @@ class SynthStatsModel:
 
     def layer_latency(self, layer, multiplier: float) -> float:
         c0, c1, c2, c3 = self.latency_coeffs
-        vol = layer.channels * layer.height * layer.width
+        vol = math.prod(layer.output_shape)
         return (c0 + c1 * layer.kernel_size ** 2 + c2 * layer.channels
                 + c3 * vol) * multiplier
 
     def layer_memory(self, layer, multiplier: float) -> float:
         m0, m1 = self.memory_coeffs
-        vol = layer.channels * layer.height * layer.width
+        vol = math.prod(layer.output_shape)
         return (m0 + m1 * vol) * multiplier
 
     def layer_feasible(self, layer, ctx: ContextSpec, multiplier: float) -> bool:
@@ -170,33 +171,12 @@ def gen_synth_stats(catalog: ActionCatalog, contexts, true_model: SynthStatsMode
         ci = int(rng.integers(len(contexts)))
         ctx, mult = contexts[ci], true_model.context_multipliers[ci]
         ctx_vec = encode_context(ctx)
-        shape = net.input_shape
-        for layer in net.layers:
+        for shape, layer in net.layer_inputs():
             if len(raw_rows) >= count:
                 break
             feasible = true_model.layer_feasible(layer, ctx, mult)
-            row = {
-                "Type": layer.block_kind,
-                "Kernel Size": layer.kernel_size,
-                "Stride": layer.stride,
-                "Padding": layer.padding,
-                "Expansion Ratio": layer.expansion_ratio,
-                "Idskip": int(layer.id_skip),
-                "Channels": layer.channels,
-                "Height": layer.height,
-                "Width": layer.width,
-                "Input Volume": shape[0] * shape[1] * shape[2],
-                "Output Volume": layer.channels * layer.height * layer.width,
-                "Cores": ctx.cores,
-                "Compute Units": ctx.compute_units,
-                "Memory": ctx.memory_mb,
-                "Clock Freq.": ctx.clock_freq_mhz,
-                "Memory B/w": ctx.memory_bandwidth,
-                "Processor Kind": ctx.processor_kind,
-                "feasible": int(feasible),
-            }
-            for i, v in enumerate(ctx.task):
-                row[f"Task {i}"] = v
+            row = ds.stats_record(layer, shape, ctx)
+            row["feasible"] = int(feasible)
             if feasible:
                 targets = [true_model.layer_latency(layer, mult),
                            true_model.layer_memory(layer, mult)]
@@ -206,7 +186,6 @@ def gen_synth_stats(catalog: ActionCatalog, contexts, true_model: SynthStatsMode
             raw_rows.append(row)
             X_rows.append(encode_layer(layer, shape) + ctx_vec)
             Y_rows.append(targets if feasible else [np.nan, np.nan])
-            shape = (layer.channels, layer.height, layer.width)
 
     data = ds.MetaDataset(feature_columns(len(contexts[0].task)),
                           list(TARGET_NAMES), X_rows, Y_rows,

@@ -16,7 +16,7 @@ ROW = {
 
 def make_csv(tmp_path, rows, name="stats.csv", targets=("Execution time",)):
     path = tmp_path / name
-    write_stats(rows, list(targets), path, has_processor=True, task_arity=0)
+    write_stats(rows, list(targets), path, task_arity=0)
     return path
 
 

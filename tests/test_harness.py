@@ -7,7 +7,7 @@ import re
 import pytest
 import yaml
 
-from shapenas import cli
+from shapenas import cli, harness
 from shapenas.config import ConfigError, load_config
 from shapenas.harness import (HarnessError, cmd_compare, cmd_gen_synth,
                               cmd_search, cmd_train_predictor,
@@ -456,6 +456,108 @@ def test_secondary_metric_count_checked(tmp_path, capsys, command, overrides,
     rc, err = run_cli(tmp_path, capsys, cfg, command=command)
     assert rc == 2
     assert message in err
+
+
+@pytest.mark.parametrize("command, overrides, message", [
+    ("search", {"reference_chain": [7]},
+     "config key 'reference_chain': 7 is not a catalog index (0 to 2)"),
+    ("search", {"reference_chain": "abc"},
+     "config key 'reference_chain' must be a list of catalog indices"),
+    ("search", {"reference_chain": [2, 2, 2, 2, 2]},
+     "config key 'reference_chain': action 2 does not fit after 4 layers"),
+    ("compare", {"scalarized_weights": 1.0},
+     "config key 'scalarized_weights' must be a list of numbers"),
+    ("compare", {"scalarized_weights": [1.0, "0.1"]},
+     "config key 'scalarized_weights' must be a list of numbers"),
+    ("search", {"secondary": {"metric": [5.0, 40.0]}},
+     "config key 'secondary.metric' has 2 entries, but the catalog has 3 "
+     "actions"),
+    ("search", {"secondary": {"metric": [5.0, 40.0, "70"]}},
+     "config key 'secondary.metric' must be a list of numbers"),
+    ("search", {"input_shape": [3, 16]},
+     "config key 'input_shape' must be three positive integers"),
+    ("gen-synth", dict(SYNTH, input_shape=[3, 16]),
+     "config key 'input_shape' must be three positive integers"),
+], ids=["reference_index_outside_catalog", "reference_not_a_list",
+        "reference_action_does_not_fit", "weights_not_a_list",
+        "weight_is_a_string", "metric_too_short", "metric_is_a_string",
+        "input_shape_two_values", "gen_synth_input_shape"])
+def test_bad_raw_value_names_key(tmp_path, capsys, command, overrides,
+                                 message):
+    cfg = write_config(tmp_path, overrides)
+    rc, err = run_cli(tmp_path, capsys, cfg, command=command)
+    assert rc == 2
+    assert message in err
+    assert not (tmp_path / "out" / "report.json").exists()
+    assert not (tmp_path / "out" / "compare_report.json").exists()
+
+
+def test_reference_network_built_once_per_search(tmp_path, monkeypatch):
+    calls = []
+    build = harness.reference_network
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(harness, "reference_network", counted)
+    for chain in (None, [0, 2]):
+        calls.clear()
+        cfg = write_config(tmp_path, {"reference_chain": chain}
+                           if chain else {})
+        report = cmd_search(cfg, seed=0, replicates=3, jobs=1,
+                            out_dir=str(tmp_path / "out"))
+        assert len(calls) == 1
+        assert len(report["replicates"]) == 3
+
+
+def test_replicate_flags_only_for_search_and_compare(tmp_path, capsys):
+    cfg = write_config(tmp_path, SYNTH)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gen-synth", "--config", cfg, "--jobs", "2",
+                  "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
+# dwconv with expansion 2.5 and id_skip, dense and skip layers; task
+# features and a float memory budget small enough for infeasible rows
+PINNED_CORPUS = {
+    "catalog": {"max_depth": 5, "actions": [
+        {"block_kind": "conv", "kernel_size": 3, "stride": 1, "padding": 1,
+         "channels": 8},
+        {"block_kind": "dwconv", "kernel_size": 3, "stride": 2, "padding": 1,
+         "channels": 12, "expansion_ratio": 2.5, "id_skip": True},
+        {"block_kind": "dense", "channels": 10},
+        {"block_kind": "skip"},
+    ]},
+    "contexts": [
+        {"cores": 8, "compute_units": 2, "memory_mb": 4096,
+         "clock_freq_mhz": 2800, "memory_bandwidth": 25.6,
+         "processor_kind": "cpu", "task": [0.5, 1.5]},
+        {"cores": 2, "compute_units": 1, "memory_mb": 2.75,
+         "clock_freq_mhz": 1000, "memory_bandwidth": 6.4,
+         "processor_kind": "dsp", "task": [0.25, 3.0]},
+    ],
+    "synth_stats": {"count": 40},
+    "synth_stats_model": {"context_multipliers": [1.0, 2.5]},
+}
+PINNED_STATS_SHA = ("b40d3a58f45ff64ec0661f48b4c75418"
+                    "db92825f155799a78589004af0606a06")
+
+
+def test_gen_synth_stats_csv_bytes_pinned(tmp_path):
+    """The stats-CSV bytes of a small corpus, recorded before the layer-row
+    schema moved into design_space; no change that keeps results may move
+    them. The values come from Python float arithmetic and PCG64 draws, so
+    the digest does not depend on the host."""
+    cfg = write_config(tmp_path, PINNED_CORPUS)
+    path = cmd_gen_synth(cfg, seed=5, out_dir=str(tmp_path / "data"))
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {r["Type"] for r in rows} >= {"dwconv", "dense", "skip"}
+    assert {r["feasible"] for r in rows} == {"0", "1"}
+    assert sha(path) == PINNED_STATS_SHA
 
 
 @pytest.mark.parametrize("command, overrides, key", [

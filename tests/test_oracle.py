@@ -129,7 +129,7 @@ def test_gen_synth_dataset_matches_ingest_of_written_rows(tmp_path):
     model = SynthStatsModel(context_multipliers=(1.0, 3.0))
     data, rows = gen_synth_stats(cat, ctxs, model, count=200, seed=3)
     path = tmp_path / "stats.csv"
-    write_stats(rows, TARGET_NAMES, path, has_processor=True, task_arity=2)
+    write_stats(rows, TARGET_NAMES, path, task_arity=2)
     back = ingest_stats(path)
     assert data.feasible.any() and not data.feasible.all()
     assert data.columns == back.columns
