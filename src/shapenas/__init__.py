@@ -9,7 +9,7 @@ from .controller import (SearchSpace, SearchTrace, ShapingConfig,
 from .dataset import MetaDataset, ingest_stats, oversample
 from .design_space import (ActionCatalog, ArchLayerSpec, CandidateNetwork,
                            ContextSpec, LayerTemplate, apply_action,
-                           embed_state, legal_actions, parse_network)
+                           embed_state, grow, legal_actions, parse_network)
 from .oracle import (SyntheticOracle, SyntheticTaskSpec, SynthStatsModel,
                      TabularOracle, gen_synth_stats)
 

@@ -40,9 +40,14 @@ def load_config(path) -> dict:
     return doc
 
 
-def require(doc: dict, key: str):
+def require(doc: dict, key: str, section: str = ""):
+    """``doc[key]``; a missing key raises a ConfigError naming
+    ``section.key`` (or just ``key`` at the top level)."""
+    if section and not isinstance(doc, dict):
+        raise ConfigError(f"config section {section!r} must be a mapping")
     if key not in doc:
-        raise ConfigError(f"missing required config key {key!r}")
+        name = f"{section}.{key}" if section else key
+        raise ConfigError(f"missing required config key {name!r}")
     return doc[key]
 
 
@@ -112,8 +117,9 @@ def build_catalog(doc: dict) -> ActionCatalog:
     cat = require(doc, "catalog")
     check_keys(cat, "catalog", ("actions", "max_depth"))
     actions = tuple(build_section(LayerTemplate, a, f"catalog.actions[{i}]")
-                    for i, a in enumerate(require(cat, "actions")))
-    return ActionCatalog(actions, max_depth=require(cat, "max_depth"))
+                    for i, a in enumerate(require(cat, "actions", "catalog")))
+    return ActionCatalog(actions,
+                         max_depth=require(cat, "max_depth", "catalog"))
 
 
 def build_context(doc: dict) -> ContextSpec:
@@ -166,17 +172,43 @@ def build_predictor_cfg(doc: dict) -> BobConfig:
     return cfg
 
 
-def build_oracle(doc: dict):
+def build_oracle(doc: dict, catalog: ActionCatalog):
+    """The configured accuracy oracle. A synthetic one must give one base
+    utility per catalog action, and its interaction bonuses must name
+    catalog actions."""
     spec = require(doc, "oracle")
-    kind = require(spec, "kind")
+    kind = require(spec, "kind", "oracle")
     if kind == "synthetic":
-        return SyntheticOracle(build_section(SyntheticTaskSpec, spec,
-                                             "oracle", other_keys=("kind",)))
+        task = build_section(SyntheticTaskSpec, spec, "oracle",
+                             other_keys=("kind",))
+        _check_synthetic(spec, len(catalog.actions))
+        return SyntheticOracle(task)
     if kind == "tabular":  # the synthetic oracle's keys are ignored
         check_keys(spec, "oracle", {"kind", "path"}
                    | {f.name for f in dataclasses.fields(SyntheticTaskSpec)})
-        return TabularOracle(require(spec, "path"))
+        return TabularOracle(require(spec, "path", "oracle"))
     raise ConfigError(f"unknown oracle kind {kind!r}")
+
+
+def _check_synthetic(spec: dict, n: int) -> None:
+    utility = number_list(spec["base_utility"], "oracle.base_utility")
+    if len(utility) != n:
+        raise ConfigError(f"config key 'oracle.base_utility' has "
+                          f"{len(utility)} entries, but the catalog has {n} "
+                          f"actions")
+    bonus = spec.get("interaction_bonus", [])
+    if not isinstance(bonus, list):
+        raise ConfigError(f"config key 'oracle.interaction_bonus' must be a "
+                          f"list of [previous action, action, bonus], got "
+                          f"{bonus!r}")
+    for entry in bonus:
+        if not (isinstance(entry, list) and len(entry) == 3
+                and all(type(a) is int and 0 <= a < n for a in entry[:2])
+                and _is_number(entry[2])):
+            raise ConfigError(
+                f"config key 'oracle.interaction_bonus': entry {entry!r} is "
+                f"not [previous action, action, bonus] with actions of the "
+                f"catalog's {n} (0 to {n - 1})")
 
 
 def build_synth_stats_model(doc: dict) -> SynthStatsModel:

@@ -20,8 +20,7 @@ import numpy as np
 
 from .bob import BobModel, predict_network
 from .design_space import (ActionCatalog, CandidateNetwork, ContextSpec,
-                           apply_action, embed_state, legal_actions,
-                           parse_network)
+                           embed_state, grow, legal_actions, parse_network)
 from .function_approx import (MlpValues, TabularValues, values_from_dict)
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -328,7 +327,7 @@ def run_episodes(state: ShapingState, space: SearchSpace, oracle, secondary,
                 for i, phi in enumerate(state.phis):
                     potential_update(phi, p_s, p_a, s, a, p_rs[i], cfg.beta,
                                      cfg.gamma)
-            net_next = apply_action(net, catalog.actions[a])
+            net_next = grow(net, catalog, a)
             chain = actions + [a]
             try:
                 r_p = float(oracle.accuracy(net_next, chain))
@@ -432,7 +431,7 @@ def greedy_rollout(state: ShapingState, space: SearchSpace) -> tuple:
         scores = shaped_scores(state.q, state.phis, state.epsilons,
                                state_of(net, actions), legal)
         a = legal[int(np.argmax(scores))]
-        net = apply_action(net, space.catalog.actions[a])
+        net = grow(net, space.catalog, a)
         actions.append(a)
 
 
@@ -448,7 +447,7 @@ def brute_force_best_chain(space: SearchSpace, oracle, gamma: float) -> tuple:
                 best, best_value = tuple(actions), value
             return
         for a in legal:
-            net_next = apply_action(net, space.catalog.actions[a])
+            net_next = grow(net, space.catalog, a)
             r = float(oracle.accuracy(net_next, actions + [a]))
             visit(net_next, actions + [a], value + (gamma ** t) * r, t + 1)
 

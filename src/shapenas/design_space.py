@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from operator import attrgetter
 
 import numpy as np
@@ -121,12 +121,31 @@ class CandidateNetwork:
 class ActionCatalog:
     actions: tuple[LayerTemplate, ...]
     max_depth: int
+    # output shape -> {action index: resolved layer} for the actions that
+    # fit it; filled on first sight and never evicted, since a catalog
+    # reaches finitely many shapes. Not part of ==, hash or repr.
+    _fitting: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
         if not self.actions:
             raise ValueError("catalog must contain at least one action")
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
+
+    def fitting(self, shape: tuple[int, int, int]) -> dict:
+        """{action index: resolved layer}, in index order, of the actions
+        whose template fits an input of ``shape``. The dict is the memo's
+        own: read it, do not change it."""
+        layers = self._fitting.get(shape)
+        if layers is None:
+            layers = self._fitting[shape] = {}
+            for i, template in enumerate(self.actions):
+                try:
+                    layers[i] = instantiate(template, shape)
+                except ShapeError:
+                    pass
+        return layers
 
 
 @dataclass(frozen=True)
@@ -211,31 +230,36 @@ def validate_network(net: CandidateNetwork) -> None:
 
 
 def legal_actions(net: CandidateNetwork, catalog: ActionCatalog) -> list[int]:
-    """Indices of catalog templates that keep the chain shape-valid.
+    """Indices of catalog templates that keep the chain shape-valid, in
+    ascending order.
 
     Empty list signals a terminal state (depth cap or no fitting block).
     """
     if net.depth >= catalog.max_depth:
         return []
-    shape = net.output_shape
-    out = []
-    for i, template in enumerate(catalog.actions):
-        try:
-            instantiate(template, shape)
-        except ShapeError:
-            continue
-        out.append(i)
-    return out
+    return list(catalog.fitting(net.output_shape))
+
+
+def grow(net: CandidateNetwork, catalog: ActionCatalog,
+         action: int) -> CandidateNetwork:
+    """Append catalog action ``action``, resolved once per output shape by
+    the catalog; raises IllegalActionError if it does not fit."""
+    layer = catalog.fitting(net.output_shape).get(action)
+    if layer is None:
+        raise IllegalActionError(f"catalog action {action} does not fit "
+                                 f"the output shape {net.output_shape}")
+    return CandidateNetwork(net.input_shape, net.layers + (layer,))
 
 
 def apply_action(net: CandidateNetwork,
                  action: LayerTemplate) -> CandidateNetwork:
-    """Append one block; returns a new network, the input is untouched."""
+    """Append one free-standing block; returns a new network, the input is
+    untouched."""
     try:
         layer = instantiate(action, net.output_shape)
     except ShapeError as exc:
         raise IllegalActionError(str(exc)) from exc
-    return replace(net, layers=net.layers + (layer,))
+    return CandidateNetwork(net.input_shape, net.layers + (layer,))
 
 
 # ---------------------------------------------------------------------------

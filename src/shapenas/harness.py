@@ -68,7 +68,7 @@ def reference_network(space, reference_chain=None):
                     f"config key 'reference_chain': {a!r} is not a catalog "
                     f"index (0 to {n - 1})")
             try:
-                net = design_space.apply_action(net, space.catalog.actions[a])
+                net = design_space.grow(net, space.catalog, a)
             except design_space.IllegalActionError as exc:
                 raise cfgmod.ConfigError(
                     f"config key 'reference_chain': action {a} does not fit "
@@ -78,8 +78,7 @@ def reference_network(space, reference_chain=None):
         legal = design_space.legal_actions(net, space.catalog)
         if not legal:
             return net
-        grown = [design_space.apply_action(net, space.catalog.actions[a])
-                 for a in legal]
+        grown = [design_space.grow(net, space.catalog, a) for a in legal]
         net = max(grown, key=network_size)
 
 
@@ -200,13 +199,13 @@ def _build_secondary(doc, space):
     cfgmod.check_keys(spec, "secondary", ("kind", "model_path", "metric"))
     kind = spec.get("kind", "none")
     if kind == "predictor":
-        path = cfgmod.require(spec, "model_path")
+        path = cfgmod.require(spec, "model_path", "secondary")
         model = bob.load_model(path)
         _check_columns(model, path, space.context)
         return controller.PredictorSecondary(model, space.context)
     if kind == "per_action":
-        metric = cfgmod.number_list(cfgmod.require(spec, "metric"),
-                                    "secondary.metric")
+        metric = cfgmod.number_list(
+            cfgmod.require(spec, "metric", "secondary"), "secondary.metric")
         if len(metric) != len(space.catalog.actions):
             raise cfgmod.ConfigError(
                 f"config key 'secondary.metric' has {len(metric)} entries, "
@@ -252,8 +251,9 @@ def _log_row_cache(secondary) -> None:
 
 def _run_one(doc, space, secondary, shaping, seed, weights):
     # a fresh oracle per replicate: a noisy one restarts its noise stream
-    return controller.run_search(space, cfgmod.build_oracle(doc), secondary,
-                                 shaping, seed, weights=weights)
+    oracle = cfgmod.build_oracle(doc, space.catalog)
+    return controller.run_search(space, oracle, secondary, shaping, seed,
+                                 weights=weights)
 
 
 def _run_replicates(doc, space, secondary, shaping, jobs, seeds, weights):
@@ -305,7 +305,7 @@ def cmd_search(config_path, seed: int, replicates: int, jobs: int,
     doc = cfgmod.load_config(config_path)
     _ensure_out(out_dir, config_path)
     space = cfgmod.build_space(doc)
-    oracle = cfgmod.build_oracle(doc)
+    oracle = cfgmod.build_oracle(doc, space.catalog)
     secondary = _build_secondary(doc, space)
     shaping = cfgmod.build_shaping(doc)
     n_sec = len(shaping.epsilon0)
@@ -341,6 +341,7 @@ def cmd_compare(config_path, seed: int, replicates: int, jobs: int,
     doc = cfgmod.load_config(config_path)
     _ensure_out(out_dir, config_path)
     space = cfgmod.build_space(doc)
+    cfgmod.build_oracle(doc, space.catalog)  # fail before any replicate
     shaping = cfgmod.build_shaping(doc)
     n_sec = len(shaping.epsilon0)
     seeds = [seed + i for i in range(replicates)]

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import dataset as ds
 from .design_space import (ActionCatalog, CandidateNetwork, ContextSpec,
-                           apply_action, encode_context, encode_layer,
-                           feature_columns, legal_actions)
+                           encode_context, encode_layer, feature_columns,
+                           grow, legal_actions)
 
 
 def encode_chain(actions) -> str:
@@ -147,7 +147,7 @@ def random_network(catalog: ActionCatalog, input_shape, rng) -> tuple:
         if not legal:
             break
         a = int(rng.choice(legal))
-        net = apply_action(net, catalog.actions[a])
+        net = grow(net, catalog, a)
         actions.append(a)
     return net, actions
 

@@ -1,13 +1,20 @@
+import pickle
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from shapenas import (ActionCatalog, CandidateNetwork, ContextSpec,
-                      LayerTemplate, apply_action, legal_actions,
-                      parse_network)
+                      LayerTemplate, SyntheticOracle, SyntheticTaskSpec,
+                      apply_action, brute_force_best_chain, design_space,
+                      greedy_rollout, grow, legal_actions, parse_network,
+                      run_search)
 from shapenas.design_space import (IllegalActionError, ShapeError,
                                    feature_columns, instantiate,
                                    validate_network)
+from shapenas.controller import CallableSecondary, ShapingConfig
+from shapenas.oracle import random_network
 
 
 def empty_net():
@@ -153,3 +160,107 @@ def test_instantiate_kernel_bound_respects_padding():
     layer = instantiate(LayerTemplate("conv", kernel_size=3, padding=1,
                                       channels=2), (1, 2, 2))
     assert (layer.height, layer.width) == (2, 2)
+
+
+# --- the catalog's memo of fitting actions ---------------------------------
+
+
+def reference_legal(net, catalog):
+    """Uncached legality: every template instantiated against the chain's
+    output shape, as ``legal_actions`` did before the catalog memoized it."""
+    if net.depth >= catalog.max_depth:
+        return []
+    out = []
+    for i, template in enumerate(catalog.actions):
+        try:
+            instantiate(template, net.output_shape)
+        except ShapeError:
+            continue
+        out.append(i)
+    return out
+
+
+# kernels up to 5 and strides up to 3 on inputs down to 1x1: some templates
+# never fit, others stop fitting a few layers in; channels 0 keeps the input's
+mixed_templates = st.builds(
+    LayerTemplate,
+    block_kind=st.sampled_from(("conv", "dwconv", "pool", "dense", "skip")),
+    kernel_size=st.integers(1, 5),
+    stride=st.integers(1, 3),
+    padding=st.integers(0, 1),
+    expansion_ratio=st.sampled_from((1.0, 2.5)),
+    id_skip=st.booleans(),
+    channels=st.integers(0, 16),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(actions=st.lists(mixed_templates, min_size=1, max_size=6),
+       side=st.integers(1, 12), depth_cap=st.integers(1, 7),
+       picks=st.lists(st.integers(0, 1000), max_size=8))
+def test_memoized_legality_and_growth_match_uncached(actions, side,
+                                                     depth_cap, picks):
+    catalog = ActionCatalog(tuple(actions), max_depth=depth_cap)
+    net = CandidateNetwork((3, side, side))
+    for pick in picks + [0]:
+        legal = legal_actions(net, catalog)
+        assert legal == reference_legal(net, catalog)
+        legal.append(-1)  # a fresh list: the memo is not touched
+        assert legal_actions(net, catalog) == legal[:-1]
+        legal.pop()
+        if not legal:
+            return
+        for a in range(-1, len(actions) + 1):
+            if a in legal:
+                assert grow(net, catalog, a) == \
+                    apply_action(net, catalog.actions[a])
+            else:
+                with pytest.raises(IllegalActionError):
+                    grow(net, catalog, a)
+        net = grow(net, catalog, legal[pick % len(legal)])
+        validate_network(net)
+
+
+def test_instantiate_runs_once_per_shape_and_action(toy_space, monkeypatch):
+    calls = Counter()
+    index = {t: i for i, t in enumerate(toy_space.catalog.actions)}
+
+    def counted(template, in_shape, _fn=design_space.instantiate):
+        calls[in_shape, index[template]] += 1
+        return _fn(template, in_shape)
+
+    monkeypatch.setattr(design_space, "instantiate", counted)
+    oracle = SyntheticOracle(SyntheticTaskSpec((0.25, 0.05, 0.02)))
+    secondary = CallableSecondary(lambda net, actions: [len(actions)], 1)
+    for backend in ("tabular", "mlp"):
+        for weights in (None, (1.0, 0.1)):
+            trace = run_search(toy_space, oracle, secondary,
+                               ShapingConfig(episodes=10, max_steps=4,
+                                             tau=-1e9, backend=backend,
+                                             hidden=(4,)),
+                               0, weights=weights)
+            greedy_rollout(trace.state, toy_space)
+    brute_force_best_chain(toy_space, oracle, 0.9)
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        random_network(toy_space.catalog, toy_space.input_shape, rng)
+    # 16x16 -> 8x8 -> 4x4 -> 2x2 by pool; 3, 8 or 4 channels at each size
+    assert len(calls) > 3
+    assert set(calls.values()) == {1}
+
+
+def test_filled_memo_equal_hash_and_pickle(toy_catalog):
+    fresh = ActionCatalog(toy_catalog.actions, toy_catalog.max_depth)
+    net = CandidateNetwork((3, 16, 16))
+    while legal := legal_actions(net, toy_catalog):
+        net = grow(net, toy_catalog, legal[-1])
+    assert len(toy_catalog._fitting) == 4 and not fresh._fitting
+    assert toy_catalog == fresh
+    assert hash(toy_catalog) == hash(fresh)
+    assert repr(toy_catalog) == repr(fresh)
+    copy = pickle.loads(pickle.dumps(toy_catalog))
+    assert copy == toy_catalog and hash(copy) == hash(toy_catalog)
+    assert copy._fitting == toy_catalog._fitting
+    assert legal_actions(net, copy) == legal_actions(net, fresh)
+    assert grow(CandidateNetwork((3, 4, 4)), copy, 2) == \
+        grow(CandidateNetwork((3, 4, 4)), fresh, 2)

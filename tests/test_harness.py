@@ -234,6 +234,22 @@ def test_search_parallel_matches_serial(tmp_path):
             sha(tmp_path / "parallel" / name)
 
 
+def test_compare_parallel_matches_serial(tmp_path):
+    # the space, its catalog memo included, is pickled into the workers
+    cfg = write_config(tmp_path)
+    serial = cmd_compare(cfg, seed=0, replicates=2, jobs=1,
+                         out_dir=str(tmp_path / "serial"))
+    parallel = cmd_compare(cfg, seed=0, replicates=2, jobs=2,
+                           out_dir=str(tmp_path / "parallel"))
+    assert serial == parallel
+    names = ["compare_report.json"] + [
+        f"curve_{arm}_replicate_{seed}.csv"
+        for arm in ("shaped", "scalarized") for seed in (0, 1)]
+    for name in names:
+        assert sha(tmp_path / "serial" / name) == \
+            sha(tmp_path / "parallel" / name), name
+
+
 def test_search_reads_config_and_model_once(tmp_path, monkeypatch):
     from shapenas import bob, config
     cfg = predictor_setup(tmp_path, count=300)
@@ -490,6 +506,78 @@ def test_bad_raw_value_names_key(tmp_path, capsys, command, overrides,
     assert message in err
     assert not (tmp_path / "out" / "report.json").exists()
     assert not (tmp_path / "out" / "compare_report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["search", "compare"])
+@pytest.mark.parametrize("oracle, message", [
+    ({"base_utility": [0.25, 0.1]},
+     "config key 'oracle.base_utility' has 2 entries, but the catalog has 3 "
+     "actions"),
+    ({"base_utility": [0.25, 0.1, 0.02, 0.3]},
+     "config key 'oracle.base_utility' has 4 entries, but the catalog has 3 "
+     "actions"),
+    ({"base_utility": 0.25},
+     "config key 'oracle.base_utility' must be a list of numbers"),
+    ({"interaction_bonus": [[0, 1, 0.05], [0, 7, 0.1]]},
+     "config key 'oracle.interaction_bonus': entry [0, 7, 0.1] is not "
+     "[previous action, action, bonus] with actions of the catalog's 3 "
+     "(0 to 2)"),
+    ({"interaction_bonus": [[0, 1]]},
+     "config key 'oracle.interaction_bonus': entry [0, 1] is not"),
+    ({"interaction_bonus": [[0, 1, "0.1"]]},
+     "config key 'oracle.interaction_bonus': entry [0, 1, '0.1'] is not"),
+    ({"interaction_bonus": {"0": 1}},
+     "config key 'oracle.interaction_bonus' must be a list"),
+], ids=["utility_too_short", "utility_too_long", "utility_not_a_list",
+        "bonus_names_action_7", "bonus_pair", "bonus_is_a_string",
+        "bonus_not_a_list"])
+def test_synthetic_oracle_checked_against_catalog(tmp_path, capsys, command,
+                                                  oracle, message):
+    cfg = write_config(tmp_path, {"oracle": oracle})
+    rc, err = run_cli(tmp_path, capsys, cfg, command=command)
+    assert rc == 2
+    assert message in err
+    assert not (tmp_path / "out" / "report.json").exists()
+    assert not (tmp_path / "out" / "compare_report.json").exists()
+
+
+def test_tabular_oracle_ignores_synthetic_keys(tmp_path, capsys):
+    # a tabular override keeps the synthetic keys it replaces unchecked;
+    # the table lacks the first chain, so the replicate fails (exit 1)
+    table = tmp_path / "oracle.csv"
+    table.write_text("chain,accuracy\n9-9,0.5\n")
+    cfg = write_config(tmp_path, {"oracle": {
+        "kind": "tabular", "path": str(table), "base_utility": [0.3],
+        "interaction_bonus": [[0, 7, 0.1]]}})
+    for command in ("search", "compare"):
+        rc, err = run_cli(tmp_path, capsys, cfg, command=command)
+        assert rc == 1
+        assert "replicates failed for seeds [0" in err
+
+
+@pytest.mark.parametrize("section, value, key", [
+    ("secondary", {"kind": "per_action"}, "secondary.metric"),
+    ("secondary", {"kind": "predictor"}, "secondary.model_path"),
+    ("oracle", {"base_utility": [0.25, 0.1, 0.02]}, "oracle.kind"),
+    ("oracle", {"kind": "tabular"}, "oracle.path"),
+    ("catalog", {"max_depth": 4}, "catalog.actions"),
+    ("catalog", {"actions": BASE["catalog"]["actions"]}, "catalog.max_depth"),
+], ids=["per_action_metric", "predictor_model_path", "oracle_kind",
+        "tabular_oracle_path", "catalog_actions", "catalog_max_depth"])
+def test_missing_key_names_its_section(tmp_path, capsys, section, value, key):
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(dict(BASE, **{section: value})))
+    rc, err = run_cli(tmp_path, capsys, str(path))
+    assert rc == 2
+    assert f"error: missing required config key '{key}'" in err
+
+
+def test_section_that_is_not_a_mapping_named(tmp_path, capsys):
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(dict(BASE, oracle="synthetic")))
+    rc, err = run_cli(tmp_path, capsys, str(path))
+    assert rc == 2
+    assert "config section 'oracle' must be a mapping" in err
 
 
 def test_reference_network_built_once_per_search(tmp_path, monkeypatch):
