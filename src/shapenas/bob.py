@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataset import MetaDataset
 from .design_space import row_signature
-from .trees import BoostedRegressor
+from .trees import BoostedRegressor, Forest
 
 MODEL_FORMAT_VERSION = 1
 
@@ -61,7 +61,12 @@ INFEASIBLE = MetaPrediction(feasible=False)
 class BobModel:
     """Bootstrap bag of boosted regressors, one regressor per target.
 
-    A model is read-only once built. ``predict`` and ``predict_network``
+    A model is read-only once built. Building it compiles every member's
+    regressors, member after member and target after target, once into one
+    ``Forest``, so that ``predict_matrix`` walks all their trees for all
+    rows in one pass; the gate is compiled into a forest of its own. A
+    malformed tree raises ValueError naming its member and target (or the
+    gate). ``predict`` and ``predict_network``
     memoize each layer row's prediction in ``row_cache`` (row bytes to
     MetaPrediction), since it depends on the row alone; the cache is never
     evicted, because one design space has finitely many distinct layer rows.
@@ -76,6 +81,14 @@ class BobModel:
         self.members = members  # list of {target: BoostedRegressor}
         self.gate = gate  # BoostedRegressor over 0/1 labels, or None
         self.infeasible_registry = set(infeasible_registry)
+        regressors = [member[name] for member in self.members
+                      for name in self.target_names]
+        names = [f"member {i}, target {name!r}"
+                 for i in range(len(self.members))
+                 for name in self.target_names]
+        self.forest = Forest(regressors, len(self.columns), names)
+        self.gate_forest = (Forest([gate], len(self.columns), ["gate"])
+                            if gate is not None else None)
         self.row_cache: dict[bytes, MetaPrediction] = {}
         self.cache_hits = 0
         self.cache_misses = 0
@@ -91,18 +104,19 @@ class BobModel:
                 f"({self.schema_fingerprint}), got {X.shape[-1]}")
 
     def gate_feasible(self, X: np.ndarray) -> np.ndarray:
-        if self.gate is None:
+        if self.gate_forest is None:
             return np.ones(len(np.atleast_2d(X)), dtype=bool)
-        return self.gate.predict(X) >= 0.5
+        return self.gate_forest.predict(X)[0] >= 0.5
 
     def predict_matrix(self, X: np.ndarray) -> np.ndarray:
         """Per-target ensemble means for feasible rows; no gate applied."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         self._check_schema(X)
-        out = np.zeros((len(X), len(self.target_names)))
-        for member in self.members:
-            for t, name in enumerate(self.target_names):
-                out[:, t] += member[name].predict(X)
+        n_targets = len(self.target_names)
+        sums = self.forest.predict(X)
+        out = np.zeros((len(X), n_targets))
+        for member in sums.reshape(len(self.members), n_targets, len(X)):
+            out += member.T  # members summed in order, as a loop sums them
         out /= len(self.members)
         return np.clip(out, 0.0, None)  # responses are physical, never < 0
 
@@ -249,11 +263,11 @@ def save_model(model: BobModel, path) -> None:
         json.dump(doc, fh)
 
 
-def _regressor(path, where: str, mapping, key, n_features: int):
-    """``mapping[key]`` compiled over ``n_features`` columns; a malformed
-    regressor raises ModelFormatError naming the file and ``where``."""
+def _regressor(path, where: str, mapping, key):
+    """``mapping[key]`` as a regressor; a malformed one raises
+    ModelFormatError naming the file and ``where``."""
     try:
-        return BoostedRegressor.from_dict(mapping[key], n_features)
+        return BoostedRegressor.from_dict(mapping[key])
     except KeyError as exc:
         raise ModelFormatError(f"{path}: {where}: no key {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -261,6 +275,10 @@ def _regressor(path, where: str, mapping, key, n_features: int):
 
 
 def load_model(path) -> BobModel:
+    """The model ``save_model`` wrote; its trees compile once, into the
+    model's forest. A malformed file raises ModelFormatError naming the
+    file and, for a malformed regressor, its member and target (or the
+    gate), and for a malformed tree the tree and node within it."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -274,16 +292,18 @@ def load_model(path) -> BobModel:
     try:
         if not doc["members"]:
             raise ModelFormatError(f"{path}: model file has no members")
-        n_features = len(doc["columns"])
+        columns = doc["columns"]
         members = [{name: _regressor(path, f"member {i}, target {name!r}",
-                                     member, name, n_features)
+                                     member, name)
                     for name in doc["target_names"]}
                    for i, member in enumerate(doc["members"])]
-        gate = (_regressor(path, "gate", doc, "gate", n_features)
+        gate = (_regressor(path, "gate", doc, "gate")
                 if doc["gate"] is not None else None)
         registry = {(tuple(a), tuple(c))
                     for a, c in doc["infeasible_registry"]}
-        return BobModel(doc["columns"], doc["target_names"], members, gate,
-                        registry)
     except KeyError as exc:
         raise ModelFormatError(f"{path}: model file lacks key {exc}") from exc
+    try:
+        return BobModel(columns, doc["target_names"], members, gate, registry)
+    except ValueError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from exc

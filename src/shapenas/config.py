@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import re
 import typing
 
@@ -25,9 +26,14 @@ class ConfigError(ValueError):
     pass
 
 
+# libyaml's parser when PyYAML was built with it; both loaders share one
+# constructor and resolver, so they build the same documents
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_config(path) -> dict:
     with open(path, encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
+        doc = yaml.load(fh, Loader=_YAML_LOADER)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a mapping")
     version = doc.get("schema_version")
@@ -78,6 +84,11 @@ def _tuples(value):
     return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
+@functools.cache
+def _type_hints(cls) -> dict:
+    return typing.get_type_hints(cls)
+
+
 def build_section(cls, mapping, section: str, other_keys=()):
     """Build the dataclass ``cls`` from the config mapping at ``section``.
 
@@ -90,7 +101,7 @@ def build_section(cls, mapping, section: str, other_keys=()):
     """
     fields = {f.name: f for f in dataclasses.fields(cls)}
     check_keys(mapping, section, fields.keys() | set(other_keys))
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     kwargs = {}
     for key, value in mapping.items():
         if key in other_keys:
@@ -116,10 +127,17 @@ def build_section(cls, mapping, section: str, other_keys=()):
 def build_catalog(doc: dict) -> ActionCatalog:
     cat = require(doc, "catalog")
     check_keys(cat, "catalog", ("actions", "max_depth"))
-    actions = tuple(build_section(LayerTemplate, a, f"catalog.actions[{i}]")
-                    for i, a in enumerate(require(cat, "actions", "catalog")))
-    return ActionCatalog(actions,
-                         max_depth=require(cat, "max_depth", "catalog"))
+    actions = require(cat, "actions", "catalog")
+    if not isinstance(actions, list) or not actions:
+        raise ConfigError(f"config key 'catalog.actions' must be a non-empty "
+                          f"list, got {actions!r}")
+    max_depth = require(cat, "max_depth", "catalog")
+    if type(max_depth) is not int or max_depth < 1:
+        raise ConfigError(f"config key 'catalog.max_depth' must be an "
+                          f"integer of at least 1, got {max_depth!r}")
+    return ActionCatalog(
+        tuple(build_section(LayerTemplate, a, f"catalog.actions[{i}]")
+              for i, a in enumerate(actions)), max_depth=max_depth)
 
 
 def build_context(doc: dict) -> ContextSpec:

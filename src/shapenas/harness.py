@@ -355,7 +355,7 @@ def cmd_compare(config_path, seed: int, replicates: int, jobs: int,
     _log_row_cache(secondary)
     shaped, scalar = traces[:replicates], traces[replicates:]
 
-    failed = []
+    failed, errors = [], []
     shaped_ep, scalar_ep = [], []
     for ts, tc in zip(shaped, scalar):
         tag = f"replicate_{ts.seed}"
@@ -365,9 +365,12 @@ def cmd_compare(config_path, seed: int, replicates: int, jobs: int,
                     n_sec)
         shaped_ep.append(episodes_to_plateau(ts.episode_returns))
         scalar_ep.append(episodes_to_plateau(tc.episode_returns))
-        for t in (ts, tc):
-            if t.error is not None:
-                failed.append(t.seed)
+        arm_errors = [f"{arm} seed {t.seed}: {t.error}"
+                      for arm, t in (("shaped", ts), ("scalarized", tc))
+                      if t.error is not None]
+        if arm_errors:
+            failed.append(ts.seed)
+            errors.extend(arm_errors)
     mean_shaped = float(np.mean(shaped_ep))
     mean_scalar = float(np.mean(scalar_ep))
     report = {
@@ -381,5 +384,6 @@ def cmd_compare(config_path, seed: int, replicates: int, jobs: int,
     }
     _write_json(os.path.join(out_dir, "compare_report.json"), report)
     if failed:
-        raise HarnessError(f"replicates failed for seeds {failed}")
+        raise HarnessError(f"replicates failed for seeds {failed}: "
+                           + "; ".join(errors))
     return report

@@ -15,7 +15,7 @@ class RegressionTree:
     training targets in ``value[i]``. ``fitted`` holds, per training row,
     the value of the leaf the row reached: boosting's in-sample step. A tree
     has no predict of its own: ``to_dict`` is the form that boosting keeps,
-    ``model.json`` stores and ``BoostedRegressor`` compiles.
+    ``model.json`` stores and ``Forest`` compiles.
 
     ``fit`` sorts each feature once (XGBoost's presorted column blocks,
     Chen & Guestrin, KDD 2016) and no node sorts again: a node holds every
@@ -142,14 +142,11 @@ class BoostedRegressor:
 
     ``trees`` holds each round's node dict (``RegressionTree.to_dict()``),
     the one form a tree takes from fit to file; there is no per-tree
-    predict. ``fit`` and ``from_dict`` compile the dicts into padded
-    ``(n_trees, max_nodes)`` arrays in which every leaf is its own child, so
-    ``predict`` walks all trees for all rows together, a fixed number of
-    levels (the deepest tree's depth). The terms are summed in tree order,
-    ``base + lr*t1 + lr*t2 ...``, as a per-tree loop would sum them, so
-    predictions are bit-identical to one. The regressor is read-only once
-    fitted or loaded: ``learning_rate`` and ``base_prediction`` are read at
-    each call, the trees only when compiling.
+    predict. The regressor is read-only once fitted or loaded:
+    ``learning_rate`` and ``base_prediction`` are read at each call, the
+    trees only when a ``Forest`` compiles them. ``predict`` is the walk of
+    a forest of this one regressor; a caller that predicts more than once,
+    or with several regressors, compiles a ``Forest`` and keeps it.
     """
 
     def __init__(self, rounds=50, learning_rate=0.1, max_depth=4,
@@ -176,78 +173,11 @@ class BoostedRegressor:
             self.trees.append(tree.to_dict())
             current = current + self.learning_rate * tree.fitted
             self.train_losses.append(float(((y - current) ** 2).mean()))
-        self._compile(X.shape[1])
         return self
-
-    def _compile(self, n_features: int) -> None:
-        """Stack the node dicts into the arrays ``predict`` walks. Raises
-        ValueError naming the tree and node unless every tree's node lists
-        share one nonzero length, values are finite, and each feature is -1
-        (a leaf) or a column below ``n_features`` with a finite threshold
-        and children after it in its own tree, so that every walk ends at a
-        leaf."""
-        sizes = np.array([len(t["feature"]) for t in self.trees],
-                         dtype=np.intp)
-        for k, tree in enumerate(self.trees):
-            if not sizes[k] or any(len(tree[name]) != sizes[k] for name in
-                                   ("threshold", "left", "right", "value")):
-                raise ValueError(f"tree {k}: node lists are empty or differ "
-                                 f"in length")
-        width = int(sizes.max(initial=1))
-        n_slots = len(sizes) * width
-        # node j of tree k is entry k*width + j of the flattened arrays
-        self._roots = np.arange(len(sizes)) * width
-        offset = np.repeat(self._roots, sizes)
-        local = np.arange(len(offset)) - np.repeat(np.cumsum(sizes) - sizes,
-                                                   sizes)
-        slot = offset + local
-
-        def stacked(name, dtype):
-            return np.fromiter(itertools.chain.from_iterable(
-                t[name] for t in self.trees), dtype, len(slot))
-
-        feature, left, right = (stacked(name, np.intp)
-                                for name in ("feature", "left", "right"))
-        threshold, value = stacked("threshold", float), stacked("value", float)
-        leaf = feature == -1
-        size = np.repeat(sizes, sizes)
-        bad = ~np.isfinite(value) | ~leaf & (
-            (feature < 0) | (feature >= n_features) | ~np.isfinite(threshold)
-            | (left <= local) | (left >= size)
-            | (right <= local) | (right >= size))
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValueError(
-                f"tree {offset[i] // width} node {local[i]}: feature "
-                f"{feature[i]}, threshold {threshold[i]}, children {left[i]} "
-                f"and {right[i]}, value {value[i]}: not a node of a "
-                f"{size[i]}-node tree over {n_features} columns")
-        self._feature = np.zeros(n_slots, dtype=np.intp)
-        self._feature[slot] = np.where(leaf, 0, feature)
-        self._threshold = np.zeros(n_slots)
-        self._threshold[slot] = threshold
-        self._value = np.zeros(n_slots)
-        self._value[slot] = value
-        # a leaf, like a padding entry, is its own left and right child
-        self._left, self._right = np.arange(n_slots), np.arange(n_slots)
-        self._left[slot] = np.where(leaf, slot, offset + left)
-        self._right[slot] = np.where(leaf, slot, offset + right)
-        self._levels, nodes = 0, self._roots  # the deepest tree's depth
-        while (inner := nodes[self._left[nodes] != nodes]).size:
-            nodes = np.concatenate([self._left[inner], self._right[inner]])
-            self._levels += 1
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        rows = np.arange(len(X))
-        node = np.repeat(self._roots[:, None], len(X), axis=1)
-        for _ in range(self._levels):
-            go_left = X[rows, self._feature[node]] <= self._threshold[node]
-            node = np.where(go_left, self._left[node], self._right[node])
-        terms = np.empty((len(self._roots) + 1, len(X)))
-        terms[0] = self.base_prediction
-        terms[1:] = self.learning_rate * self._value[node]
-        return np.cumsum(terms, axis=0)[-1]  # sequential, in tree order
+        return Forest([self], X.shape[1]).predict(X)[0]
 
     def to_dict(self) -> dict:
         return {
@@ -261,13 +191,130 @@ class BoostedRegressor:
         }
 
     @classmethod
-    def from_dict(cls, d: dict, n_features: int) -> "BoostedRegressor":
-        """The regressor ``to_dict`` wrote, over ``n_features`` columns;
-        ValueError (see ``_compile``) on node lists that are not trees."""
+    def from_dict(cls, d: dict) -> "BoostedRegressor":
+        """The regressor ``to_dict`` wrote; its trees are checked when a
+        ``Forest`` compiles them."""
         model = cls(d["rounds"], d["learning_rate"], d["max_depth"],
                     d["min_samples_leaf"])
         model.base_prediction = float(d["base_prediction"])
         model.train_losses = d["train_losses"]
         model.trees = d["trees"]
-        model._compile(n_features)
         return model
+
+
+def _node_arrays(trees: list, n_features: int):
+    """The node lists of ``trees`` stacked tree after tree, as ``(sizes,
+    local, feature, threshold, left, right, value)``: each tree's node
+    count, each node's index in its tree, and the five lists. Raises
+    ValueError naming the tree and node unless every tree's node lists
+    share one nonzero length, values are finite, and each feature is -1 (a
+    leaf) or a column below ``n_features`` with a finite threshold and
+    children after it in its own tree, so that every walk ends at a leaf."""
+    lengths = np.array([[len(t[name]) for t in trees] for name in
+                        ("feature", "threshold", "left", "right", "value")],
+                       dtype=np.intp).reshape(5, len(trees))
+    sizes = lengths[0]
+    uneven = (sizes == 0) | (lengths != sizes).any(axis=0)
+    if uneven.any():
+        raise ValueError(f"tree {int(np.argmax(uneven))}: node lists are "
+                         f"empty or differ in length")
+    n_nodes = int(sizes.sum())
+
+    def stacked(name, dtype):
+        return np.fromiter(itertools.chain.from_iterable(
+            t[name] for t in trees), dtype, n_nodes)
+
+    feature, left, right = (stacked(name, np.intp)
+                            for name in ("feature", "left", "right"))
+    threshold, value = stacked("threshold", float), stacked("value", float)
+    local = np.arange(n_nodes) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    size = np.repeat(sizes, sizes)
+    bad = ~np.isfinite(value) | (feature != -1) & (
+        (feature < 0) | (feature >= n_features) | ~np.isfinite(threshold)
+        | (left <= local) | (left >= size)
+        | (right <= local) | (right >= size))
+    if bad.any():
+        i = int(np.argmax(bad))
+        tree = int(np.searchsorted(np.cumsum(sizes), i, side="right"))
+        raise ValueError(
+            f"tree {tree} node {local[i]}: feature {feature[i]}, threshold "
+            f"{threshold[i]}, children {left[i]} and {right[i]}, value "
+            f"{value[i]}: not a node of a {size[i]}-node tree over "
+            f"{n_features} columns")
+    return sizes, local, feature, threshold, left, right, value
+
+
+class Forest:
+    """The trees of several boosted regressors compiled once into one
+    padded node array (QuickScorer's point, Lucchese et al., SIGIR 2015:
+    one traversal over all trees of an additive ensemble).
+
+    Tree j owns entries ``j*width`` to ``j*width + width - 1``, ``width``
+    being the largest tree's node count; every leaf, like every padding
+    entry, is its own left and right child, so ``predict`` walks all trees
+    for all rows together, a fixed number of levels (the deepest tree's
+    depth). The trees of regressor r come after those of regressor r - 1.
+    ``names`` (one per regressor) prefix the ValueError that a malformed
+    tree raises; the tree and node it names count within the regressor.
+    """
+
+    def __init__(self, regressors, n_features: int, names=None):
+        self.regressors = list(regressors)
+        blocks = []
+        for r, reg in enumerate(self.regressors):
+            try:
+                blocks.append(_node_arrays(reg.trees, n_features))
+            except (KeyError, TypeError, ValueError) as exc:
+                if names is None:
+                    raise
+                problem = f"no key {exc}" if isinstance(exc, KeyError) else exc
+                raise ValueError(f"{names[r]}: {problem}") from exc
+        sizes, local, feature, threshold, left, right, value = (
+            np.concatenate(arrays) for arrays in zip(*blocks))
+        # tree j is tree rank[j] of regressor owner[j]
+        self._counts = np.array([len(b[0]) for b in blocks], dtype=np.intp)
+        self._owner = np.repeat(np.arange(len(blocks)), self._counts)
+        self._rank = np.arange(len(sizes)) - np.repeat(
+            np.cumsum(self._counts) - self._counts, self._counts)
+        width = int(sizes.max(initial=1))
+        n_slots = len(sizes) * width
+        self._roots = np.arange(len(sizes)) * width
+        offset = np.repeat(self._roots, sizes)
+        slot = offset + local
+        leaf = feature == -1
+        self._feature = np.zeros(n_slots, dtype=np.intp)
+        self._feature[slot] = np.where(leaf, 0, feature)
+        self._threshold = np.zeros(n_slots)
+        self._threshold[slot] = threshold
+        self._value = np.zeros(n_slots)
+        self._value[slot] = value
+        self._left, self._right = np.arange(n_slots), np.arange(n_slots)
+        self._left[slot] = np.where(leaf, slot, offset + left)
+        self._right[slot] = np.where(leaf, slot, offset + right)
+        self._levels, nodes = 0, self._roots  # the deepest tree's depth
+        while (inner := nodes[self._left[nodes] != nodes]).size:
+            nodes = np.concatenate([self._left[inner], self._right[inner]])
+            self._levels += 1
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """``(n_regressors, len(X))``: row r is regressor r's prediction,
+        ``base + lr*t1 + lr*t2 ...`` summed in tree order, as a per-tree
+        loop would sum it, so the result is bit-identical to one."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        rows = np.arange(len(X))
+        node = np.repeat(self._roots[:, None], len(X), axis=1)
+        for _ in range(self._levels):
+            go_left = X[rows, self._feature[node]] <= self._threshold[node]
+            node = np.where(go_left, self._left[node], self._right[node])
+        regs = self.regressors
+        # terms[r] is regressor r's base, then its trees' shrunk leaf values
+        # in tree order, then zeros up to the longest regressor's count; the
+        # running sum is read at the regressor's own count, so padding
+        # never adds a term
+        terms = np.zeros((len(regs), int(self._counts.max(initial=0)) + 1,
+                          len(X)))
+        terms[:, 0] = np.array([reg.base_prediction for reg in regs])[:, None]
+        rate = np.array([reg.learning_rate for reg in regs])[self._owner]
+        terms[self._owner, self._rank + 1] = (rate[:, None]
+                                              * self._value[node])
+        return np.cumsum(terms, axis=1)[np.arange(len(regs)), self._counts]

@@ -1,4 +1,3 @@
-import copy
 import json
 import re
 
@@ -14,7 +13,10 @@ from shapenas.dataset import MetaDataset
 from shapenas.design_space import row_signature
 
 from test_dataset import make_csv, vary
+from test_trees import N_FEATURES, random_rows
+from test_trees import reference_predict as reference_regressor
 from shapenas.dataset import ingest_stats
+from shapenas.trees import BoostedRegressor
 
 CFG = BobConfig(bag_size=3, rounds=15, min_samples=5)
 
@@ -97,6 +99,49 @@ def test_bag_of_identical_members_equals_single(tmp_path):
     assert np.allclose(model.predict_matrix(X), tripled.predict_matrix(X))
 
 
+def reference_matrix(model, X):
+    """The per-regressor loop that the model's forest replaces."""
+    out = np.zeros((len(X), len(model.target_names)))
+    for member in model.members:
+        for t, name in enumerate(model.target_names):
+            out[:, t] += reference_regressor(member[name], X)
+    out /= len(model.members)
+    return np.clip(out, 0.0, None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_members=st.integers(1, 3), n_targets=st.integers(1, 2),
+       gated=st.booleans(),
+       shapes=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 4),
+                                 st.sampled_from([0.1, 0.3, 1.0])),
+                       min_size=7, max_size=7),
+       n_rows=st.sampled_from([0, 1, 300]), seed=st.integers(0, 2 ** 16))
+def test_forest_equals_per_regressor_loop(n_members, n_targets, gated,
+                                          shapes, n_rows, seed):
+    # regressors of unequal tree counts and depths share one forest
+    rng = np.random.default_rng(seed)
+    X = random_rows(seed, 60)
+    shapes = iter(shapes)
+
+    def fitted(y):
+        rounds, depth, rate = next(shapes)
+        return BoostedRegressor(rounds, rate, depth, 2).fit(X, y)
+
+    targets = [f"target {k}" for k in range(n_targets)]
+    members = [{name: fitted(rng.normal(size=60) * 5.0) for name in targets}
+               for _ in range(n_members)]
+    gate = fitted(rng.integers(0, 2, 60).astype(float)) if gated else None
+    model = BobModel([f"x{j}" for j in range(N_FEATURES)], targets, members,
+                     gate, set())
+    rows = random_rows(seed + 1, n_rows)
+    got, expected = model.predict_matrix(rows), reference_matrix(model, rows)
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+    expected_gate = (reference_regressor(gate, rows) >= 0.5 if gated
+                     else np.ones(n_rows, dtype=bool))
+    assert np.array_equal(model.gate_feasible(rows), expected_gate)
+
+
 def test_predictions_clamped_non_negative(tmp_path):
     data = toy_dataset(tmp_path)
     model = learn_meta(data, CFG, seed=0)
@@ -120,10 +165,11 @@ def test_per_target_models_independent(tmp_path):
         tmp_path, rows, targets=("Execution time", "Memory Usage")))
     model = learn_meta(data, CFG, seed=0)
     full = model.predict_matrix(data.X[:5])
-    reduced = copy.deepcopy(model)
-    reduced.target_names = ["Execution time"]
-    for member in reduced.members:
-        member.pop("Memory Usage")
+    # a model is read-only once built: build a second one without the target
+    reduced = BobModel(model.columns, ["Execution time"],
+                       [{"Execution time": member["Execution time"]}
+                        for member in model.members],
+                       model.gate, model.infeasible_registry)
     assert np.array_equal(reduced.predict_matrix(data.X[:5]), full[:, :1])
 
 

@@ -38,6 +38,16 @@ BASE = {
 }
 
 
+def write_yaml(path, doc) -> None:
+    """Write ``doc``, and check that where libyaml is present its loader
+    and the pure-Python one read the file alike."""
+    text = yaml.safe_dump(doc)
+    if hasattr(yaml, "CSafeLoader"):
+        assert yaml.load(text, Loader=yaml.CSafeLoader) \
+            == yaml.load(text, Loader=yaml.SafeLoader)
+    path.write_text(text)
+
+
 def write_config(tmp_path, overrides=None, name="config.yaml"):
     doc = yaml.safe_load(yaml.safe_dump(BASE))
     for key, value in (overrides or {}).items():
@@ -46,7 +56,7 @@ def write_config(tmp_path, overrides=None, name="config.yaml"):
         else:
             doc[key] = value
     path = tmp_path / name
-    path.write_text(yaml.safe_dump(doc))
+    write_yaml(path, doc)
     return str(path)
 
 
@@ -323,6 +333,31 @@ def test_config_not_a_mapping(tmp_path):
         load_config(str(path))
 
 
+@pytest.mark.parametrize("overrides", [
+    {}, SYNTH, {"shaping": {"tau": "-1.0e9"}, "reference_chain": None},
+    {"secondary": {"kind": "predictor", "model_path": "model/model.json"}},
+    {"input_shape": [3, 1, 1], "scalarized_weights": [1.0, 1.0e+9]},
+], ids=["base", "synth", "string_tau", "predictor", "wide_values"])
+def test_configs_read_alike_under_both_loaders(tmp_path, overrides):
+    if not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML was built without libyaml")
+    cfg = write_config(tmp_path, overrides)
+    docs = []
+    for loader in (yaml.CSafeLoader, yaml.SafeLoader):
+        with open(cfg, encoding="utf-8") as fh:
+            docs.append(yaml.load(fh, Loader=loader))
+    assert docs[0] == docs[1] == load_config(cfg)
+
+
+def test_malformed_yaml_names_file_and_line(tmp_path, capsys):
+    path = tmp_path / "broken.yaml"
+    path.write_text("schema_version: 1\nshaping:\n  tau: [1.0, 2.0\n"
+                    "  episodes: 3\n")
+    rc, err = run_cli(tmp_path, capsys, str(path))
+    assert rc == 2
+    assert f'in "{path}", line 3' in err
+
+
 def test_unknown_secondary_kind(tmp_path):
     cfg = write_config(tmp_path, {"secondary": {"kind": "psychic"}})
     with pytest.raises(ConfigError, match="psychic"):
@@ -387,6 +422,24 @@ def test_oracle_lacking_first_chain_fails_the_seed(tmp_path, capsys):
     assert report["replicates"][0]["episodes_to_95"] == 0
     rc, _ = run_cli(tmp_path, capsys, cfg, command="compare")
     assert rc == 1
+
+
+def test_compare_names_each_failed_arm_once_per_seed(tmp_path, capsys):
+    table = tmp_path / "oracle.csv"
+    table.write_text("chain,accuracy\n9-9,0.5\n")
+    cfg = write_config(tmp_path, {"oracle": {"kind": "tabular",
+                                             "path": str(table)}})
+    rc = cli.main(["compare", "--config", cfg, "--replicates", "2",
+                   "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    report = json.loads(
+        (tmp_path / "out" / "compare_report.json").read_text())
+    assert report["failed_seeds"] == [0, 1]
+    assert "replicates failed for seeds [0, 1]: " in err
+    for arm in ("shaped", "scalarized"):
+        for seed in (0, 1):
+            assert f"{arm} seed {seed}: oracle failure at episode 0" in err
 
 
 # --- CLI --------------------------------------------------------------------
@@ -566,15 +619,38 @@ def test_tabular_oracle_ignores_synthetic_keys(tmp_path, capsys):
         "tabular_oracle_path", "catalog_actions", "catalog_max_depth"])
 def test_missing_key_names_its_section(tmp_path, capsys, section, value, key):
     path = tmp_path / "config.yaml"
-    path.write_text(yaml.safe_dump(dict(BASE, **{section: value})))
+    write_yaml(path, dict(BASE, **{section: value}))
     rc, err = run_cli(tmp_path, capsys, str(path))
     assert rc == 2
     assert f"error: missing required config key '{key}'" in err
 
 
+@pytest.mark.parametrize("catalog, message", [
+    ({"max_depth": "4"}, "config key 'catalog.max_depth' must be an integer "
+     "of at least 1, got '4'"),
+    ({"max_depth": 0}, "config key 'catalog.max_depth' must be an integer "
+     "of at least 1, got 0"),
+    ({"max_depth": True}, "config key 'catalog.max_depth' must be an "
+     "integer of at least 1, got True"),
+    ({"max_depth": 2.0}, "config key 'catalog.max_depth' must be an "
+     "integer of at least 1, got 2.0"),
+    ({"actions": []}, "config key 'catalog.actions' must be a non-empty "
+     "list, got []"),
+    ({"actions": {"block_kind": "skip"}}, "config key 'catalog.actions' "
+     "must be a non-empty list, got {'block_kind': 'skip'}"),
+], ids=["depth_string", "depth_zero", "depth_bool", "depth_float",
+        "no_actions", "actions_mapping"])
+@pytest.mark.parametrize("command", ["search", "compare"])
+def test_catalog_keys_checked(tmp_path, capsys, command, catalog, message):
+    cfg = write_config(tmp_path, {"catalog": catalog})
+    rc, err = run_cli(tmp_path, capsys, cfg, command=command)
+    assert rc == 2
+    assert f"error: {message}" in err
+
+
 def test_section_that_is_not_a_mapping_named(tmp_path, capsys):
     path = tmp_path / "config.yaml"
-    path.write_text(yaml.safe_dump(dict(BASE, oracle="synthetic")))
+    write_yaml(path, dict(BASE, oracle="synthetic"))
     rc, err = run_cli(tmp_path, capsys, str(path))
     assert rc == 2
     assert "config section 'oracle' must be a mapping" in err

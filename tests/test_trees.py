@@ -77,7 +77,7 @@ def test_tree_roundtrip_is_exact():
     X = rng.uniform(size=(60, 3))
     y = X[:, 0] * X[:, 1]
     model = BoostedRegressor(rounds=15).fit(X, y)
-    clone = BoostedRegressor.from_dict(model.to_dict(), 3)
+    clone = BoostedRegressor.from_dict(model.to_dict())
     assert np.array_equal(model.predict(X), clone.predict(X))
 
 
@@ -135,7 +135,7 @@ def test_compiled_walk_equals_per_tree_loop(trees, base, learning_rate,
     model = BoostedRegressor.from_dict({
         "rounds": len(trees), "learning_rate": learning_rate,
         "max_depth": 5, "min_samples_leaf": 1, "base_prediction": base,
-        "train_losses": [0.0] * len(trees), "trees": trees}, N_FEATURES)
+        "train_losses": [0.0] * len(trees), "trees": trees})
     X = random_rows(seed, n_rows)
     assert np.array_equal(model.predict(X), reference_predict(model, X))
 
