@@ -260,7 +260,7 @@ def save_model(model: BobModel, path) -> None:
                     for member in model.members],
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))  # json.dump never takes the C encoder
 
 
 def _regressor(path, where: str, mapping, key):

@@ -63,6 +63,8 @@ class ShapingConfig:
                 raise ValueError("epsilon_threshold must be < epsilon0")
         if len(self.budgets) != len(self.epsilon0):
             raise ValueError("one budget per secondary required")
+        if any(b <= 0 for b in self.budgets):
+            raise ValueError("budgets must be positive")
         if self.delta_mode not in ("primary", "per_secondary"):
             raise ValueError("delta_mode must be 'primary' or 'per_secondary'")
         if self.backend not in ("tabular", "mlp"):
@@ -83,9 +85,9 @@ class SearchSpace:
 class ShapingState:
     q: object
     phis: list
-    epsilons: np.ndarray
+    epsilons: tuple  # floats, one per potential
     last_primary: float | None  # runs across episode boundaries
-    last_secondary: np.ndarray | None
+    last_secondary: list | None  # the last step's normalized r_s
     step_count: int = 0
     episode_count: int = 0
     rng: np.random.Generator = field(
@@ -120,9 +122,17 @@ class SearchTrace:
     state: ShapingState | None = None  # controller state after the run
 
     def fingerprint(self) -> str:
-        payload = repr([(r.episode, r.step, r.state_key, r.action, r.r_p,
-                         r.r_s, r.epsilons, r.delta, r.q_target,
-                         r.phi_values, r.infeasible) for r in self.records])
+        """sha256 of the records' values: every float field is cast with
+        ``float()``, so a numpy scalar and a float of equal value hash
+        alike, and ``repr`` of a float round-trips every bit."""
+        def floats(values):
+            return tuple(float(v) for v in values)
+
+        payload = repr([(r.episode, r.step, r.state_key, r.action,
+                         float(r.r_p), floats(r.r_s), floats(r.epsilons),
+                         float(r.delta), float(r.q_target),
+                         floats(r.phi_values), r.infeasible)
+                        for r in self.records])
         return hashlib.sha256(payload.encode()).hexdigest()
 
     def export_csv(self, path) -> None:
@@ -141,9 +151,7 @@ class SearchTrace:
                 row = [r.episode, r.step, r.action, r.r_p, *r.r_s,
                        *r.epsilons, r.delta, r.q_target, *r.phi_values,
                        r.cum_return, int(r.infeasible)]
-                # float() first: a numpy scalar's repr is not a number
-                fh.write(",".join(repr(float(v)) if isinstance(v, float)
-                                  else str(v) for v in row) + "\n")
+                fh.write(",".join(map(str, row)) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +168,8 @@ class PredictorSecondary:
         self.n_metrics = len(model.target_names)
 
     def metrics(self, net, actions):
-        pred = predict_network(self.model, parse_network(net, self.context))
-        return None if not pred.feasible else np.asarray(pred.values)
+        return predict_network(self.model,
+                               parse_network(net, self.context)).values
 
 
 class CallableSecondary:
@@ -173,13 +181,16 @@ class CallableSecondary:
 
     def metrics(self, net, actions):
         out = self.fn(net, actions)
-        return None if out is None else np.asarray(out, dtype=float)
+        return None if out is None else [float(v) for v in out]
 
 
-def normalize_secondary(raw, budgets) -> np.ndarray:
-    """Map raw metrics to rewards in [0,1], larger = better, via budgets."""
-    raw = np.asarray(raw, dtype=float)
-    return 1.0 - np.clip(raw / np.asarray(budgets, dtype=float), 0.0, 1.0)
+def normalize_secondary(raw, budgets) -> list:
+    """Map raw metrics to rewards in [0,1], larger = better, via budgets:
+    ``1 - min(max(x/b, 0), 1)`` per metric, which keeps a NaN."""
+    if len(raw) != len(budgets):
+        raise ValueError(f"the secondary gave {len(raw)} metrics for "
+                         f"{len(budgets)} budgets")
+    return [1.0 - min(max(x / b, 0.0), 1.0) for x, b in zip(raw, budgets)]
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +209,7 @@ def potential_update(phi, s, a, sp, a_prime, r_s: float, beta: float,
                      gamma: float):
     """SARSA-style step of the potential toward r_s + gamma*Phi(s',a'), in
     place; ``sp`` None is a terminal successor."""
-    if not np.isfinite(r_s):
+    if not math.isfinite(r_s):
         raise ValueError(f"non-finite secondary reward {r_s!r}")
     succ = 0.0 if sp is None else phi.value(sp, a_prime)
     phi.blend(s, a, r_s + gamma * succ, rate=beta)
@@ -212,10 +223,10 @@ def q_update(q, phis, epsilons, s, a, sp, r_p: float, legal_prime,
     rule literally (the new value *is* the target). Updates ``q`` in place
     and returns the target.
     """
-    if not np.isfinite(r_p):
+    if not math.isfinite(r_p):
         raise ValueError(f"non-finite primary reward {r_p!r}")
     if legal_prime:
-        max_q = max(q.value(sp, ap) for ap in legal_prime)
+        max_q = max([q.value(sp, ap) for ap in legal_prime])
     else:
         max_q = 0.0  # terminal successor
     shaping = 0.0
@@ -226,14 +237,16 @@ def q_update(q, phis, epsilons, s, a, sp, r_p: float, legal_prime,
     return target
 
 
-def shaped_scores(q, phis, epsilons, s, legal):
+def shaped_scores(q, phis, epsilons, s, legal) -> list:
+    """Q(s,a) + sum_i eps_i*Phi_i(s,a) for each legal a, as floats."""
+    terms = tuple(zip(epsilons, phis))
     scores = []
     for a in legal:
         v = q.value(s, a)
-        for eps_i, phi in zip(epsilons, phis):
+        for eps_i, phi in terms:
             v += eps_i * phi.value(s, a)
         scores.append(v)
-    return np.asarray(scores)
+    return scores
 
 
 def softmax(scores: np.ndarray, temperature: float) -> np.ndarray:
@@ -248,7 +261,7 @@ def select_action(q, phis, epsilons, s, legal, temperature, rng) -> int:
     if not legal:
         raise TerminalStateError("no legal actions in this state")
     scores = shaped_scores(q, phis, epsilons, s, legal)
-    probs = softmax(scores, temperature)
+    probs = softmax(np.array(scores), temperature)
     return int(legal[int(rng.choice(len(legal), p=probs))])
 
 
@@ -283,7 +296,7 @@ def init_state(cfg: ShapingConfig, space: SearchSpace, seed: int,
     return ShapingState(
         q=_make_values(cfg, space, seed, 0),
         phis=[_make_values(cfg, space, seed, 1 + i) for i in range(n_phi)],
-        epsilons=np.asarray(cfg.epsilon0[:n_phi], dtype=float),
+        epsilons=tuple(float(e) for e in cfg.epsilon0[:n_phi]),
         last_primary=None,
         last_secondary=None,
         rng=np.random.default_rng(seed))
@@ -303,6 +316,8 @@ def run_episodes(state: ShapingState, space: SearchSpace, oracle, secondary,
     state_of = _state_of(state.q, space.context)
     n_sec = (len(cfg.epsilon0) if scalar_weights is None
              else len(scalar_weights) - 1)
+    budgets = [float(b) for b in cfg.budgets[:n_sec]]
+    cap = float(cfg.epsilon_cap)
     root = space.empty_network()
     root_legal, root_s = legal_actions(root, catalog), state_of(root, [])
 
@@ -311,7 +326,7 @@ def run_episodes(state: ShapingState, space: SearchSpace, oracle, secondary,
         shaping_phase = cfg.shaping_episodes is None \
             or episode < cfg.shaping_episodes
         if not shaping_phase:  # a finite shaping phase is over
-            state.epsilons = np.zeros_like(state.epsilons)
+            state.epsilons = (0.0,) * len(state.epsilons)
         # each step's successor is the next step's (net, chain, legal, s)
         net, actions, legal, s = root, [], root_legal, root_s
         ep_return = 0.0
@@ -339,8 +354,8 @@ def run_episodes(state: ShapingState, space: SearchSpace, oracle, secondary,
                 return
             raw = secondary.metrics(net_next, chain) if n_sec else None
             infeasible = n_sec > 0 and raw is None
-            r_s = (np.zeros(n_sec) if raw is None  # worst normalized score
-                   else normalize_secondary(raw, cfg.budgets[:n_sec]))
+            r_s = ([0.0] * n_sec if raw is None  # worst normalized score
+                   else normalize_secondary(raw, budgets))
 
             delta = 0.0 if state.last_primary is None \
                 else r_p - state.last_primary
@@ -351,30 +366,35 @@ def run_episodes(state: ShapingState, space: SearchSpace, oracle, secondary,
             legal_prime = legal_actions(net_next, catalog)
 
             if cfg.delta_mode == "per_secondary" and n_sec:
-                deltas = (np.zeros(n_sec) if state.last_secondary is None
-                          else r_s - state.last_secondary)
+                deltas = ([0.0] * n_sec if state.last_secondary is None
+                          else [v - last for v, last in
+                                zip(r_s, state.last_secondary)])
             else:
-                deltas = np.full(n_sec, delta)
+                deltas = [delta] * n_sec
             if shaping_phase:
-                state.epsilons = np.asarray([
-                    min(cfg.epsilon_cap,
-                        epsilon_update(eps_i, delta_i, cfg.epsilon_threshold))
-                    for eps_i, delta_i in zip(state.epsilons, deltas)])
+                state.epsilons = tuple(
+                    min(cap, epsilon_update(eps_i, delta_i,
+                                            cfg.epsilon_threshold))
+                    for eps_i, delta_i in zip(state.epsilons, deltas))
             pending = (s, a, r_s)
-            reward = r_p if scalar_weights is None else \
-                scalar_weights[0] * r_p + sum(
-                    w * v for w, v in zip(scalar_weights[1:], r_s))
+            reward = r_p
+            if scalar_weights is not None:
+                # term by term, not sum(): from Python 3.12 sum() rounds a
+                # float sum differently (compensated summation)
+                reward = 0.0
+                for w, v in zip(scalar_weights[1:], r_s):
+                    reward += w * v
+                reward = scalar_weights[0] * r_p + reward
             target = q_update(state.q, state.phis, state.epsilons, s, a,
                               sp, reward, legal_prime, cfg.gamma)
 
             ep_return += r_p
             trace.records.append(StepRecord(
                 episode=episode, step=step, state_key=tuple(actions),
-                action=a, r_p=r_p, r_s=tuple(float(v) for v in r_s),
-                epsilons=tuple(float(e) for e in state.epsilons),
-                delta=delta, q_target=float(target),
+                action=a, r_p=r_p, r_s=tuple(r_s), epsilons=state.epsilons,
+                delta=delta, q_target=target,
                 phi_values=tuple(phi.value(s, a) for phi in state.phis),
-                cum_return=ep_return, infeasible=bool(infeasible)))
+                cum_return=ep_return, infeasible=infeasible))
 
             net, actions, legal, s = net_next, chain, legal_prime, sp
             state.last_primary = r_p
@@ -507,16 +527,15 @@ def save_checkpoint(state: ShapingState, path) -> None:
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "q": state.q.to_dict(),
         "phis": [phi.to_dict() for phi in state.phis],
-        "epsilons": state.epsilons.tolist(),
+        "epsilons": list(state.epsilons),
         "last_primary": state.last_primary,
-        "last_secondary": (None if state.last_secondary is None
-                           else list(state.last_secondary)),
+        "last_secondary": state.last_secondary,
         "step_count": state.step_count,
         "episode_count": state.episode_count,
         "rng_state": state.rng.bit_generator.state,
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))  # json.dump never takes the C encoder
 
 
 def load_checkpoint(path) -> ShapingState:
@@ -531,10 +550,9 @@ def load_checkpoint(path) -> ShapingState:
     return ShapingState(
         q=values_from_dict(doc["q"]),
         phis=[values_from_dict(d) for d in doc["phis"]],
-        epsilons=np.asarray(doc["epsilons"], dtype=float),
+        epsilons=tuple(doc["epsilons"]),
         last_primary=doc["last_primary"],
-        last_secondary=(None if doc["last_secondary"] is None
-                        else np.asarray(doc["last_secondary"])),
+        last_secondary=doc["last_secondary"],
         step_count=doc["step_count"],
         episode_count=doc["episode_count"],
         rng=rng)

@@ -316,7 +316,7 @@ def cmd_search(config_path, seed: int, replicates: int, jobs: int,
     traces = _run_replicates(doc, space, secondary, shaping, jobs, seeds,
                              [None] * replicates)
 
-    rows, timings, failed = [], [], []
+    rows, timings, failed, errors = [], [], [], []
     for trace in traces:
         tag = f"replicate_{trace.seed}"
         trace.export_csv(os.path.join(out_dir, f"trace_{tag}.csv"))
@@ -325,13 +325,15 @@ def cmd_search(config_path, seed: int, replicates: int, jobs: int,
         timings.append({"seed": trace.seed, "wall_time_s": trace.wall_time})
         if trace.error is not None:
             failed.append(trace.seed)
+            errors.append(f"seed {trace.seed}: {trace.error}")
     report = {"replicates": rows, "aggregate": _aggregate(rows, _AGG_KEYS),
               "failed_seeds": failed}
     _write_json(os.path.join(out_dir, "report.json"), report)
     _write_json(os.path.join(out_dir, "timings.json"), timings)
     _log_row_cache(secondary)
     if failed:
-        raise HarnessError(f"replicates failed for seeds {failed}")
+        raise HarnessError(f"replicates failed for seeds {failed}: "
+                           + "; ".join(errors))
     return report
 
 

@@ -334,6 +334,49 @@ def test_checkpoint_resume_reproduces_trace(tmp_path, toy_space):
             assert [r.action for r in combined] == \
                 [r.action for r in full.records]
             assert rest.final_actions == full.final_actions
+            resumed = controller.SearchTrace(combined, [], None, (), 0.0, 9)
+            assert resumed.fingerprint() == full.fingerprint(), \
+                (backend, weights)
+
+
+def test_secondary_metric_count_must_match_budgets(toy_space):
+    one_metric = make_secondary([5, 40, 70])
+    cfg = config(episodes=2, epsilon0=(1.0, 1.0), budgets=(100.0, 100.0))
+    with pytest.raises(ValueError, match="gave 1 metrics for 2 budgets"):
+        run_search(toy_space, make_oracle(), one_metric, cfg, seed=0)
+
+
+def test_step_scalars_are_python_floats(toy_space):
+    """The step's scalars stay ``float``, whatever number types the
+    config and the secondary hand in: integer config values and a numpy
+    secondary included."""
+    def numpy_secondary(net, actions):
+        return np.array([sum((5, 40, 70)[a] for a in actions)])
+
+    secondary = CallableSecondary(numpy_secondary, 1)
+    int_cfg = dict(epsilon0=(1,), budgets=(100,), epsilon_cap=2)
+    runs = [
+        run_search(toy_space, make_oracle(), secondary,
+                   config(episodes=10, **int_cfg), seed=4),
+        run_search(toy_space, make_oracle(), secondary,
+                   config(episodes=10, delta_mode="per_secondary"), seed=4),
+        run_search(toy_space, make_oracle(), secondary,
+                   config(episodes=10, budgets=(100,)), seed=4,
+                   weights=(1, 0.1)),
+        run_search(toy_space, make_oracle(), secondary,
+                   config(episodes=5, backend="mlp", hidden=(8,)), seed=4),
+    ]
+    for trace in runs:
+        for r in trace.records:
+            for v in (r.r_p, *r.r_s, *r.epsilons, r.delta, r.q_target,
+                      *r.phi_values, r.cum_return):
+                assert type(v) is float, (r, v)
+        state = trace.state
+        for v in (*state.epsilons, *(state.last_secondary or ())):
+            assert type(v) is float, v
+        for store in (state.q, *state.phis):
+            if isinstance(store, TabularValues):
+                assert all(type(v) is float for v in store.table.values())
 
 
 def test_checkpoint_version_mismatch(tmp_path):
@@ -373,6 +416,8 @@ def test_shaping_config_validation():
         ShapingConfig(delta_mode="weird")
     with pytest.raises(ValueError):
         ShapingConfig(budgets=(1.0, 2.0))
+    with pytest.raises(ValueError, match="budgets must be positive"):
+        ShapingConfig(budgets=(0.0,))
 
 
 def test_per_secondary_delta_mode_runs(toy_space):

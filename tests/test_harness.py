@@ -417,6 +417,8 @@ def test_oracle_lacking_first_chain_fails_the_seed(tmp_path, capsys):
     rc, err = run_cli(tmp_path, capsys, cfg)
     assert rc == 1
     assert "seeds [0]" in err
+    assert "seeds [0]: seed 0: oracle failure at episode 0 step 0: " in err
+    assert "no benchmark row for chain '" in err  # the missing chain
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["failed_seeds"] == [0]
     assert report["replicates"][0]["episodes_to_95"] == 0
