@@ -5,8 +5,8 @@ Every action is a layer template; applying one resolves the template against
 the current output shape, so illegal combinations (kernels larger than the
 feature map, chains past the depth cap) simply never appear in the legal set.
 """
-from shapenas import (ActionCatalog, CandidateNetwork, LayerTemplate,
-                      apply_action, legal_actions)
+from shapenas import (ActionCatalog, CandidateNetwork, LayerTemplate, grow,
+                      legal_actions)
 
 catalog = ActionCatalog((
     LayerTemplate("conv", kernel_size=3, stride=1, padding=1, channels=8),
@@ -22,7 +22,7 @@ for step, choice in enumerate([0, 2, 1, 2, 2]):
     legal = legal_actions(net, catalog)
     print(f"\nstep {step}: legal actions {legal}")
     template = catalog.actions[choice]
-    net = apply_action(net, template)
+    net = grow(net, catalog, choice)
     c, h, w = net.output_shape
     print(f"  applied {template.block_kind} "
           f"(k={template.kernel_size}, s={template.stride}) "

@@ -8,8 +8,8 @@ from .controller import (SearchSpace, SearchTrace, ShapingConfig,
                          check_epsilon_schedule, greedy_rollout, run_search)
 from .dataset import MetaDataset, ingest_stats, oversample
 from .design_space import (ActionCatalog, ArchLayerSpec, CandidateNetwork,
-                           ContextSpec, LayerTemplate, apply_action,
-                           embed_state, grow, legal_actions, parse_network)
+                           ContextSpec, LayerTemplate, embed_state, grow,
+                           legal_actions, parse_network)
 from .oracle import (SyntheticOracle, SyntheticTaskSpec, SynthStatsModel,
                      TabularOracle, gen_synth_stats)
 

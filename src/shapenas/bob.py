@@ -66,12 +66,8 @@ class BobModel:
     ``Forest``, so that ``predict_matrix`` walks all their trees for all
     rows in one pass; the gate is compiled into a forest of its own. A
     malformed tree raises ValueError naming its member and target (or the
-    gate). ``predict`` and ``predict_network``
-    memoize each layer row's prediction in ``row_cache`` (row bytes to
-    MetaPrediction), since it depends on the row alone; the cache is never
-    evicted, because one design space has finitely many distinct layer rows.
-    ``cache_hits`` and ``cache_misses`` count the rows served from it and
-    the rows predicted.
+    gate). It caches no prediction; ``controller.PredictorSecondary``
+    memoizes the layers a search predicts.
     """
 
     def __init__(self, columns, target_names, members, gate,
@@ -89,9 +85,6 @@ class BobModel:
         self.forest = Forest(regressors, len(self.columns), names)
         self.gate_forest = (Forest([gate], len(self.columns), ["gate"])
                             if gate is not None else None)
-        self.row_cache: dict[bytes, MetaPrediction] = {}
-        self.cache_hits = 0
-        self.cache_misses = 0
 
     @property
     def schema_fingerprint(self) -> str:
@@ -125,29 +118,17 @@ def predict_layers(model: BobModel, X: np.ndarray) -> list[MetaPrediction]:
     """Per-row piecewise prediction: infeasible when the registry or the gate
     fires, otherwise the bag-mean regression values.
 
-    Rows not in the model's row cache go through one registry pass, one gate
-    call and one regression call together, and are then cached.
+    All rows go through one registry pass, one gate call and one regression
+    call together.
     """
     model._check_schema(X)
-    keys = [row.tobytes() for row in X]
-    cache = model.row_cache
-    new = {}
-    for key, row in zip(keys, X):
-        if key not in cache:
-            new.setdefault(key, row)
-    model.cache_misses += len(new)
-    model.cache_hits += len(keys) - len(new)
-    if new:
-        rows = np.asarray(list(new.values()))
-        ok = np.asarray([row_signature(r) not in model.infeasible_registry
-                         for r in rows], dtype=bool)
-        if ok.any():
-            ok[ok] = model.gate_feasible(rows[ok])
-        values = iter(model.predict_matrix(rows[ok]) if ok.any() else ())
-        for key, feasible in zip(new, ok):
-            cache[key] = INFEASIBLE if not feasible else MetaPrediction(
-                True, tuple(float(v) for v in next(values)))
-    return [cache[key] for key in keys]
+    ok = np.asarray([row_signature(r) not in model.infeasible_registry
+                     for r in X], dtype=bool)
+    if ok.any():
+        ok[ok] = model.gate_feasible(X[ok])
+    values = iter(model.predict_matrix(X[ok]) if ok.any() else ())
+    return [MetaPrediction(True, tuple(float(v) for v in next(values)))
+            if feasible else INFEASIBLE for feasible in ok]
 
 
 def predict(model: BobModel, features: np.ndarray) -> MetaPrediction:
@@ -156,20 +137,24 @@ def predict(model: BobModel, features: np.ndarray) -> MetaPrediction:
     return predict_layers(model, row[None, :])[0]
 
 
-def predict_network(model: BobModel, feature_matrix: np.ndarray) -> MetaPrediction:
-    """Whole-network behavior: additive over per-layer rows.
-
-    Infeasible if any layer row is infeasible; an empty matrix (empty
-    network) is feasible with all-zero responses.
-    """
-    X = np.atleast_2d(np.asarray(feature_matrix, dtype=float))
-    if X.shape[0] == 0 or X.size == 0:
-        return MetaPrediction(True, tuple(0.0 for _ in model.target_names))
-    per_layer = predict_layers(model, X)
+def network_prediction(per_layer, n_targets: int) -> MetaPrediction:
+    """Whole-network behavior from its layers' predictions, additive over
+    layers: infeasible if any layer is; an empty network is feasible with
+    ``n_targets`` zero responses."""
+    if not per_layer:
+        return MetaPrediction(True, (0.0,) * n_targets)
     if any(not p.feasible for p in per_layer):
         return INFEASIBLE
     total = np.sum([p.values for p in per_layer], axis=0)
     return MetaPrediction(True, tuple(float(v) for v in total))
+
+
+def predict_network(model: BobModel, feature_matrix: np.ndarray) -> MetaPrediction:
+    """Whole-network behavior from its per-layer rows (see
+    network_prediction); an empty matrix is the empty network."""
+    X = np.atleast_2d(np.asarray(feature_matrix, dtype=float))
+    per_layer = predict_layers(model, X) if X.size else []
+    return network_prediction(per_layer, len(model.target_names))
 
 
 def _stratified_bootstrap(rng, feasible: np.ndarray) -> np.ndarray:

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bob import BobModel, predict_network
+from .bob import (BobModel, MetaPrediction, network_prediction,
+                  predict_network)
 from .design_space import (ActionCatalog, CandidateNetwork, ContextSpec,
                            embed_state, grow, legal_actions, parse_network)
 from .function_approx import (MlpValues, TabularValues, values_from_dict)
@@ -160,16 +161,33 @@ class SearchTrace:
 
 
 class PredictorSecondary:
-    """Raw metrics from the learned behavior predictor, summed over layers."""
+    """Raw metrics from the learned behavior predictor, summed over layers.
+
+    Given the model and the context, a layer's prediction depends only on
+    its input shape and its resolved layer, so ``memo`` maps each
+    ``(input shape, layer)`` to its MetaPrediction, predicted once from the
+    row ``parse_network`` builds for the layer alone. The memo is never
+    evicted, because a design space reaches finitely many such pairs.
+    """
 
     def __init__(self, model: BobModel, context: ContextSpec):
         self.model = model
         self.context = context
         self.n_metrics = len(model.target_names)
+        self.memo: dict = {}
+
+    def _layer(self, shape, layer) -> MetaPrediction:
+        pred = self.memo.get((shape, layer))
+        if pred is None:
+            row = parse_network(CandidateNetwork(shape, (layer,)),
+                                self.context)
+            pred = self.memo[shape, layer] = predict_network(self.model, row)
+        return pred
 
     def metrics(self, net, actions):
-        return predict_network(self.model,
-                               parse_network(net, self.context)).values
+        return network_prediction(
+            [self._layer(shape, layer) for shape, layer in net.layer_inputs()],
+            self.n_metrics).values
 
 
 class CallableSecondary:

@@ -251,17 +251,6 @@ def grow(net: CandidateNetwork, catalog: ActionCatalog,
     return CandidateNetwork(net.input_shape, net.layers + (layer,))
 
 
-def apply_action(net: CandidateNetwork,
-                 action: LayerTemplate) -> CandidateNetwork:
-    """Append one free-standing block; returns a new network, the input is
-    untouched."""
-    try:
-        layer = instantiate(action, net.output_shape)
-    except ShapeError as exc:
-        raise IllegalActionError(str(exc)) from exc
-    return CandidateNetwork(net.input_shape, net.layers + (layer,))
-
-
 # ---------------------------------------------------------------------------
 # Feature encoding
 # ---------------------------------------------------------------------------

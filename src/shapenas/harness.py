@@ -241,12 +241,12 @@ def _check_metric_count(secondary, key: str, count: int) -> None:
             f"secondary supplies {secondary.n_metrics}")
 
 
-def _log_row_cache(secondary) -> None:
-    """Log the predictor row cache's hits and misses in this process; the
-    caches of worker processes (``jobs > 1``) are not counted."""
+def _log_layer_memo(secondary) -> None:
+    """Log how many layers the predictor secondary has memoized in this
+    process; the memos of worker processes (``jobs > 1``) are not counted."""
     if isinstance(secondary, controller.PredictorSecondary):
-        log.debug("predictor row cache: %d hits, %d misses",
-                  secondary.model.cache_hits, secondary.model.cache_misses)
+        log.debug("predictor row cache: %d layers memoized",
+                  len(secondary.memo))
 
 
 def _run_one(doc, space, secondary, shaping, seed, weights):
@@ -330,7 +330,7 @@ def cmd_search(config_path, seed: int, replicates: int, jobs: int,
               "failed_seeds": failed}
     _write_json(os.path.join(out_dir, "report.json"), report)
     _write_json(os.path.join(out_dir, "timings.json"), timings)
-    _log_row_cache(secondary)
+    _log_layer_memo(secondary)
     if failed:
         raise HarnessError(f"replicates failed for seeds {failed}: "
                            + "; ".join(errors))
@@ -354,7 +354,7 @@ def cmd_compare(config_path, seed: int, replicates: int, jobs: int,
     _check_metric_count(secondary, "scalarized_weights", len(weights) - 1)
     traces = _run_replicates(doc, space, secondary, shaping, jobs, seeds * 2,
                              [None] * replicates + [weights] * replicates)
-    _log_row_cache(secondary)
+    _log_layer_memo(secondary)
     shaped, scalar = traces[:replicates], traces[replicates:]
 
     failed, errors = [], []

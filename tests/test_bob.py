@@ -317,7 +317,7 @@ def test_predict_network_sums_layers_and_empty_is_zero(tmp_path):
     assert empty.feasible and empty.values == (0.0,)
 
 
-# --- batched, cached layer prediction ---------------------------------------
+# --- batched layer prediction ----------------------------------------------
 
 
 def reference_predict(model, row):
@@ -327,12 +327,6 @@ def reference_predict(model, row):
         return INFEASIBLE
     values = model.predict_matrix(row[None, :])[0]
     return MetaPrediction(True, tuple(float(v) for v in values))
-
-
-def fresh(model):
-    """The same predictor with an empty row cache."""
-    return BobModel(model.columns, model.target_names, model.members,
-                    model.gate, model.infeasible_registry)
 
 
 @pytest.fixture(scope="module")
@@ -366,17 +360,11 @@ def test_predict_network_is_sum_of_row_predictions(gated, data):
         expected = MetaPrediction(True, tuple(float(v) for v in total))
     else:
         expected = INFEASIBLE
-    assert [predict(fresh(model), x) for x in X] == rows
-    cached = fresh(model)
-    assert predict_network(cached, X) == expected
-    distinct = len(set(map(bytes, X)))
-    assert (cached.cache_misses, cached.cache_hits) == \
-        (distinct, len(X) - distinct)
-    # later calls are served from the cache and return the same results
-    assert predict_network(cached, X) == expected
-    assert [predict(cached, x) for x in X] == rows
-    assert (cached.cache_misses, cached.cache_hits) == \
-        (distinct, 3 * len(X) - distinct)
+    assert [predict(model, x) for x in X] == rows
+    assert predict_network(model, X) == expected
+    # later calls return the same results
+    assert predict_network(model, X) == expected
+    assert [predict(model, x) for x in X] == rows
 
 
 def test_registry_or_gate_row_makes_network_infeasible(gated):
@@ -386,7 +374,7 @@ def test_registry_or_gate_row_makes_network_infeasible(gated):
     assert row_signature(registry_row) in model.infeasible_registry
     assert row_signature(gate_row) not in model.infeasible_registry
     assert not model.gate_feasible(gate_row[None, :])[0]
-    assert predict_network(fresh(model), feasible_row[None, :]).feasible
+    assert predict_network(model, feasible_row[None, :]).feasible
     for bad in (registry_row, gate_row):
         chain = np.vstack([feasible_row, bad, feasible_row])
-        assert predict_network(fresh(model), chain) == INFEASIBLE
+        assert predict_network(model, chain) == INFEASIBLE

@@ -3,16 +3,21 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from shapenas import (SearchSpace, ShapingConfig, SyntheticOracle,
-                      SyntheticTaskSpec, brute_force_best_chain,
-                      check_epsilon_schedule, greedy_rollout, run_search)
+from shapenas import (ActionCatalog, BobConfig, CandidateNetwork, ContextSpec,
+                      LayerTemplate, SearchSpace, ShapingConfig,
+                      SyntheticOracle, SyntheticTaskSpec,
+                      brute_force_best_chain, check_epsilon_schedule,
+                      greedy_rollout, grow, learn_meta, legal_actions,
+                      parse_network, predict_network, run_search)
 from shapenas import controller
-from shapenas.controller import (CallableSecondary, TerminalStateError,
-                                 epsilon_update, load_checkpoint,
-                                 potential_update, q_update,
+from shapenas.controller import (CallableSecondary, PredictorSecondary,
+                                 TerminalStateError, epsilon_update,
+                                 load_checkpoint, potential_update, q_update,
                                  save_checkpoint, select_action, softmax)
 from shapenas.function_approx import TabularValues
+from shapenas.oracle import SynthStatsModel, gen_synth_stats
 
 
 def make_secondary(per_action, mode="mean"):
@@ -425,3 +430,51 @@ def test_per_secondary_delta_mode_runs(toy_space):
     trace = run_search(toy_space, make_oracle(), make_secondary([5, 40, 70]),
                        cfg, seed=0)
     assert len(trace.episode_returns) == 10
+
+
+# --- predictor secondary ----------------------------------------------------
+
+STARVED_CATALOG = ActionCatalog((
+    LayerTemplate("conv", kernel_size=3, stride=1, padding=1, channels=8),
+    LayerTemplate("conv", kernel_size=5, stride=1, padding=2, channels=16),
+    LayerTemplate("dwconv", kernel_size=3, stride=1, padding=1, channels=16),
+    LayerTemplate("pool", kernel_size=2, stride=2),
+    LayerTemplate("dense", channels=32),
+), max_depth=5)
+STARVED_CONTEXT = ContextSpec(2, 1, 15.0, 800, 6.4, "dsp", task=(0.25,))
+
+
+@pytest.fixture(scope="module")
+def starved_model():
+    """A predictor for a memory-starved context: its corpus marks the large
+    layers infeasible, so it has a gate and registry rows."""
+    data, _ = gen_synth_stats(STARVED_CATALOG, [STARVED_CONTEXT],
+                              SynthStatsModel(context_multipliers=(3.0,)),
+                              count=300, seed=0)
+    model = learn_meta(data, BobConfig(bag_size=2, rounds=15, min_samples=5),
+                       seed=0)
+    assert model.gate is not None and model.infeasible_registry
+    return model
+
+
+def bits(values):
+    """A metrics tuple as exact float bits; None (infeasible) stays None."""
+    return None if values is None else [v.hex() for v in values]
+
+
+@settings(max_examples=60, deadline=None)
+@given(picks=st.lists(st.integers(0, 100), max_size=6))
+def test_predictor_memo_matches_whole_chain_prediction(starved_model, picks):
+    net, actions = CandidateNetwork((3, 16, 16)), []
+    for pick in picks:
+        legal = legal_actions(net, STARVED_CATALOG)
+        if not legal:
+            break
+        actions.append(legal[pick % len(legal)])
+        net = grow(net, STARVED_CATALOG, actions[-1])
+    expected = bits(predict_network(
+        starved_model, parse_network(net, STARVED_CONTEXT)).values)
+    secondary = PredictorSecondary(starved_model, STARVED_CONTEXT)
+    assert bits(secondary.metrics(net, actions)) == expected  # cold memo
+    assert len(secondary.memo) == len(set(net.layer_inputs()))
+    assert bits(secondary.metrics(net, actions)) == expected  # warm memo

@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from shapenas import (ActionCatalog, CandidateNetwork, ContextSpec,
                       LayerTemplate, SyntheticOracle, SyntheticTaskSpec,
-                      apply_action, brute_force_best_chain, design_space,
-                      greedy_rollout, grow, legal_actions, parse_network,
-                      run_search)
+                      brute_force_best_chain, design_space, greedy_rollout,
+                      grow, legal_actions, parse_network, run_search)
 from shapenas.design_space import (IllegalActionError, ShapeError,
                                    feature_columns, instantiate,
                                    validate_network)
@@ -21,13 +20,19 @@ def empty_net():
     return CandidateNetwork((3, 16, 16))
 
 
+def append(net, template):
+    """``net`` with one free-standing template appended: ``grow`` on a
+    one-template catalog."""
+    return grow(net, ActionCatalog((template,), max_depth=1), 0)
+
+
 def test_parse_empty_network_has_full_schema(toy_context):
     m = parse_network(empty_net(), toy_context)
     assert m.shape == (0, len(feature_columns(task_arity=1)))
 
 
 def test_parse_single_conv_volumes(toy_context):
-    net = apply_action(empty_net(), LayerTemplate("conv", 3, 1, 1, channels=8))
+    net = append(empty_net(), LayerTemplate("conv", 3, 1, 1, channels=8))
     m = parse_network(net, toy_context)
     cols = feature_columns(task_arity=1)
     assert m.shape == (1, len(cols))
@@ -36,15 +41,15 @@ def test_parse_single_conv_volumes(toy_context):
 
 
 def test_parse_stacked_layers_volumes_chain(toy_context):
-    net = apply_action(empty_net(), LayerTemplate("conv", 3, 1, 1, channels=8))
-    net = apply_action(net, LayerTemplate("pool", 2, 2))
+    net = append(empty_net(), LayerTemplate("conv", 3, 1, 1, channels=8))
+    net = append(net, LayerTemplate("pool", 2, 2))
     m = parse_network(net, toy_context)
     cols = feature_columns(task_arity=1)
     assert m[1, cols.index("input_volume")] == m[0, cols.index("output_volume")]
 
 
 def test_parse_rejects_inconsistent_network(toy_context):
-    net = apply_action(empty_net(), LayerTemplate("conv", 3, 1, 1, channels=8))
+    net = append(empty_net(), LayerTemplate("conv", 3, 1, 1, channels=8))
     bad = CandidateNetwork(net.input_shape,
                            (net.layers[0].__class__(
                                "conv", 3, 1, 1, 1.0, False, 8, 99, 16),))
@@ -56,7 +61,7 @@ def test_parse_rejects_inconsistent_network(toy_context):
 def test_legal_actions_at_max_depth_empty(toy_catalog):
     net = empty_net()
     for _ in range(toy_catalog.max_depth):
-        net = apply_action(net, toy_catalog.actions[0])
+        net = append(net, toy_catalog.actions[0])
     assert legal_actions(net, toy_catalog) == []
 
 
@@ -74,29 +79,29 @@ def test_legal_actions_excludes_oversized_kernel():
 
 
 def test_apply_action_appends():
-    net = apply_action(empty_net(), LayerTemplate("conv", 3, 1, 1, channels=8))
+    net = append(empty_net(), LayerTemplate("conv", 3, 1, 1, channels=8))
     assert net.depth == 1
 
 
 def test_apply_pool_halves_spatial_dims():
-    net = apply_action(empty_net(), LayerTemplate("pool", 2, 2))
+    net = append(empty_net(), LayerTemplate("pool", 2, 2))
     assert net.output_shape == (3, 8, 8)
 
 
 def test_apply_illegal_action_leaves_input_unchanged():
     net = CandidateNetwork((4, 2, 2))
     with pytest.raises(IllegalActionError):
-        apply_action(net, LayerTemplate("conv", kernel_size=5, channels=4))
+        append(net, LayerTemplate("conv", kernel_size=5, channels=4))
     assert net.layers == ()
 
 
 def test_dense_flattens():
-    net = apply_action(empty_net(), LayerTemplate("dense", channels=16))
+    net = append(empty_net(), LayerTemplate("dense", channels=16))
     assert net.output_shape == (16, 1, 1)
 
 
 def test_skip_is_identity():
-    net = apply_action(empty_net(), LayerTemplate("skip"))
+    net = append(empty_net(), LayerTemplate("skip"))
     assert net.output_shape == (3, 16, 16)
 
 
@@ -121,7 +126,7 @@ def test_legal_then_apply_never_breaks_shapes(actions, steps, depth_cap):
         legal = legal_actions(net, catalog)
         if not legal:
             break
-        net = apply_action(net, catalog.actions[legal[pick % len(legal)]])
+        net = append(net, catalog.actions[legal[pick % len(legal)]])
         taken += 1
         validate_network(net)
     assert net.depth == taken
@@ -131,7 +136,7 @@ def test_legal_then_apply_never_breaks_shapes(actions, steps, depth_cap):
 def test_schema_constant_across_networks(toy_catalog, toy_context):
     nets = [empty_net()]
     for a in toy_catalog.actions:
-        nets.append(apply_action(empty_net(), a))
+        nets.append(append(empty_net(), a))
     widths = {parse_network(n, toy_context).shape[1] for n in nets}
     assert len(widths) == 1
 
@@ -213,7 +218,7 @@ def test_memoized_legality_and_growth_match_uncached(actions, side,
         for a in range(-1, len(actions) + 1):
             if a in legal:
                 assert grow(net, catalog, a) == \
-                    apply_action(net, catalog.actions[a])
+                    append(net, catalog.actions[a])
             else:
                 with pytest.raises(IllegalActionError):
                     grow(net, catalog, a)

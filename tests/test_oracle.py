@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from shapenas import (ActionCatalog, CandidateNetwork, ContextSpec,
-                      LayerTemplate, apply_action)
+                      LayerTemplate, grow)
 from shapenas.dataset import ingest_stats, write_stats
 from shapenas.oracle import (TARGET_NAMES, SyntheticOracle, SyntheticTaskSpec,
                              SynthStatsModel, TabularLookupError,
@@ -79,7 +79,7 @@ def test_gen_synth_latency_matches_hand_formula():
     model = SynthStatsModel(latency_coeffs=(1.0, 2.0, 3.0, 0.5),
                             context_multipliers=(1.0,),
                             infeasibility_rule=False)
-    net = apply_action(CandidateNetwork((3, 16, 16)), CAT.actions[0])
+    net = grow(CandidateNetwork((3, 16, 16)), CAT, 0)
     layer = net.layers[0]
     vol = 8 * 16 * 16
     expected = 1.0 + 2.0 * 9 + 3.0 * 8 + 0.5 * vol
