@@ -14,7 +14,10 @@ import hashlib
 import json
 import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,6 +62,14 @@ class ShapingConfig:
             raise ValueError("softmax_temperature must be positive")
         if self.epsilon_threshold <= 0:
             raise ValueError("epsilon_threshold must be positive")
+        for name, least in (("max_steps", 1), ("episodes", 1), ("warmup", 0),
+                            ("shaping_episodes", 0)):
+            value = getattr(self, name)
+            if name == "shaping_episodes" and value is None:
+                continue
+            if type(value) is not int or value < least:
+                raise ValueError(f"{name} must be an integer of at least "
+                                 f"{least}, got {value!r}")
         for e0 in self.epsilon0:
             if e0 > 0 and self.epsilon_threshold >= e0:
                 raise ValueError("epsilon_threshold must be < epsilon0")
@@ -95,8 +106,7 @@ class ShapingState:
         default_factory=lambda: np.random.default_rng(0))
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     episode: int
     step: int
     state_key: tuple
@@ -244,7 +254,7 @@ def q_update(q, phis, epsilons, s, a, sp, r_p: float, legal_prime,
     if not math.isfinite(r_p):
         raise ValueError(f"non-finite primary reward {r_p!r}")
     if legal_prime:
-        max_q = max([q.value(sp, ap) for ap in legal_prime])
+        max_q = max(q.values(sp, legal_prime))
     else:
         max_q = 0.0  # terminal successor
     shaping = 0.0
@@ -256,31 +266,45 @@ def q_update(q, phis, epsilons, s, a, sp, r_p: float, legal_prime,
 
 
 def shaped_scores(q, phis, epsilons, s, legal) -> list:
-    """Q(s,a) + sum_i eps_i*Phi_i(s,a) for each legal a, as floats."""
-    terms = tuple(zip(epsilons, phis))
-    scores = []
-    for a in legal:
-        v = q.value(s, a)
-        for eps_i, phi in terms:
-            v += eps_i * phi.value(s, a)
-        scores.append(v)
+    """Q(s,a) + sum_i eps_i*Phi_i(s,a) for each legal a, as floats; the
+    terms are added in that order."""
+    scores = q.values(s, legal)
+    for eps_i, phi in zip(epsilons, phis):
+        scores = [v + eps_i * p for v, p in zip(scores, phi.values(s, legal))]
     return scores
 
 
-def softmax(scores: np.ndarray, temperature: float) -> np.ndarray:
-    z = scores / temperature
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
+def softmax(scores, temperature: float) -> np.ndarray:
+    """Softmax of ``scores / temperature`` in a new array; ``scores`` is
+    left as it is."""
+    z = np.array(scores, dtype=float)
+    z /= temperature
+    z -= z.max()
+    np.exp(z, out=z)
+    z /= z.sum()
+    return z
 
 
 def select_action(q, phis, epsilons, s, legal, temperature, rng) -> int:
-    """Sample from the softmax over shaped scores restricted to legal actions."""
+    """Sample from the softmax over shaped scores restricted to legal actions.
+
+    The draw is ``legal[rng.choice(len(legal), p=probs)]`` done with
+    ``Generator.choice``'s own arithmetic, without its checks of ``p``: the
+    sequential cumulative sum of ``probs`` (``np.cumsum``'s), each entry
+    divided by the last, and the first entry above one ``rng.random()``
+    (``searchsorted(side="right")``). So both the action drawn and the
+    generator's state after the draw are ``choice``'s.
+    """
     if not legal:
         raise TerminalStateError("no legal actions in this state")
-    scores = shaped_scores(q, phis, epsilons, s, legal)
-    probs = softmax(np.array(scores), temperature)
-    return int(legal[int(rng.choice(len(legal), p=probs))])
+    cdf = list(accumulate(softmax(shaped_scores(q, phis, epsilons, s, legal),
+                                  temperature).tolist()))
+    total = cdf[-1]
+    if not math.isfinite(total):  # a NaN or +inf score, or all -inf
+        raise ValueError(f"state {s!r}: the softmax of the shaped scores at "
+                         f"temperature {temperature!r} is not finite")
+    cdf = [c / total for c in cdf]
+    return int(legal[bisect_right(cdf, rng.random())])
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Value-function approximators: a small MLP and an exact tabular backend.
 
 Both backends answer ``value(s, a)``, "what is the value of (state,
-action)?", and take ``blend(s, a, target, rate)``, one regression step
+action)?", and ``values(s, actions)``, the list of ``value(s, a)`` for each
+action in turn, and take ``blend(s, a, target, rate)``, one regression step
 toward a scalar target. The state ``s`` is the backend's own view of a
 chain: the tabular backend keys on the chain's action tuple and is exact,
 which is what the policy-invariance tests need; the MLP consumes the
@@ -14,6 +15,7 @@ needs an earlier state must take a copy (``to_dict``) first.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,7 +90,7 @@ class MlpApprox:
 def sgd_step(fa: MlpApprox, x, target: float,
              step_size: float | None = None) -> None:
     """One gradient step on 0.5*(forward(x) - target)^2, in place."""
-    if not np.isfinite(target):
+    if not math.isfinite(target):
         raise ValueError(f"non-finite regression target {target!r}")
     lr = fa.step_size if step_size is None else step_size
     out, grad_w, grad_b = fa.gradients(x)
@@ -111,10 +113,14 @@ class TabularValues:
     def value(self, s, a) -> float:
         return self.table.get((s, a), 0.0)
 
+    def values(self, s, actions) -> list:
+        get = self.table.get
+        return [get((s, a), 0.0) for a in actions]
+
     def blend(self, s, a, target, rate=1.0) -> None:
         """v <- v + rate * (target - v) in place; rate=1 (the default)
         assigns exactly."""
-        if not np.isfinite(target):
+        if not math.isfinite(target):
             raise ValueError(f"non-finite regression target {target!r}")
         v = self.table.get((s, a), 0.0)
         self.table[(s, a)] = v + rate * (target - v)
@@ -147,6 +153,9 @@ class MlpValues:
 
     def value(self, s, a) -> float:
         return self.net.forward(self._input(s, a))
+
+    def values(self, s, actions) -> list:
+        return [self.value(s, a) for a in actions]
 
     def blend(self, s, a, target, rate=1.0) -> None:
         """One SGD step in place at the net's own step size; ``rate`` (the

@@ -50,21 +50,24 @@ class SyntheticOracle:
         self._bonus = {(p, c): b for p, c, b in spec.interaction_bonus}
 
     def accuracy(self, net: CandidateNetwork, actions) -> float:
-        if len(actions) == 0 or len(actions) < self.spec.min_depth:
+        spec = self.spec
+        if len(actions) == 0 or len(actions) < spec.min_depth:
             return 0.0
+        utility, diminishing, bonus = (spec.base_utility, spec.diminishing,
+                                       self._bonus)
         raw = 0.0
         counts: dict[int, int] = {}
         prev = None
         for a in actions:
-            raw += self.spec.base_utility[a] * (
-                self.spec.diminishing ** counts.get(a, 0))
-            counts[a] = counts.get(a, 0) + 1
+            n = counts.get(a, 0)
+            raw += utility[a] * (diminishing ** n)
+            counts[a] = n + 1
             if prev is not None:
-                raw += self._bonus.get((prev, a), 0.0)
+                raw += bonus.get((prev, a), 0.0)
             prev = a
-        if self.spec.noise_sigma > 0:
-            raw += float(self._rng.normal(0.0, self.spec.noise_sigma))
-        return float(min(self.spec.accuracy_cap, max(0.0, raw)))
+        if spec.noise_sigma > 0:
+            raw += float(self._rng.normal(0.0, spec.noise_sigma))
+        return float(min(spec.accuracy_cap, max(0.0, raw)))
 
 
 class TabularLookupError(KeyError):

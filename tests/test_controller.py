@@ -123,6 +123,89 @@ def test_select_action_terminal_raises():
                       np.random.default_rng(0))
 
 
+def reference_softmax(scores, temperature):
+    z = scores / temperature
+    z = z - z.max()
+    e = np.exp(z)
+    return e / e.sum()
+
+
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+MASK64 = (1 << 64) - 1
+
+
+def generator_drawing(u):
+    """A PCG64 Generator whose next ``random()`` is ``u``, a multiple of
+    2**-53 in [0, 1). PCG64 steps its 128-bit state by ``state * mult +
+    inc`` and then outputs the xor of the state's halves, rotated right by
+    the top six bits; ``random()`` keeps that output's top 53 bits."""
+    out = int(u * 2**53) << 11
+    hi = 0xA5A5A5A5A5A5A5A5  # rotation 41
+    rot = hi >> 58
+    lo = hi ^ (((out << rot) | (out >> (64 - rot))) & MASK64)
+    state = (((hi << 64) | lo) - 1) * pow(PCG64_MULTIPLIER, -1, 1 << 128)
+    rng = np.random.Generator(np.random.PCG64(0))
+    rng.bit_generator.state = {
+        "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+        "state": {"state": state % (1 << 128), "inc": 1}}
+    return rng
+
+
+# a few values recur, so that some draws see tied scores
+SCORES = st.one_of(st.floats(-50.0, 50.0), st.sampled_from([-1.0, 0.0, 2.5]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(scores=st.lists(st.tuples(SCORES, SCORES), min_size=1, max_size=13),
+       eps=st.sampled_from([0.0, 0.3, 1.7]),
+       temperature=st.floats(0.05, 10.0), seed=st.integers(0, 2**32 - 1),
+       tie=st.none() | st.integers(0, 13))
+def test_select_action_draws_as_generator_choice(scores, eps, temperature,
+                                                 seed, tie):
+    s = (2, 0)
+    legal = [3 * i + 1 for i in range(len(scores))]
+    q = TabularValues({(s, a): v for a, (v, _) in zip(legal, scores)})
+    phi = TabularValues({(s, a): v for a, (_, v) in zip(legal, scores)})
+    shaped = np.array([q.value(s, a) + eps * phi.value(s, a) for a in legal])
+    probs = reference_softmax(shaped, temperature)
+    assert softmax(shaped, temperature).tolist() == probs.tolist()
+    if tie is None:
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    else:
+        # the uniform draw equals 0 or an entry of choice's CDF, the only
+        # draws on which searching from the left, or a CDF rounded
+        # otherwise, would pick another action
+        cdf = np.cumsum(probs)
+        cdf /= cdf[-1]
+        ties = [0.0] + [c for c in cdf.tolist()
+                        if c < 1.0 and (c * 2**53).is_integer()]
+        u = ties[tie % len(ties)]
+        assert generator_drawing(u).random() == u
+        rng, twin = generator_drawing(u), generator_drawing(u)
+    want = legal[twin.choice(len(legal), p=probs)]
+    assert select_action(q, [phi], (eps,), s, legal, temperature, rng) == want
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("scores", [
+    [0.0, math.nan], [math.inf, 1.0], [-math.inf, -math.inf]],
+    ids=["nan", "inf", "all_minus_inf"])
+def test_select_action_rejects_non_finite_softmax(scores):
+    q = TabularValues({(("s",), a): v for a, v in enumerate(scores)})
+    with pytest.raises(ValueError, match=r"state \('s',\)"):
+        select_action(q, [], (), ("s",), [0, 1], 1.0,
+                      np.random.default_rng(0))
+
+
+def test_select_action_never_draws_minus_inf_score():
+    # probability zero, as with Generator.choice
+    q = TabularValues({(("s",), 0): -math.inf})
+    rng = np.random.default_rng(0)
+    assert {select_action(q, [], (), ("s",), [0, 1], 1.0, rng)
+            for _ in range(50)} == {1}
+
+
 def test_q_update_rejects_non_finite_primary():
     for r_p in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="primary"):

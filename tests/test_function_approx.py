@@ -129,3 +129,19 @@ def test_values_roundtrip():
     clone = MlpValues.from_dict(mlp.to_dict())
     embed = np.ones(4)
     assert clone.value(embed, 1) == mlp.value(embed, 1)
+
+
+def test_values_row_matches_single_lookups():
+    tab = TabularValues()
+    tab.blend((0, 1), 2, target=1.25)
+    tab.blend((0, 1), 0, target=-0.1 + 0.2)
+    tab.blend((0,), 1, target=7.0)
+    actions = [0, 1, 2, 3]  # (0, 1) has no value for 1 or 3
+    mlp = MlpValues.create(4 + len(actions), hidden=(6,), seed=3)
+    for store, s in ((tab, (0, 1)), (tab, (5,)), (mlp, np.full(4, 0.3)),
+                     (mlp, np.array([1.0, -2.0, 0.5, 0.0]))):
+        row = store.values(s, actions)
+        assert isinstance(row, list)
+        assert [v.hex() for v in row] \
+            == [store.value(s, a).hex() for a in actions]
+    assert tab.values((0, 1), [3, 2, 2]) == [0.0, 1.25, 1.25]

@@ -858,8 +858,17 @@ POOL_STRIDE_0 = {"catalog": {"actions": [
     (POOL_STRIDE_0, "config key 'catalog.actions[1].stride'"),
     ({"shaping": {"budgets": [1.0, 2.0]}},
      "config section 'shaping': one budget per secondary required"),
+    ({"shaping": {"max_steps": 0}}, "config key 'shaping.max_steps'"),
+    ({"shaping": {"episodes": 0}}, "config key 'shaping.episodes'"),
+    ({"shaping": {"episodes": -1}}, "config key 'shaping.episodes'"),
+    ({"shaping": {"episodes": 2.5}}, "config key 'shaping.episodes'"),
+    ({"shaping": {"warmup": -1}}, "config key 'shaping.warmup'"),
+    ({"shaping": {"shaping_episodes": -1}},
+     "config key 'shaping.shaping_episodes'"),
 ], ids=["field_named", "second_of_two_fields", "template_field",
-        "no_field_named"])
+        "no_field_named", "no_steps", "no_episodes", "negative_episodes",
+        "fractional_episodes", "negative_warmup",
+        "negative_shaping_episodes"])
 def test_dataclass_check_names_section_and_key(tmp_path, capsys, overrides,
                                                where):
     cfg = write_config(tmp_path, overrides)
