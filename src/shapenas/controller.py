@@ -77,6 +77,9 @@ class ShapingConfig:
             raise ValueError("one budget per secondary required")
         if any(b <= 0 for b in self.budgets):
             raise ValueError("budgets must be positive")
+        if not self.epsilon_cap >= 0:  # NaN fails this too
+            raise ValueError(f"epsilon_cap must be >= 0, got "
+                             f"{self.epsilon_cap!r}")
         if self.delta_mode not in ("primary", "per_secondary"):
             raise ValueError("delta_mode must be 'primary' or 'per_secondary'")
         if self.backend not in ("tabular", "mlp"):
@@ -243,9 +246,10 @@ def potential_update(phi, s, a, sp, a_prime, r_s: float, beta: float,
     phi.blend(s, a, r_s + gamma * succ, rate=beta)
 
 
-def q_update(q, phis, epsilons, s, a, sp, r_p: float, legal_prime,
+def q_update(q, phi_values, epsilons, s, a, sp, r_p: float, legal_prime,
              gamma: float) -> float:
-    """Shaped Q step toward r_P + gamma*max Q(s',.) + sum_i eps_i*Phi_i(s,a).
+    """Shaped Q step toward r_P + gamma*max Q(s',.) + sum_i eps_i*Phi_i(s,a);
+    ``phi_values`` holds each Phi_i(s,a).
 
     With the tabular backend the blend rate is 1, which applies the update
     rule literally (the new value *is* the target). Updates ``q`` in place
@@ -258,8 +262,8 @@ def q_update(q, phis, epsilons, s, a, sp, r_p: float, legal_prime,
     else:
         max_q = 0.0  # terminal successor
     shaping = 0.0
-    for eps_i, phi in zip(epsilons, phis):
-        shaping += eps_i * phi.value(s, a)
+    for eps_i, phi_sa in zip(epsilons, phi_values):
+        shaping += eps_i * phi_sa
     target = r_p + gamma * max_q + shaping
     q.blend(s, a, target)
     return target
@@ -427,15 +431,18 @@ def run_episodes(state: ShapingState, space: SearchSpace, oracle, secondary,
                 for w, v in zip(scalar_weights[1:], r_s):
                     reward += w * v
                 reward = scalar_weights[0] * r_p + reward
-            target = q_update(state.q, state.phis, state.epsilons, s, a,
-                              sp, reward, legal_prime, cfg.gamma)
+            # the potentials at (s, a), read once: nothing updates them
+            # between here and the record
+            phi_sa = tuple(phi.value(s, a) for phi in state.phis)
+            target = q_update(state.q, phi_sa, state.epsilons, s, a, sp,
+                              reward, legal_prime, cfg.gamma)
 
             ep_return += r_p
             trace.records.append(StepRecord(
                 episode=episode, step=step, state_key=tuple(actions),
                 action=a, r_p=r_p, r_s=tuple(r_s), epsilons=state.epsilons,
                 delta=delta, q_target=target,
-                phi_values=tuple(phi.value(s, a) for phi in state.phis),
+                phi_values=phi_sa,
                 cum_return=ep_return, infeasible=infeasible))
 
             net, actions, legal, s = net_next, chain, legal_prime, sp

@@ -7,7 +7,7 @@ toward a scalar target. The state ``s`` is the backend's own view of a
 chain: the tabular backend keys on the chain's action tuple and is exact,
 which is what the policy-invariance tests need; the MLP consumes the
 chain's fixed-length ``embed_state`` vector concatenated with an action
-one-hot.
+one-hot, and answers a state's row of values in one stacked forward.
 
 Approximators are mutable stores: ``blend`` and ``sgd_step`` update the
 table or the net's arrays in place and return nothing, so a caller that
@@ -57,17 +57,31 @@ class MlpApprox:
                 f"{self.input_dim}")
         return x
 
-    def forward(self, x) -> float:
-        x = self._check(x)
-        a = x
+    def forward_rows(self, X: np.ndarray) -> np.ndarray:
+        """The output for every row of the 2-D float array ``X``.
+
+        Each row goes through the net as a one-row matmul
+        (``X[:, None, :] @ W``), which numpy runs through the same
+        matrix-vector kernel as a 1-D ``x @ W``, so a row's output has the
+        bits of its own 1-D forward; a plain ``X @ W`` is a matrix product,
+        which may round differently.
+        """
+        a = X[:, None, :]
         for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            a = np.tanh(a @ W + b)
-        out = a @ self.weights[-1] + self.biases[-1]
-        return float(out[0])
+            a = a @ W
+            a += b
+            np.tanh(a, out=a)
+        return (a @ self.weights[-1] + self.biases[-1])[:, 0, 0]
+
+    def forward(self, x) -> float:
+        return float(self.forward_rows(self._check(x)[None])[0])
 
     def gradients(self, x) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
         """Output and d(output)/d(weights), d(output)/d(biases)."""
-        x = self._check(x)
+        return self._gradients(self._check(x))
+
+    def _gradients(self, x: np.ndarray):
+        """``gradients`` of a float vector of ``input_dim`` entries."""
         activations = [x]
         a = x
         for W, b in zip(self.weights[:-1], self.biases[:-1]):
@@ -79,24 +93,30 @@ class MlpApprox:
         grad_b = [None] * len(self.biases)
         delta = np.ones(1)
         for layer in range(len(self.weights) - 1, -1, -1):
-            grad_w[layer] = np.outer(activations[layer], delta)
-            grad_b[layer] = delta.copy()
+            grad_w[layer] = activations[layer][:, None] * delta
+            grad_b[layer] = delta  # the next delta is a new array
             if layer > 0:
                 delta = (self.weights[layer] @ delta) * (
                     1.0 - activations[layer] ** 2)
         return out, grad_w, grad_b
 
+    def _descend(self, x: np.ndarray, target: float, lr: float) -> None:
+        """``sgd_step`` at step size ``lr`` on a float vector of
+        ``input_dim`` entries: each parameter less ``(lr*err)*grad``."""
+        if not math.isfinite(target):
+            raise ValueError(f"non-finite regression target {target!r}")
+        out, grad_w, grad_b = self._gradients(x)
+        scale = lr * (out - target)
+        for param, grad in zip(self.weights + self.biases, grad_w + grad_b):
+            grad *= scale
+            param -= grad
+
 
 def sgd_step(fa: MlpApprox, x, target: float,
              step_size: float | None = None) -> None:
     """One gradient step on 0.5*(forward(x) - target)^2, in place."""
-    if not math.isfinite(target):
-        raise ValueError(f"non-finite regression target {target!r}")
-    lr = fa.step_size if step_size is None else step_size
-    out, grad_w, grad_b = fa.gradients(x)
-    err = out - target
-    for param, grad in zip(fa.weights + fa.biases, grad_w + grad_b):
-        param -= lr * err * grad
+    fa._descend(fa._check(x), target,
+                fa.step_size if step_size is None else step_size)
 
 
 # ---------------------------------------------------------------------------
@@ -146,22 +166,38 @@ class MlpValues:
     def create(cls, input_dim, hidden=(32, 32), step_size=1e-3, seed=0):
         return cls(MlpApprox.create(input_dim, hidden, step_size, seed))
 
-    def _input(self, s, a):
-        onehot = np.zeros(self.net.input_dim - len(s))
-        onehot[a] = 1.0
-        return np.concatenate([np.asarray(s, dtype=float), onehot])
+    def _inputs(self, s, actions) -> np.ndarray:
+        """The (actions × input) block: each row is the state, then the
+        row's action one-hot, which fills the net's input past the state."""
+        n, width = len(s), self.net.input_dim
+        if n >= width:
+            raise DimensionError(
+                f"a state of {n} entries leaves no room for an action "
+                f"one-hot in the net's {width} inputs (actions "
+                f"{list(actions)})")
+        X = np.zeros((len(actions), width))
+        X[:, :n] = s
+        for row, a in enumerate(actions):
+            if not 0 <= a < width - n:
+                raise DimensionError(
+                    f"action {a} lies outside the one-hot of {width - n} "
+                    f"slots that a state of {n} entries leaves in the net's "
+                    f"{width} inputs")
+            X[row, n + a] = 1.0
+        return X
 
     def value(self, s, a) -> float:
-        return self.net.forward(self._input(s, a))
+        return self.values(s, (a,))[0]
 
     def values(self, s, actions) -> list:
-        return [self.value(s, a) for a in actions]
+        return self.net.forward_rows(self._inputs(s, actions)).tolist()
 
     def blend(self, s, a, target, rate=1.0) -> None:
         """One SGD step in place at the net's own step size; ``rate`` (the
         tabular blend fraction) is ignored, since as a step size it
         diverges."""
-        sgd_step(self.net, self._input(s, a), target)
+        self.net._descend(self._inputs(s, (a,))[0], target,
+                          self.net.step_size)
 
     def to_dict(self):
         return {"backend": "mlp",

@@ -81,7 +81,8 @@ def test_q_update_no_shaping_is_plain_q_target():
 
 
 def test_q_update_from_zero_tables():
-    target = q_update(TabularValues(), [TabularValues()], (1.0,),
+    phi = TabularValues()
+    target = q_update(TabularValues(), [phi.value(("s",), 0)], (1.0,),
                       ("s",), 0, ("t",), 1.0, [0], gamma=0.9)
     assert target == 1.0
 
@@ -89,8 +90,8 @@ def test_q_update_from_zero_tables():
 def test_q_update_shaping_term():
     phi = TabularValues()
     phi.blend(("s",), 0, target=2.0)
-    target = q_update(TabularValues(), [phi], (0.5,), ("s",), 0,
-                      ("t",), 1.0, [0], gamma=0.9)
+    target = q_update(TabularValues(), [phi.value(("s",), 0)], (0.5,),
+                      ("s",), 0, ("t",), 1.0, [0], gamma=0.9)
     assert target == pytest.approx(2.0)  # 1 + 0.9*0 + 0.5*2
 
 
@@ -506,6 +507,11 @@ def test_shaping_config_validation():
         ShapingConfig(budgets=(1.0, 2.0))
     with pytest.raises(ValueError, match="budgets must be positive"):
         ShapingConfig(budgets=(0.0,))
+    for cap in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="epsilon_cap must be >= 0"):
+            ShapingConfig(epsilon_cap=cap)
+    for cap in (0.0, math.inf):
+        assert ShapingConfig(epsilon_cap=cap).epsilon_cap == cap
 
 
 def test_per_secondary_delta_mode_runs(toy_space):

@@ -1,10 +1,71 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from shapenas import ShapingConfig, SyntheticOracle, SyntheticTaskSpec
+from shapenas.controller import (CallableSecondary, load_checkpoint,
+                                 run_search, save_checkpoint)
 from shapenas.function_approx import (DimensionError, MlpApprox, MlpValues,
                                       TabularValues, sgd_step)
 
 from gradcheck import finite_difference_gradients
+
+
+def reference_input(s, a, input_dim):
+    onehot = np.zeros(input_dim - len(s))
+    onehot[a] = 1.0
+    return np.concatenate([np.asarray(s, dtype=float), onehot])
+
+
+def reference_forward(net, x):
+    """One 1-D input through the net, layer by layer: the reference for
+    the stacked forward."""
+    a = x
+    for W, b in zip(net.weights[:-1], net.biases[:-1]):
+        a = np.tanh(a @ W + b)
+    return float((a @ net.weights[-1] + net.biases[-1])[0])
+
+
+def reference_sgd_step(net, x, target):
+    """One SGD step as a per-row store takes it: outer-product gradients,
+    then each parameter less ``lr * err * grad``."""
+    if not math.isfinite(target):
+        raise ValueError(f"non-finite regression target {target!r}")
+    activations = [x]
+    for W, b in zip(net.weights[:-1], net.biases[:-1]):
+        activations.append(np.tanh(activations[-1] @ W + b))
+    out = float((activations[-1] @ net.weights[-1] + net.biases[-1])[0])
+    grad_w = [None] * len(net.weights)
+    grad_b = [None] * len(net.biases)
+    delta = np.ones(1)
+    for layer in range(len(net.weights) - 1, -1, -1):
+        grad_w[layer] = np.outer(activations[layer], delta)
+        grad_b[layer] = delta.copy()
+        if layer > 0:
+            delta = (net.weights[layer] @ delta) * (
+                1.0 - activations[layer] ** 2)
+    err = out - target
+    for param, grad in zip(net.weights + net.biases, grad_w + grad_b):
+        param -= net.step_size * err * grad
+
+
+class ReferenceMlpValues(MlpValues):
+    """The store the stacked forward replaces: one 1-D forward per value
+    and a row of values as a loop of them."""
+
+    def value(self, s, a):
+        return reference_forward(self.net,
+                                 reference_input(s, a, self.net.input_dim))
+
+    def values(self, s, actions):
+        return [self.value(s, a) for a in actions]
+
+    def blend(self, s, a, target, rate=1.0):
+        reference_sgd_step(self.net,
+                           reference_input(s, a, self.net.input_dim), target)
 
 
 def test_zero_weights_give_zero_output():
@@ -145,3 +206,81 @@ def test_values_row_matches_single_lookups():
         assert [v.hex() for v in row] \
             == [store.value(s, a).hex() for a in actions]
     assert tab.values((0, 1), [3, 2, 2]) == [0.0, 1.25, 1.25]
+
+
+@settings(max_examples=200, deadline=None)
+@given(hidden=st.sampled_from([(), (4,), (8, 3)]),
+       seed=st.integers(0, 2 ** 16),
+       n_actions=st.integers(1, 13),
+       state=st.lists(st.tuples(st.floats(1e-3, 1e3), st.booleans()),
+                      min_size=1, max_size=8),
+       data=st.data())
+def test_mlp_rows_match_per_row_reference(hidden, seed, n_actions, state,
+                                          data):
+    s = np.array([-v if negative else v for v, negative in state])
+    actions = data.draw(st.lists(st.integers(0, n_actions - 1),
+                                 max_size=13))
+    mlp = MlpValues.create(len(s) + n_actions, hidden=hidden, seed=seed)
+    expected = [reference_forward(mlp.net, reference_input(s, a,
+                                                           mlp.net.input_dim))
+                for a in actions]
+    row = mlp.values(s, actions)
+    assert isinstance(row, list) and all(type(v) is float for v in row)
+    assert [v.hex() for v in row] == [v.hex() for v in expected]
+    assert [mlp.value(s, a).hex() for a in actions] \
+        == [v.hex() for v in expected]
+
+
+def test_mlp_search_matches_per_row_reference(tmp_path, toy_space):
+    oracle = SyntheticOracle(SyntheticTaskSpec((0.25, 0.05, 0.02)))
+    secondary = CallableSecondary(
+        lambda net, actions: [sum((5, 40, 70)[a] for a in actions)], 1)
+    cfg = ShapingConfig(episodes=20, max_steps=4, tau=-1e9, backend="mlp",
+                        hidden=(8,))
+
+    def runs():
+        out = []
+        for weights in (None, (1.0, 0.1)):
+            full = run_search(toy_space, oracle, secondary, cfg, seed=9,
+                              weights=weights)
+            half = run_search(toy_space, oracle, secondary, cfg, seed=9,
+                              episodes=10, weights=weights)
+            path = tmp_path / "ckpt.json"
+            save_checkpoint(half.state, path)
+            rest = run_search(toy_space, oracle, secondary, cfg, seed=9,
+                              state=load_checkpoint(path), episodes=10,
+                              weights=weights)
+            out.append((full.fingerprint(), half.fingerprint(),
+                        rest.fingerprint(), rest.state.q.to_dict(),
+                        [phi.to_dict() for phi in rest.state.phis],
+                        type(rest.state.q)))
+        return out
+
+    got = runs()
+    with mock.patch("shapenas.controller.MlpValues", ReferenceMlpValues), \
+            mock.patch("shapenas.function_approx.MlpValues",
+                       ReferenceMlpValues):
+        expected = runs()
+    assert [run[-1] for run in got] == [MlpValues] * 2
+    assert [run[-1] for run in expected] == [ReferenceMlpValues] * 2
+    assert [run[:-1] for run in got] == [run[:-1] for run in expected]
+
+
+@pytest.mark.parametrize("state_len, input_dim, action, where", [
+    (9, 7, 0, "a state of 9 entries leaves no room for an action one-hot "
+              "in the net's 7 inputs"),
+    (4, 7, 3, "action 3 lies outside the one-hot of 3 slots that a state "
+              "of 4 entries leaves in the net's 7 inputs"),
+    (4, 7, -1, "action -1 lies outside"),
+])
+def test_mlp_rejects_action_outside_one_hot(state_len, input_dim, action,
+                                            where):
+    mlp = MlpValues.create(input_dim, hidden=(4,), seed=0)
+    s = np.ones(state_len)
+    before = mlp.to_dict()
+    for call in (lambda: mlp.values(s, [0, action]),
+                 lambda: mlp.value(s, action),
+                 lambda: mlp.blend(s, action, 1.0)):
+        with pytest.raises(DimensionError, match=where):
+            call()
+    assert mlp.to_dict() == before

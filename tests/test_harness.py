@@ -865,10 +865,15 @@ POOL_STRIDE_0 = {"catalog": {"actions": [
     ({"shaping": {"warmup": -1}}, "config key 'shaping.warmup'"),
     ({"shaping": {"shaping_episodes": -1}},
      "config key 'shaping.shaping_episodes'"),
+    ({"shaping": {"epsilon_cap": -1.0}},
+     "config key 'shaping.epsilon_cap': epsilon_cap must be >= 0"),
+    ({"shaping": {"epsilon_cap": float("nan")}},
+     "config key 'shaping.epsilon_cap': epsilon_cap must be >= 0"),
 ], ids=["field_named", "second_of_two_fields", "template_field",
         "no_field_named", "no_steps", "no_episodes", "negative_episodes",
         "fractional_episodes", "negative_warmup",
-        "negative_shaping_episodes"])
+        "negative_shaping_episodes", "negative_epsilon_cap",
+        "nan_epsilon_cap"])
 def test_dataclass_check_names_section_and_key(tmp_path, capsys, overrides,
                                                where):
     cfg = write_config(tmp_path, overrides)
