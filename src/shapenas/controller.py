@@ -103,7 +103,6 @@ class ShapingState:
     epsilons: tuple  # floats, one per potential
     last_primary: float | None  # runs across episode boundaries
     last_secondary: list | None  # the last step's normalized r_s
-    step_count: int = 0
     episode_count: int = 0
     rng: np.random.Generator = field(
         default_factory=lambda: np.random.default_rng(0))
@@ -448,7 +447,6 @@ def run_episodes(state: ShapingState, space: SearchSpace, oracle, secondary,
             net, actions, legal, s = net_next, chain, legal_prime, sp
             state.last_primary = r_p
             state.last_secondary = r_s if n_sec else None
-            state.step_count += 1
             episode_last_primary = r_p
             if step + 1 >= cfg.warmup and delta_stop < cfg.tau:
                 break
@@ -579,7 +577,6 @@ def save_checkpoint(state: ShapingState, path) -> None:
         "epsilons": list(state.epsilons),
         "last_primary": state.last_primary,
         "last_secondary": state.last_secondary,
-        "step_count": state.step_count,
         "episode_count": state.episode_count,
         "rng_state": state.rng.bit_generator.state,
     }
@@ -602,6 +599,5 @@ def load_checkpoint(path) -> ShapingState:
         epsilons=tuple(doc["epsilons"]),
         last_primary=doc["last_primary"],
         last_secondary=doc["last_secondary"],
-        step_count=doc["step_count"],
         episode_count=doc["episode_count"],
         rng=rng)

@@ -6,11 +6,13 @@ The on-disk format is comma-separated UTF-8 with a header. Required columns
 ``design_space.CONTEXT_NUMERIC``, in that order (``REQUIRED_COLUMNS``).
 
 Optional columns: ``Processor Kind`` (categorical hardware feature),
-``Task 0..n`` (numeric task features), ``feasible`` (0/1, default 1) and any
-number of extra *target* columns (e.g. ``Memory Usage``). ``Execution time``
-and the extras are response variables; everything else is a feature. Rows
-with feasible=0 must leave all target cells empty: non-executable
-(architecture, context) pairs carry no measurements.
+``Task 0`` to ``Task k-1`` (numeric task features, each once), ``feasible``
+(0/1, default 1) and any number of extra *target* columns (e.g. ``Memory
+Usage``). ``Execution time`` and the extras are response variables;
+everything else is a feature. Rows with feasible=0 must leave all target
+cells empty: non-executable (architecture, context) pairs carry no
+measurements. ``Type`` and ``Processor Kind`` take the levels of
+``BLOCK_KINDS`` and ``PROCESSOR_KINDS``.
 """
 from __future__ import annotations
 
@@ -90,8 +92,14 @@ def ingest_stats(path) -> MetaDataset:
             if col not in header:
                 raise SchemaError(f"{path}: missing required column {col!r}")
         has_processor = "Processor Kind" in header
-        task_cols = sorted((h for h in header if h.startswith("Task ")),
-                           key=lambda h: int(h.split()[1]))
+        n_tasks = sum(h.startswith("Task ") for h in header)
+        task_cols = [f"Task {i}" for i in range(n_tasks)]
+        for col, h in enumerate(header, start=1):
+            if h.startswith("Task ") and (h not in task_cols
+                                          or header.count(h) > 1):
+                raise SchemaError(
+                    f"{path}:1: column {col} {h!r}: task columns must be "
+                    f"'Task 0' to 'Task {n_tasks - 1}', each once")
         known = set(REQUIRED_COLUMNS) | set(_OPTIONAL_FEATURES) | set(task_cols)
         extra_targets = [h for h in header
                          if h not in known and h != "feasible"]
@@ -103,21 +111,28 @@ def ingest_stats(path) -> MetaDataset:
         def cell(row, name):
             return row[col_of[name]].strip()
 
+        def bad(line, message):
+            return StatsParseError(f"{path}:{line}: {message}", line=line)
+
         def numeric(row, name, line):
             raw = cell(row, name)
             try:
                 return float(raw)
             except ValueError:
-                raise StatsParseError(
-                    f"{path}:{line}: non-numeric value {raw!r} in column "
-                    f"{name!r}", line=line)
+                raise bad(line, f"non-numeric value {raw!r} in column "
+                                f"{name!r}")
+
+        def category(row, name, levels, what, line):
+            try:
+                return one_hot(cell(row, name), levels, what)
+            except ValueError as exc:
+                raise bad(line, f"column {name!r}: {exc}") from None
 
         def target(row, name, line):
             value = numeric(row, name, line)
             if not (np.isfinite(value) and value >= 0):
-                raise StatsParseError(
-                    f"{path}:{line}: feasible row needs a finite, "
-                    f"non-negative {name!r}, got {value!r}", line=line)
+                raise bad(line, f"feasible row needs a finite, non-negative "
+                                f"{name!r}, got {value!r}")
             return value
 
         X_rows, Y_rows, feas = [], [], []
@@ -125,23 +140,20 @@ def ingest_stats(path) -> MetaDataset:
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) != len(header):
-                raise StatsParseError(
-                    f"{path}:{line}: expected {len(header)} cells, "
-                    f"got {len(row)}", line=line)
-            vec = one_hot(cell(row, "Type"), BLOCK_KINDS, "block")
+                raise bad(line, f"expected {len(header)} cells, "
+                                f"got {len(row)}")
+            vec = category(row, "Type", BLOCK_KINDS, "block", line)
             vec += [numeric(row, name, line) for name in _NUMERIC_COLUMNS]
             if has_processor:
-                vec += one_hot(cell(row, "Processor Kind"), PROCESSOR_KINDS,
-                               "processor")
+                vec += category(row, "Processor Kind", PROCESSOR_KINDS,
+                                "processor", line)
             for tc in task_cols:
                 vec.append(numeric(row, tc, line))
 
             if "feasible" in col_of:
                 raw = cell(row, "feasible")
                 if raw not in ("0", "1"):
-                    raise StatsParseError(
-                        f"{path}:{line}: feasible must be 0 or 1, got {raw!r}",
-                        line=line)
+                    raise bad(line, f"feasible must be 0 or 1, got {raw!r}")
                 ok = raw == "1"
             else:
                 ok = True
@@ -150,9 +162,8 @@ def ingest_stats(path) -> MetaDataset:
             else:
                 for t in target_names:
                     if cell(row, t):
-                        raise StatsParseError(
-                            f"{path}:{line}: infeasible row must leave target "
-                            f"{t!r} empty", line=line)
+                        raise bad(line, f"infeasible row must leave target "
+                                        f"{t!r} empty")
                 targets = [np.nan] * len(target_names)
             X_rows.append(vec)
             Y_rows.append(targets)

@@ -7,14 +7,11 @@ cheaply and feature rows derived without tensor math.
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 # Categorical levels, sorted lexicographically; one-hot columns follow this order.
 BLOCK_KINDS = ("conv", "dense", "dwconv", "pool", "skip")
@@ -171,12 +168,12 @@ class ContextSpec:
 
 
 def one_hot(value: str, levels: tuple[str, ...], what: str) -> list[float]:
-    """Indicator vector over ``levels``; an unseen value encodes as zeros."""
+    """Indicator vector over ``levels``; any other value raises ValueError."""
+    if value not in levels:
+        raise ValueError(f"unknown {what} {value!r}; expected one of "
+                         f"{', '.join(levels)}")
     vec = [0.0] * len(levels)
-    if value in levels:
-        vec[levels.index(value)] = 1.0
-    else:
-        log.warning("unseen %s level %r encoded as all-zeros", what, value)
+    vec[levels.index(value)] = 1.0
     return vec
 
 

@@ -245,8 +245,7 @@ def _log_layer_memo(secondary) -> None:
     """Log how many layers the predictor secondary has memoized in this
     process; the memos of worker processes (``jobs > 1``) are not counted."""
     if isinstance(secondary, controller.PredictorSecondary):
-        log.debug("predictor row cache: %d layers memoized",
-                  len(secondary.memo))
+        log.debug("predictor layer memo: %d layers", len(secondary.memo))
 
 
 def _run_one(doc, space, secondary, shaping, seed, weights):
@@ -349,6 +348,9 @@ def cmd_compare(config_path, seed: int, replicates: int, jobs: int,
     seeds = [seed + i for i in range(replicates)]
     weights = cfgmod.number_list(cfgmod.require(doc, "scalarized_weights"),
                                  "scalarized_weights")
+    if not weights:
+        raise cfgmod.ConfigError("config key 'scalarized_weights' must start "
+                                 "with the primary's weight, got []")
     secondary = _build_secondary(doc, space)
     _check_metric_count(secondary, "shaping.epsilon0", n_sec)
     _check_metric_count(secondary, "scalarized_weights", len(weights) - 1)

@@ -62,15 +62,15 @@ class RegressionTree:
 
     def _grow(self, X, y, rows, block, depth) -> int:
         """Grow the subtree of ``rows`` (ascending) whose sorted columns are
-        ``block``; ``block`` is None where the subtree is a leaf by depth."""
+        ``block``; ``block`` is None where the subtree is a leaf by depth.
+        A leaf writes its mean to its rows of ``fitted``."""
         node = self._new_node()
         node_y = y[rows]
-        self.value[node] = float(node_y.mean())
-        self.fitted[rows] = self.value[node]  # children overwrite their rows
-        if depth >= self.max_depth:
-            return node
-        split = self._best_split(X, y, node_y, block)
+        mean = self.value[node] = float(node_y.mean())
+        split = (None if depth >= self.max_depth
+                 else self._best_split(X, y, node_y, mean, block))
         if split is None:
+            self.fitted[rows] = mean
             return node
         f, t = split
         go_left = X[:, f] <= t
@@ -88,10 +88,10 @@ class RegressionTree:
                                       depth + 1)
         return node
 
-    def _best_split(self, X, y, node_y, block):
+    def _best_split(self, X, y, node_y, mean, block):
         """The split of highest gain above 1e-12 as ``(feature, threshold)``,
-        or None. Ties go to the first feature, then to the first boundary in
-        ascending value order."""
+        or None; ``mean`` is ``node_y``'s. Ties go to the first feature, then
+        to the first boundary in ascending value order."""
         n = len(node_y)
         m = max(self.min_samples_leaf, 1)  # 0 allows what 1 allows
         # the boundary after sorted position i leaves i + 1 rows on the left;
@@ -104,19 +104,15 @@ class RegressionTree:
         if not len(f):
             return None
         i += lo
-        # prefix sums, sequential along each column, of the features that
-        # have a boundary; feature f is row c of them
-        has_boundary = np.zeros(len(block), dtype=bool)
-        has_boundary[f] = True
-        c = (np.cumsum(has_boundary) - 1)[f]
-        ys = y[block[has_boundary]]
+        # prefix sums, sequential along each sorted column
+        ys = y[block]
         csum = np.cumsum(ys, axis=1)
         csq = np.cumsum(ys * ys, axis=1)
-        total_ss = float(((node_y - node_y.mean()) ** 2).sum())
+        total_ss = float(((node_y - mean) ** 2).sum())
         sizes = i + 1
-        left_ss = csq[c, i] - csum[c, i] ** 2 / sizes
-        rsum = csum[c, -1] - csum[c, i]
-        rsq = csq[c, -1] - csq[c, i]
+        left_ss = csq[f, i] - csum[f, i] ** 2 / sizes
+        rsum = csum[f, -1] - csum[f, i]
+        rsq = csq[f, -1] - csq[f, i]
         right_ss = rsq - rsum ** 2 / (n - sizes)
         gain = total_ss - left_ss - right_ss
         k = int(np.argmax(gain))  # the first maximum in (feature, i) order
@@ -245,17 +241,18 @@ def _node_arrays(trees: list, n_features: int):
 
 
 class Forest:
-    """The trees of several boosted regressors compiled once into one
-    padded node array (QuickScorer's point, Lucchese et al., SIGIR 2015:
-    one traversal over all trees of an additive ensemble).
+    """The trees of several boosted regressors compiled once into one node
+    array (QuickScorer's point, Lucchese et al., SIGIR 2015: one traversal
+    over all trees of an additive ensemble).
 
-    Tree j owns entries ``j*width`` to ``j*width + width - 1``, ``width``
-    being the largest tree's node count; every leaf, like every padding
-    entry, is its own left and right child, so ``predict`` walks all trees
-    for all rows together, a fixed number of levels (the deepest tree's
-    depth). The trees of regressor r come after those of regressor r - 1.
-    ``names`` (one per regressor) prefix the ValueError that a malformed
-    tree raises; the tree and node it names count within the regressor.
+    The trees lie back to back: tree j's nodes keep their order, from entry
+    ``_roots[j]`` on, and each child index is its tree's offset plus the
+    local one. Every leaf is its own left and right child, so ``predict``
+    walks all trees for all rows together, a fixed number of levels (the
+    deepest tree's depth). The trees of regressor r come after those of
+    regressor r - 1. ``names`` (one per regressor) prefix the ValueError
+    that a malformed tree raises; the tree and node it names count within
+    the regressor.
     """
 
     def __init__(self, regressors, n_features: int, names=None):
@@ -276,21 +273,13 @@ class Forest:
         self._owner = np.repeat(np.arange(len(blocks)), self._counts)
         self._rank = np.arange(len(sizes)) - np.repeat(
             np.cumsum(self._counts) - self._counts, self._counts)
-        width = int(sizes.max(initial=1))
-        n_slots = len(sizes) * width
-        self._roots = np.arange(len(sizes)) * width
-        offset = np.repeat(self._roots, sizes)
-        slot = offset + local
+        self._roots = np.cumsum(sizes) - sizes
+        node = np.arange(len(feature))
         leaf = feature == -1
-        self._feature = np.zeros(n_slots, dtype=np.intp)
-        self._feature[slot] = np.where(leaf, 0, feature)
-        self._threshold = np.zeros(n_slots)
-        self._threshold[slot] = threshold
-        self._value = np.zeros(n_slots)
-        self._value[slot] = value
-        self._left, self._right = np.arange(n_slots), np.arange(n_slots)
-        self._left[slot] = np.where(leaf, slot, offset + left)
-        self._right[slot] = np.where(leaf, slot, offset + right)
+        self._feature = np.where(leaf, 0, feature)
+        self._threshold, self._value = threshold, value
+        self._left = np.where(leaf, node, node - local + left)
+        self._right = np.where(leaf, node, node - local + right)
         self._levels, nodes = 0, self._roots  # the deepest tree's depth
         while (inner := nodes[self._left[nodes] != nodes]).size:
             nodes = np.concatenate([self._left[inner], self._right[inner]])

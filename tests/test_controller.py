@@ -1,3 +1,4 @@
+import json
 import math
 from collections import Counter
 
@@ -426,6 +427,28 @@ def test_checkpoint_resume_reproduces_trace(tmp_path, toy_space):
             resumed = controller.SearchTrace(combined, [], None, (), 0.0, 9)
             assert resumed.fingerprint() == full.fingerprint(), \
                 (backend, weights)
+
+
+def test_checkpoint_holding_step_count_loads_and_resumes(tmp_path,
+                                                         toy_space):
+    """A checkpoint from before ``step_count`` was dropped still holds it;
+    it loads, and resumes to the trace of an uninterrupted run."""
+    oracle = make_oracle()
+    secondary = make_secondary([5, 40, 70])
+    cfg = config(episodes=20)
+    full = run_search(toy_space, oracle, secondary, cfg, seed=9)
+    half = run_search(toy_space, oracle, secondary, cfg, seed=9, episodes=10)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(half.state, path)
+    doc = json.loads(path.read_text())
+    assert "step_count" not in doc
+    doc["step_count"] = len(half.records)
+    path.write_text(json.dumps(doc))
+    rest = run_search(toy_space, oracle, secondary, cfg, seed=9,
+                      state=load_checkpoint(path), episodes=10)
+    resumed = controller.SearchTrace(half.records + rest.records, [], None,
+                                     (), 0.0, 9)
+    assert resumed.fingerprint() == full.fingerprint()
 
 
 def test_secondary_metric_count_must_match_budgets(toy_space):

@@ -83,6 +83,53 @@ def test_feasible_row_with_bad_target_rejected(tmp_path):
         assert str(path) in str(err.value)
 
 
+@pytest.mark.parametrize("column, value, message", [
+    ("Type", "Conv", "column 'Type': unknown block 'Conv'; expected one of "
+                     "conv, dense, dwconv, pool, skip"),
+    ("Processor Kind", "GPU", "column 'Processor Kind': unknown processor "
+                              "'GPU'; expected one of cpu, dsp, gpu, npu"),
+], ids=["block_kind", "processor_kind"])
+def test_unknown_level_names_line_and_column(tmp_path, column, value,
+                                             message):
+    path = make_csv(tmp_path, [vary(), vary(**{column: value})])
+    with pytest.raises(StatsParseError) as err:
+        ingest_stats(path)
+    assert err.value.line == 3
+    assert f"{path}:3: {message}" in str(err.value)
+
+
+def task_csv(tmp_path, tasks, values=(0.5, 0.25)):
+    """A one-row stats CSV whose two task columns are headed ``tasks`` and
+    hold ``values``."""
+    path = tmp_path / "tasks.csv"
+    write_stats([vary(**{"Task 0": values[0], "Task 1": values[1]})],
+                ["Execution time"], path, task_arity=2)
+    header, body = path.read_text().split("\n", 1)
+    path.write_text(header.replace("Task 0,Task 1", ",".join(tasks)) + "\n"
+                    + body)
+    return path
+
+
+@pytest.mark.parametrize("tasks, bad", [
+    (("Task 0", "Task x"), "column 20 'Task x'"),
+    (("Task 0", "Task 2"), "column 20 'Task 2'"),
+    (("Task 1", "Task 2"), "column 20 'Task 2'"),
+    (("Task 1", "Task 1"), "column 19 'Task 1'"),
+], ids=["not_a_number", "gap", "no_task_0", "repeated"])
+def test_task_columns_must_count_from_zero(tmp_path, tasks, bad):
+    path = task_csv(tmp_path, tasks)
+    with pytest.raises(SchemaError) as err:
+        ingest_stats(path)
+    assert (f"{path}:1: {bad}: task columns must be 'Task 0' to 'Task 1', "
+            f"each once") in str(err.value)
+
+
+def test_task_columns_read_in_index_order(tmp_path):
+    data = ingest_stats(task_csv(tmp_path, ("Task 1", "Task 0"), (0.25, 0.5)))
+    assert data.columns[-2:] == ["task_0", "task_1"]
+    assert data.X[0, -2:].tolist() == [0.5, 0.25]
+
+
 def test_oversample_factor_one_is_identity(tmp_path):
     data = ingest_stats(make_csv(tmp_path, [vary(), vary(Channels=4)]))
     out = oversample(data, 1.0, seed=0)

@@ -78,17 +78,17 @@ def test_legal_actions_excludes_oversized_kernel():
     assert legal_actions(net, catalog) == [1]
 
 
-def test_apply_action_appends():
+def test_grow_appends():
     net = append(empty_net(), LayerTemplate("conv", 3, 1, 1, channels=8))
     assert net.depth == 1
 
 
-def test_apply_pool_halves_spatial_dims():
+def test_grow_pool_halves_spatial_dims():
     net = append(empty_net(), LayerTemplate("pool", 2, 2))
     assert net.output_shape == (3, 8, 8)
 
 
-def test_apply_illegal_action_leaves_input_unchanged():
+def test_grow_illegal_action_leaves_input_unchanged():
     net = CandidateNetwork((4, 2, 2))
     with pytest.raises(IllegalActionError):
         append(net, LayerTemplate("conv", kernel_size=5, channels=4))
@@ -118,7 +118,7 @@ templates = st.builds(
 @settings(max_examples=60, deadline=None)
 @given(actions=st.lists(templates, min_size=1, max_size=5),
        steps=st.lists(st.integers(0, 4), max_size=6), depth_cap=st.integers(1, 6))
-def test_legal_then_apply_never_breaks_shapes(actions, steps, depth_cap):
+def test_legal_then_grow_never_breaks_shapes(actions, steps, depth_cap):
     catalog = ActionCatalog(tuple(actions), max_depth=depth_cap)
     net = CandidateNetwork((3, 13, 13))
     taken = 0

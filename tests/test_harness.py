@@ -571,6 +571,8 @@ def test_secondary_metric_count_checked(tmp_path, capsys, command, overrides,
      "config key 'scalarized_weights' must be a list of numbers"),
     ("compare", {"scalarized_weights": [1.0, "0.1"]},
      "config key 'scalarized_weights' must be a list of numbers"),
+    ("compare", {"scalarized_weights": []},
+     "config key 'scalarized_weights' must start with the primary's weight"),
     ("search", {"secondary": {"metric": [5.0, 40.0]}},
      "config key 'secondary.metric' has 2 entries, but the catalog has 3 "
      "actions"),
@@ -582,8 +584,9 @@ def test_secondary_metric_count_checked(tmp_path, capsys, command, overrides,
      "config key 'input_shape' must be three positive integers"),
 ], ids=["reference_index_outside_catalog", "reference_not_a_list",
         "reference_action_does_not_fit", "weights_not_a_list",
-        "weight_is_a_string", "metric_too_short", "metric_is_a_string",
-        "input_shape_two_values", "gen_synth_input_shape"])
+        "weight_is_a_string", "no_weights", "metric_too_short",
+        "metric_is_a_string", "input_shape_two_values",
+        "gen_synth_input_shape"])
 def test_bad_raw_value_names_key(tmp_path, capsys, command, overrides,
                                  message):
     cfg = write_config(tmp_path, overrides)
@@ -775,7 +778,7 @@ def test_unknown_config_key_rejected(tmp_path, capsys, command, overrides,
     assert f"unknown config key {key}" in err
 
 
-def test_predictor_row_cache_counts_logged(tmp_path, caplog):
+def test_predictor_layer_memo_count_logged(tmp_path, caplog):
     cfg = predictor_setup(tmp_path, count=300)
     cmd_train_predictor(cfg, seed=0, out_dir=str(tmp_path / "model"))
     search_cfg = write_config(tmp_path, {
@@ -788,8 +791,8 @@ def test_predictor_row_cache_counts_logged(tmp_path, caplog):
         cmd_search(search_cfg, seed=0, replicates=1, jobs=1,
                    out_dir=str(tmp_path / "run"))
     [message] = [r.getMessage() for r in caplog.records
-                 if "row cache" in r.getMessage()]
-    [layers] = map(int, re.findall(r"(\d+) layers memoized", message))
+                 if "layer memo" in r.getMessage()]
+    [layers] = map(int, re.findall(r"(\d+) layers", message))
     trace = (tmp_path / "run" / "trace_replicate_0.csv").read_text()
     records = len(trace.splitlines()) - 1
     # 3 episodes of up to 4 layers; the chains repeat their prefixes
@@ -802,6 +805,20 @@ def drop_column(path, name):
     j = rows[0].index(name)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(row[:j] + row[j + 1:] for row in rows)
+
+
+def test_unknown_stats_level_exits_2_naming_cell(tmp_path, capsys):
+    cfg = predictor_setup(tmp_path, count=100)
+    stats = load_config(cfg)["predictor"]["stats_path"]
+    with open(stats, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    rows[1][rows[0].index("Type")] = "Conv"
+    with open(stats, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    rc, err = run_cli(tmp_path, capsys, cfg, command="train-predictor")
+    assert rc == 2
+    assert f"{stats}:2: column 'Type': unknown block 'Conv'" in err
+    assert not (tmp_path / "out" / "model.json").exists()
 
 
 @pytest.mark.parametrize("context, dropped, mismatch", [
@@ -883,7 +900,7 @@ def test_dataclass_check_names_section_and_key(tmp_path, capsys, overrides,
 
 
 @pytest.mark.parametrize("level", ["debug", "warning"])
-def test_log_level_shows_cache_log_and_traceback_only_at_debug(
+def test_log_level_shows_memo_log_and_traceback_only_at_debug(
         tmp_path, capsys, level):
     cfg = predictor_setup(tmp_path, count=300)
     cmd_train_predictor(cfg, seed=0, out_dir=str(tmp_path / "model"))
@@ -896,7 +913,7 @@ def test_log_level_shows_cache_log_and_traceback_only_at_debug(
     assert cli.main(["search", "--config", search_cfg, "--log-level", level,
                      "--out", str(tmp_path / "run")]) == 0
     err = capsys.readouterr().err
-    assert ("DEBUG shapenas.harness: predictor row cache" in err) \
+    assert ("DEBUG shapenas.harness: predictor layer memo" in err) \
         == (level == "debug")
     bad = write_config(tmp_path, {"schema_version": 99}, name="bad.yaml")
     assert cli.main(["search", "--config", bad, "--log-level", level,
