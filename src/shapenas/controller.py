@@ -84,6 +84,15 @@ class ShapingConfig:
             raise ValueError("delta_mode must be 'primary' or 'per_secondary'")
         if self.backend not in ("tabular", "mlp"):
             raise ValueError("backend must be 'tabular' or 'mlp'")
+        if not (isinstance(self.hidden, (tuple, list))
+                and all(type(h) is int and h >= 1 for h in self.hidden)):
+            raise ValueError(f"hidden must be a list of positive integers "
+                             f"(the hidden layer widths), got "
+                             f"{self.hidden!r}")
+        if not (isinstance(self.q_step_size, (int, float))
+                and 0 < self.q_step_size < math.inf):  # NaN fails this too
+            raise ValueError(f"q_step_size must be a finite number > 0, got "
+                             f"{self.q_step_size!r}")
 
 
 @dataclass(frozen=True)
@@ -326,11 +335,24 @@ def _make_values(cfg: ShapingConfig, space: SearchSpace, seed: int, tag: int):
 def _state_of(q, ctx):
     """The value stores' state of a chain, by the store's type: its
     ``embed_state`` vector for the MLP, its action tuple for the table.
+
+    Each call gives a new function. For the MLP it embeds each chain once
+    and hands out the same read-only array whenever the chain recurs, so
+    the store's forwards, remembered by state identity, are found again.
     ``embed_state`` is looked up in this module at each call, where the
     traced benchmark run wraps it."""
-    if isinstance(q, MlpValues):
-        return lambda net, actions: embed_state(net, ctx)
-    return lambda net, actions: tuple(actions)
+    if not isinstance(q, MlpValues):
+        return lambda net, actions: tuple(actions)
+    states = {}
+
+    def state_of(net, actions):
+        key = tuple(actions)
+        s = states.get(key)
+        if s is None:
+            s = states[key] = embed_state(net, ctx)
+            s.flags.writeable = False
+        return s
+    return state_of
 
 
 def init_state(cfg: ShapingConfig, space: SearchSpace, seed: int,

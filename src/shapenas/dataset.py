@@ -12,7 +12,7 @@ Usage``). ``Execution time`` and the extras are response variables;
 everything else is a feature. Rows with feasible=0 must leave all target
 cells empty: non-executable (architecture, context) pairs carry no
 measurements. ``Type`` and ``Processor Kind`` take the levels of
-``BLOCK_KINDS`` and ``PROCESSOR_KINDS``.
+``BLOCK_KINDS`` and ``PROCESSOR_KINDS``. No column name appears twice.
 """
 from __future__ import annotations
 
@@ -100,13 +100,18 @@ def ingest_stats(path) -> MetaDataset:
                 raise SchemaError(
                     f"{path}:1: column {col} {h!r}: task columns must be "
                     f"'Task 0' to 'Task {n_tasks - 1}', each once")
+        col_of = {}
+        for col, h in enumerate(header):
+            if h in col_of:
+                raise SchemaError(
+                    f"{path}:1: column {col + 1} {h!r} repeats column "
+                    f"{col_of[h] + 1}")
+            col_of[h] = col
         known = set(REQUIRED_COLUMNS) | set(_OPTIONAL_FEATURES) | set(task_cols)
         extra_targets = [h for h in header
                          if h not in known and h != "feasible"]
         target_names = ["Execution time"] + extra_targets
         columns = dataset_columns(has_processor, len(task_cols))
-
-        col_of = {h: i for i, h in enumerate(header)}
 
         def cell(row, name):
             return row[col_of[name]].strip()

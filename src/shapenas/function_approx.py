@@ -11,7 +11,18 @@ one-hot, and answers a state's row of values in one stacked forward.
 
 Approximators are mutable stores: ``blend`` and ``sgd_step`` update the
 table or the net's arrays in place and return nothing, so a caller that
-needs an earlier state must take a copy (``to_dict``) first.
+needs an earlier state must take a copy (``to_dict``) first. The net's
+weights and biases are views of one flat array, which a step updates in one
+subtraction.
+
+The MLP store remembers each stacked forward it runs (the input rows, the
+hidden activations and the outputs), keyed by the identity of ``s`` and by
+action, until the net's next update (``MlpApprox.updates`` counts them,
+``blend`` and ``sgd_step`` alike). So ``value(s, a)`` after
+``values(s, actions)`` returns the row's output, and ``blend(s, a, ...)``
+takes its gradient from the row's activations, without another forward.
+Since a state is known by its identity, a state must not change once a
+store has seen it: the controller hands the store read-only arrays.
 """
 from __future__ import annotations
 
@@ -25,13 +36,45 @@ class DimensionError(ValueError):
     pass
 
 
+_ONE = np.ones(1)  # d(output)/d(output), the first delta of backprop
+_ONE.flags.writeable = False
+
+
 @dataclass
 class MlpApprox:
-    """Tanh MLP mapping (state ++ action one-hot) to one scalar."""
+    """Tanh MLP mapping (state ++ action one-hot) to one scalar.
+
+    ``weights`` and ``biases`` are views of the flat array ``params``, and
+    ``grad`` has its layout: a step writes each layer's gradient into its
+    view of ``grad``, scales ``grad`` and subtracts it from ``params``, all
+    in place. ``updates`` counts the steps taken.
+    """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     step_size: float = 1e-3
+
+    def __post_init__(self):
+        arrays = [np.asarray(p, dtype=float)
+                  for p in (*self.weights, *self.biases)]
+        self.params = np.empty(sum(p.size for p in arrays))
+        self.grad = np.empty_like(self.params)
+        self.updates = 0
+        views, grads, start = [], [], 0
+        for p in arrays:
+            stop = start + p.size
+            views.append(self.params[start:stop].reshape(p.shape))
+            views[-1][...] = p
+            grads.append(self.grad[start:stop].reshape(p.shape))
+            start = stop
+        n = len(self.weights)
+        self.weights, self.biases = views[:n], views[n:]
+        self._grad_w, self._grad_b = grads[:n], grads[n:]
+
+    def __reduce__(self):
+        # a copy or an unpickled net packs its own buffer: copied one by
+        # one, the views would come back as arrays apart from ``params``
+        return type(self), (self.weights, self.biases, self.step_size)
 
     @classmethod
     def create(cls, input_dim: int, hidden=(32, 32), step_size=1e-3,
@@ -57,8 +100,10 @@ class MlpApprox:
                 f"{self.input_dim}")
         return x
 
-    def forward_rows(self, X: np.ndarray) -> np.ndarray:
-        """The output for every row of the 2-D float array ``X``.
+    def _stack(self, X: np.ndarray):
+        """The stacked forward of the rows of the 2-D float array ``X``:
+        each layer's input as a (rows, 1, width) block (``X``'s rows, then
+        each hidden layer's activations), and the outputs, one per row.
 
         Each row goes through the net as a one-row matmul
         (``X[:, None, :] @ W``), which numpy runs through the same
@@ -67,55 +112,54 @@ class MlpApprox:
         which may round differently.
         """
         a = X[:, None, :]
+        layers = [a]
         for W, b in zip(self.weights[:-1], self.biases[:-1]):
             a = a @ W
             a += b
             np.tanh(a, out=a)
-        return (a @ self.weights[-1] + self.biases[-1])[:, 0, 0]
+            layers.append(a)
+        return layers, (a @ self.weights[-1] + self.biases[-1])[:, 0, 0]
 
     def forward(self, x) -> float:
-        return float(self.forward_rows(self._check(x)[None])[0])
+        return float(self._stack(self._check(x)[None])[1][0])
 
     def gradients(self, x) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-        """Output and d(output)/d(weights), d(output)/d(biases)."""
-        return self._gradients(self._check(x))
+        """Output and d(output)/d(weights), d(output)/d(biases), in new
+        arrays."""
+        layers, out = self._stack(self._check(x)[None])
+        self._gradients(layers, 0)
+        return (float(out[0]), [g.copy() for g in self._grad_w],
+                [g.copy() for g in self._grad_b])
 
-    def _gradients(self, x: np.ndarray):
-        """``gradients`` of a float vector of ``input_dim`` entries."""
-        activations = [x]
-        a = x
-        for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            a = np.tanh(a @ W + b)
-            activations.append(a)
-        out = float((a @ self.weights[-1] + self.biases[-1])[0])
-
-        grad_w = [None] * len(self.weights)
-        grad_b = [None] * len(self.biases)
-        delta = np.ones(1)
+    def _gradients(self, layers, row: int) -> None:
+        """Write d(output)/d(params) at row ``row`` of the stacked forward
+        whose layer inputs are ``layers`` into ``grad``."""
+        delta = _ONE
         for layer in range(len(self.weights) - 1, -1, -1):
-            grad_w[layer] = activations[layer][:, None] * delta
-            grad_b[layer] = delta  # the next delta is a new array
+            a = layers[layer][row, 0]
+            np.multiply(a[:, None], delta, out=self._grad_w[layer])
+            self._grad_b[layer][...] = delta
             if layer > 0:
-                delta = (self.weights[layer] @ delta) * (
-                    1.0 - activations[layer] ** 2)
-        return out, grad_w, grad_b
+                delta = (self.weights[layer] @ delta) * (1.0 - a ** 2)
 
-    def _descend(self, x: np.ndarray, target: float, lr: float) -> None:
-        """``sgd_step`` at step size ``lr`` on a float vector of
-        ``input_dim`` entries: each parameter less ``(lr*err)*grad``."""
+    def _descend(self, layers, row: int, out: float, target: float,
+                 lr: float) -> None:
+        """``sgd_step`` at step size ``lr`` from row ``row`` of a stacked
+        forward, whose layer inputs are ``layers`` and whose output there
+        is ``out``: each parameter less ``(lr*err)*grad``."""
         if not math.isfinite(target):
             raise ValueError(f"non-finite regression target {target!r}")
-        out, grad_w, grad_b = self._gradients(x)
-        scale = lr * (out - target)
-        for param, grad in zip(self.weights + self.biases, grad_w + grad_b):
-            grad *= scale
-            param -= grad
+        self._gradients(layers, row)
+        self.grad *= lr * (out - target)
+        self.params -= self.grad
+        self.updates += 1
 
 
 def sgd_step(fa: MlpApprox, x, target: float,
              step_size: float | None = None) -> None:
     """One gradient step on 0.5*(forward(x) - target)^2, in place."""
-    fa._descend(fa._check(x), target,
+    layers, out = fa._stack(fa._check(x)[None])
+    fa._descend(layers, 0, float(out[0]), target,
                 fa.step_size if step_size is None else step_size)
 
 
@@ -157,10 +201,25 @@ class TabularValues:
 
 class MlpValues:
     """MLP over (state embedding ++ action one-hot); the one-hot fills the
-    net's input past the embedding."""
+    net's input past the embedding.
+
+    ``_memo`` maps ``(id(s), a)`` to a remembered stacked forward
+    ``(s, layers, outputs)`` and the row of ``a`` in it; holding ``s`` keeps
+    its id from being reused. It is emptied when the net has taken a step
+    since it was filled, or once it holds ``MEMO_LIMIT`` entries.
+    """
+
+    MEMO_LIMIT = 4096
 
     def __init__(self, net: MlpApprox):
         self.net = net
+        self._memo = {}
+        self._memo_at = net.updates
+
+    def __reduce__(self):
+        """Copies and pickles hold the net, not the remembered forwards,
+        whose keys are identities in this process."""
+        return type(self), (self.net,)
 
     @classmethod
     def create(cls, input_dim, hidden=(32, 32), step_size=1e-3, seed=0):
@@ -186,17 +245,40 @@ class MlpValues:
             X[row, n + a] = 1.0
         return X
 
+    def _remembered(self) -> dict:
+        """The memo, emptied first if it is stale or full."""
+        if self._memo_at != self.net.updates \
+                or len(self._memo) >= self.MEMO_LIMIT:
+            self._memo.clear()
+            self._memo_at = self.net.updates
+        return self._memo
+
+    def _entry(self, s, a):
+        """The remembered forward at (s, a) and its row there; a miss runs
+        the one-row forward."""
+        entry = self._remembered().get((id(s), a))
+        if entry is None:
+            self.values(s, (a,))
+            entry = self._memo[id(s), a]
+        return entry
+
     def value(self, s, a) -> float:
-        return self.values(s, (a,))[0]
+        (_, _, out), row = self._entry(s, a)
+        return out.item(row)
 
     def values(self, s, actions) -> list:
-        return self.net.forward_rows(self._inputs(s, actions)).tolist()
+        layers, out = self.net._stack(self._inputs(s, actions))
+        memo, forward, key = self._remembered(), (s, layers, out), id(s)
+        for row, a in enumerate(actions):
+            memo[key, a] = forward, row
+        return out.tolist()
 
     def blend(self, s, a, target, rate=1.0) -> None:
         """One SGD step in place at the net's own step size; ``rate`` (the
         tabular blend fraction) is ignored, since as a step size it
         diverges."""
-        self.net._descend(self._inputs(s, (a,))[0], target,
+        (_, layers, out), row = self._entry(s, a)
+        self.net._descend(layers, row, out.item(row), target,
                           self.net.step_size)
 
     def to_dict(self):

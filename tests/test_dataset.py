@@ -98,6 +98,21 @@ def test_unknown_level_names_line_and_column(tmp_path, column, value,
     assert f"{path}:3: {message}" in str(err.value)
 
 
+@pytest.mark.parametrize("column, value", [("Channels", 999),
+                                           ("Memory Usage", 5.0)],
+                         ids=["feature", "extra_target"])
+def test_repeated_column_named_with_both_places(tmp_path, column, value):
+    path = make_csv(tmp_path, [vary(**{"Memory Usage": 2.0})],
+                    targets=("Execution time", "Memory Usage"))
+    header, body = path.read_text().splitlines()
+    names = header.split(",")
+    path.write_text(f"{header},{column}\n{body},{value}\n")
+    with pytest.raises(SchemaError) as err:
+        ingest_stats(path)
+    assert (f"{path}:1: column {len(names) + 1} {column!r} repeats column "
+            f"{names.index(column) + 1}") in str(err.value)
+
+
 def task_csv(tmp_path, tasks, values=(0.5, 0.25)):
     """A one-row stats CSV whose two task columns are headed ``tasks`` and
     hold ``values``."""

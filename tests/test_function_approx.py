@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -186,10 +188,30 @@ def test_values_roundtrip():
     tab.blend((0, 1), 2, target=1.25)
     clone = TabularValues.from_dict(tab.to_dict())
     assert clone.value((0, 1), 2) == 1.25
-    mlp = MlpValues.create(4 + 3, hidden=(6,), seed=0)
-    clone = MlpValues.from_dict(mlp.to_dict())
+    mlp = MlpValues.create(4 + 3, hidden=(6, 5), seed=0)
     embed = np.ones(4)
-    assert clone.value(embed, 1) == mlp.value(embed, 1)
+    mlp.blend(embed, 2, target=3.0)
+    mlp.values(embed, [0, 1, 2])
+    clones = [MlpValues.from_dict(mlp.to_dict()), copy.deepcopy(mlp),
+              pickle.loads(pickle.dumps(mlp))]
+    saved = mlp.to_dict()
+    assert [len(clone._memo) for clone in clones] == [0, 0, 0]
+    assert clones[0].value(embed, 1) == mlp.value(embed, 1)
+    mlp.blend(embed, 1, target=-1.0)
+    for clone in clones:
+        assert clone.to_dict() == saved
+        # the net's arrays are views, back to back, of one flat buffer
+        # that a step updates in place
+        net = clone.net
+        arrays = net.weights + net.biases
+        assert all(p.base is net.params for p in arrays)
+        assert np.concatenate([p.ravel() for p in arrays]).tobytes() \
+            == net.params.tobytes()
+        clone.blend(embed, 1, target=-1.0)
+        assert clone.net.params is net.params
+        assert clone.to_dict() == mlp.to_dict() != saved
+        assert [p.tolist() for p in arrays] \
+            == clone.to_dict()["weights"] + clone.to_dict()["biases"]
 
 
 def test_values_row_matches_single_lookups():
@@ -231,29 +253,86 @@ def test_mlp_rows_match_per_row_reference(hidden, seed, n_actions, state,
         == [v.hex() for v in expected]
 
 
+MLP_OPS = st.tuples(st.sampled_from(["values", "value", "blend", "sgd_step"]),
+                    st.integers(0, 2),  # which state
+                    st.lists(st.integers(0, 3), min_size=1, max_size=6),
+                    st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(hidden=st.sampled_from([(), (4,), (8, 3)]),
+       seed=st.integers(0, 2 ** 16),
+       limit=st.sampled_from([MlpValues.MEMO_LIMIT, 4]),
+       ops=st.lists(MLP_OPS, max_size=25))
+def test_mlp_memo_matches_memo_free_reference(hidden, seed, limit, ops):
+    """Any interleaving of reads, blends and direct steps on ``.net`` reads
+    and updates as the store without remembered forwards does, also when
+    the memo fills up; the fixed tail reads (s, a) right after a step at
+    (s, a), and again after a direct step, both of which must not see the
+    forward from before."""
+    states = [np.array([0.5, -1.0, 2.0]), np.array([0.0, 0.0, 0.0]),
+              np.array([3.0, 0.25, -0.75])]
+    for s in states:
+        s.flags.writeable = False
+    mlp = MlpValues.create(3 + 4, hidden=hidden, step_size=0.05, seed=seed)
+    mlp.MEMO_LIMIT = limit
+    ref = ReferenceMlpValues(MlpApprox.create(3 + 4, hidden=hidden,
+                                              step_size=0.05, seed=seed))
+    tail = [("values", 0, [0, 1, 2, 3], 0.0), ("blend", 0, [2], 1.5),
+            ("value", 0, [2], 0.0), ("values", 0, [2, 1], 0.0),
+            ("sgd_step", 0, [1], -2.0), ("value", 0, [1], 0.0)]
+    for op, i, actions, target in ops + tail:
+        s, a = states[i], actions[0]
+        if op == "values":
+            got, expected = mlp.values(s, actions), ref.values(s, actions)
+            assert all(type(v) is float for v in got)
+            assert [v.hex() for v in got] == [v.hex() for v in expected]
+        elif op == "value":
+            assert mlp.value(s, a).hex() == ref.value(s, a).hex()
+        elif op == "blend":
+            mlp.blend(s, a, target)
+            ref.blend(s, a, target)
+        else:
+            x = reference_input(s, a, mlp.net.input_dim)
+            sgd_step(mlp.net, x, target)
+            reference_sgd_step(ref.net, x, target)
+        assert mlp.net.params.tobytes() == ref.net.params.tobytes()
+        assert len(mlp._memo) < limit + 6  # a row holds up to 6 actions
+    assert mlp.to_dict() == ref.to_dict()
+
+
 def test_mlp_search_matches_per_row_reference(tmp_path, toy_space):
     oracle = SyntheticOracle(SyntheticTaskSpec((0.25, 0.05, 0.02)))
-    secondary = CallableSecondary(
+    one = CallableSecondary(
         lambda net, actions: [sum((5, 40, 70)[a] for a in actions)], 1)
-    cfg = ShapingConfig(episodes=20, max_steps=4, tau=-1e9, backend="mlp",
-                        hidden=(8,))
+    two = CallableSecondary(
+        lambda net, actions: [sum((5, 40, 70)[a] for a in actions),
+                              25.0 * len(actions)], 2)
+    setups = [
+        (one, ShapingConfig(episodes=20, max_steps=4, tau=-1e9,
+                            backend="mlp", hidden=(8,))),
+        (two, ShapingConfig(episodes=20, max_steps=4, tau=-1e9,
+                            backend="mlp", hidden=(32, 32),
+                            epsilon0=(1.0, 0.5), budgets=(200.0, 100.0),
+                            delta_mode="per_secondary"))]
 
     def runs():
         out = []
-        for weights in (None, (1.0, 0.1)):
-            full = run_search(toy_space, oracle, secondary, cfg, seed=9,
-                              weights=weights)
-            half = run_search(toy_space, oracle, secondary, cfg, seed=9,
-                              episodes=10, weights=weights)
-            path = tmp_path / "ckpt.json"
-            save_checkpoint(half.state, path)
-            rest = run_search(toy_space, oracle, secondary, cfg, seed=9,
-                              state=load_checkpoint(path), episodes=10,
-                              weights=weights)
-            out.append((full.fingerprint(), half.fingerprint(),
-                        rest.fingerprint(), rest.state.q.to_dict(),
-                        [phi.to_dict() for phi in rest.state.phis],
-                        type(rest.state.q)))
+        for secondary, cfg in setups:
+            for weights in (None, (1.0,) + (0.1,) * len(cfg.epsilon0)):
+                full = run_search(toy_space, oracle, secondary, cfg, seed=9,
+                                  weights=weights)
+                half = run_search(toy_space, oracle, secondary, cfg, seed=9,
+                                  episodes=10, weights=weights)
+                path = tmp_path / "ckpt.json"
+                save_checkpoint(half.state, path)
+                rest = run_search(toy_space, oracle, secondary, cfg, seed=9,
+                                  state=load_checkpoint(path), episodes=10,
+                                  weights=weights)
+                out.append((full.fingerprint(), half.fingerprint(),
+                            rest.fingerprint(), rest.state.q.to_dict(),
+                            [phi.to_dict() for phi in rest.state.phis],
+                            type(rest.state.q)))
         return out
 
     got = runs()
@@ -261,8 +340,8 @@ def test_mlp_search_matches_per_row_reference(tmp_path, toy_space):
             mock.patch("shapenas.function_approx.MlpValues",
                        ReferenceMlpValues):
         expected = runs()
-    assert [run[-1] for run in got] == [MlpValues] * 2
-    assert [run[-1] for run in expected] == [ReferenceMlpValues] * 2
+    assert [run[-1] for run in got] == [MlpValues] * 4
+    assert [run[-1] for run in expected] == [ReferenceMlpValues] * 4
     assert [run[:-1] for run in got] == [run[:-1] for run in expected]
 
 

@@ -886,11 +886,19 @@ POOL_STRIDE_0 = {"catalog": {"actions": [
      "config key 'shaping.epsilon_cap': epsilon_cap must be >= 0"),
     ({"shaping": {"epsilon_cap": float("nan")}},
      "config key 'shaping.epsilon_cap': epsilon_cap must be >= 0"),
+    *(({"shaping": {"backend": "mlp", "hidden": hidden}},
+       "config key 'shaping.hidden': hidden must be a list of positive "
+       "integers") for hidden in ([0], [-2], [3.5], 7)),
+    *(({"shaping": {"backend": "mlp", "q_step_size": step}},
+       "config key 'shaping.q_step_size': q_step_size must be a finite "
+       "number > 0") for step in (-0.5, 0, float("nan"))),
 ], ids=["field_named", "second_of_two_fields", "template_field",
         "no_field_named", "no_steps", "no_episodes", "negative_episodes",
         "fractional_episodes", "negative_warmup",
         "negative_shaping_episodes", "negative_epsilon_cap",
-        "nan_epsilon_cap"])
+        "nan_epsilon_cap", "zero_width_layer", "negative_width_layer",
+        "fractional_width_layer", "hidden_not_a_list",
+        "negative_q_step_size", "zero_q_step_size", "nan_q_step_size"])
 def test_dataclass_check_names_section_and_key(tmp_path, capsys, overrides,
                                                where):
     cfg = write_config(tmp_path, overrides)
