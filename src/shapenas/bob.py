@@ -9,6 +9,7 @@ exact hits on the infeasible registry short-circuit the gate.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,9 +39,16 @@ class BobConfig:
     min_samples: int = 20  # minimum feasible rows required to train
 
     def __post_init__(self):
-        if self.bag_size < 1:
-            raise ValueError(f"bag_size must be at least 1, got "
-                             f"{self.bag_size}")
+        for name, least in (("bag_size", 1), ("rounds", 0), ("max_depth", 0),
+                            ("min_samples_leaf", 0), ("min_samples", 0)):
+            value = getattr(self, name)
+            if type(value) is not int or value < least:
+                raise ValueError(f"{name} must be at least {least} and an "
+                                 f"integer, got {value!r}")
+        if not (isinstance(self.shrinkage, (int, float))
+                and 0 < self.shrinkage < math.inf):  # NaN fails this too
+            raise ValueError(f"shrinkage must be a finite number > 0, got "
+                             f"{self.shrinkage!r}")
 
 
 @dataclass(frozen=True)
@@ -234,18 +242,27 @@ def score(model: BobModel, holdout: MetaDataset) -> dict:
 
 
 def save_model(model: BobModel, path) -> None:
-    doc = {
+    """Write the model as one JSON document, ``json.dumps``'s text of it,
+    one member at a time, so that the text of only one member is held at
+    once (``json.dump`` would write the same text, but never takes the C
+    encoder)."""
+    head = json.dumps({
         "format_version": MODEL_FORMAT_VERSION,
         "columns": model.columns,
         "target_names": model.target_names,
         "infeasible_registry": [[list(a), list(c)]
                                 for a, c in sorted(model.infeasible_registry)],
         "gate": model.gate.to_dict() if model.gate is not None else None,
-        "members": [{name: reg.to_dict() for name, reg in member.items()}
-                    for member in model.members],
-    }
+        "members": [],
+    })
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc))  # json.dump never takes the C encoder
+        fh.write(head[:-len("[]}")] + "[")
+        for i, member in enumerate(model.members):
+            if i:
+                fh.write(", ")
+            fh.write(json.dumps({name: reg.to_dict()
+                                 for name, reg in member.items()}))
+        fh.write("]}")
 
 
 def _regressor(path, where: str, mapping, key):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import re
 import typing
 
@@ -184,9 +185,9 @@ def build_predictor_cfg(doc: dict) -> BobConfig:
         raise ConfigError(f"config key 'predictor.test_fraction' must be "
                           f"between 0 and 1 (exclusive), got {fraction!r}")
     factor = section.get("oversample_factor", 1.0)
-    if not _is_number(factor):
+    if not (_is_number(factor) and math.isfinite(factor)):
         raise ConfigError(f"config key 'predictor.oversample_factor' must "
-                          f"be a number, got {factor!r}")
+                          f"be a finite number, got {factor!r}")
     return cfg
 
 

@@ -286,15 +286,20 @@ def shaped_scores(q, phis, epsilons, s, legal) -> list:
     return scores
 
 
-def softmax(scores, temperature: float) -> np.ndarray:
-    """Softmax of ``scores / temperature`` in a new array; ``scores`` is
-    left as it is."""
-    z = np.array(scores, dtype=float)
-    z /= temperature
-    z -= z.max()
-    np.exp(z, out=z)
-    z /= z.sum()
-    return z
+def softmax(scores, temperature: float) -> list[float]:
+    """Softmax of ``scores / temperature`` as a list of floats. The
+    division, the max, the shift and the normalization are exact IEEE
+    operations, done here in Python floats with the bits numpy's give; only
+    ``np.exp`` and numpy's pairwise ``sum`` stay, since ``math.exp`` and a
+    sequential sum round otherwise. A NaN or +inf score, or all -inf, makes
+    every entry NaN, as in numpy (``max`` may pass over a NaN, but then the
+    sum is NaN)."""
+    z = [x / temperature for x in scores]
+    top = max(z)
+    e = np.array([x - top for x in z])
+    np.exp(e, out=e)
+    total = float(e.sum())
+    return [x / total for x in e.tolist()]
 
 
 def select_action(q, phis, epsilons, s, legal, temperature, rng) -> int:
@@ -310,7 +315,7 @@ def select_action(q, phis, epsilons, s, legal, temperature, rng) -> int:
     if not legal:
         raise TerminalStateError("no legal actions in this state")
     cdf = list(accumulate(softmax(shaped_scores(q, phis, epsilons, s, legal),
-                                  temperature).tolist()))
+                                  temperature)))
     total = cdf[-1]
     if not math.isfinite(total):  # a NaN or +inf score, or all -inf
         raise ValueError(f"state {s!r}: the softmax of the shaped scores at "

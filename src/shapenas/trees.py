@@ -6,6 +6,30 @@ import itertools
 import numpy as np
 
 
+def split_columns(X: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """The columns of ``X`` that can win a split, ascending; ``order`` is
+    ``np.argsort(X, axis=0, kind="stable")``.
+
+    A column is left out if it is constant, or if it has the stable order,
+    the boundaries (the sorted positions where its value rises) and the
+    NaN count of an earlier column, as an increasing function of that
+    column does. Every node then sorts its rows by the two columns alike
+    and finds a boundary in both or in neither, so the later column's gains
+    equal the earlier one's bit for bit, and ties go to the earlier column.
+    This is LightGBM's pre-filter of the features that cannot split (Ke et
+    al., NeurIPS 2017), kept exact."""
+    xs = np.take_along_axis(X, order, axis=0)
+    rises = xs[:-1] < xs[1:]
+    nans = np.isnan(xs).sum(axis=0)
+    keep, seen = [], set()
+    for f in range(X.shape[1]):
+        key = (order[:, f].tobytes(), rises[:, f].tobytes(), int(nans[f]))
+        if rises[:, f].any() and key not in seen:
+            keep.append(f)
+        seen.add(key)
+    return np.array(keep, dtype=np.intp)
+
+
 class RegressionTree:
     """Binary CART regressor with variance-reduction splits.
 
@@ -18,12 +42,14 @@ class RegressionTree:
     ``model.json`` stores and ``Forest`` compiles.
 
     ``fit`` sorts each feature once (XGBoost's presorted column blocks,
-    Chen & Guestrin, KDD 2016) and no node sorts again: a node holds every
-    feature's rows in sorted order and scores all features in one pass, and
-    a split filters each sorted column with the same mask. The tree is
-    bit-identical to one grown by a stable argsort of every feature at every
-    node: the prefix sums run in the same order, the gains use the same
-    arithmetic and node means sum their rows in row order.
+    Chen & Guestrin, KDD 2016) and no node sorts again. Only the columns
+    that can win a split (``split_columns``) are scored; nodes store their
+    original indices. A node holds those columns' rows in sorted order and
+    the sorted values, scores every column in one pass, and a split takes
+    both apart at the same flat indices. The tree is bit-identical to one
+    grown by a stable argsort of every feature at every node: the prefix
+    sums run in the same order, the gains use the same arithmetic, node
+    means sum their rows in row order, and ties go to the first feature.
     """
 
     def __init__(self, max_depth=4, min_samples_leaf=5):
@@ -35,22 +61,46 @@ class RegressionTree:
         self.right: list[int] = []
         self.value: list[float] = []
         self.fitted = np.empty(0)
+        self._root_key, self._root = None, None
 
     def fit(self, X: np.ndarray, y: np.ndarray,
-            order: np.ndarray | None = None) -> "RegressionTree":
+            order: np.ndarray | None = None,
+            columns: np.ndarray | None = None) -> "RegressionTree":
         """Grow the tree on ``(X, y)``. ``order`` is
-        ``np.argsort(X, axis=0, kind="stable")``, computed here when not
-        given; boosting passes it, since its trees all share one ``X``."""
-        if order is None:
-            order = np.argsort(X, axis=0, kind="stable")
+        ``np.argsort(X, axis=0, kind="stable")`` and ``columns`` is
+        ``split_columns(X, order)``; each is computed here when not given.
+
+        The root's sorted columns and split candidates do not depend on
+        ``y``, so a refit given the same ``X``, ``order`` and ``columns``
+        objects and ``min_samples_leaf`` keeps them: boosting refits one
+        tree on one ``X`` every round. A fit makes new node lists, so the
+        ``to_dict`` of an earlier fit stays as it was."""
+        key = (X, order, columns, self.min_samples_leaf)
+        if order is None or self._root_key is None or not all(
+                a is b for a, b in zip(key, self._root_key)):
+            self._root_key, self._root = key, self._presort(X, order, columns)
         self.feature, self.threshold = [], []
         self.left, self.right, self.value = [], [], []
         self.fitted = np.empty(len(y))
-        # block[f] lists the node's rows by ascending X[:, f], ties in row
-        # order: what a stable argsort of the node's own rows would give
-        self._grow(X, y, np.arange(len(y)), np.ascontiguousarray(order.T),
-                   depth=0)
+        columns, XT, block, xs, candidates = self._root
+        self._grow(columns, XT, y, np.arange(len(y)), block, xs, 0,
+                   candidates)
         return self
+
+    def _presort(self, X, order, columns):
+        """``(columns, X.T, block, xs, candidates)`` of the root: ``X.T``
+        contiguous, and the columns' rows and values in sorted order and
+        split candidates, as ``_grow`` takes them."""
+        if order is None:
+            order = np.argsort(X, axis=0, kind="stable")
+        if columns is None:
+            columns = split_columns(X, order)
+        XT = np.ascontiguousarray(X.T)
+        # block[c] lists the rows by ascending X[:, columns[c]], ties in
+        # row order: what a stable argsort of a node's own rows would give
+        block = order.T[columns]
+        xs = np.take_along_axis(XT[columns], block, axis=1)
+        return columns, XT, block, xs, self._candidates(xs)
 
     def _new_node(self) -> int:
         self.feature.append(-1)
@@ -60,66 +110,79 @@ class RegressionTree:
         self.value.append(0.0)
         return len(self.feature) - 1
 
-    def _grow(self, X, y, rows, block, depth) -> int:
-        """Grow the subtree of ``rows`` (ascending) whose sorted columns are
-        ``block``; ``block`` is None where the subtree is a leaf by depth.
-        A leaf writes its mean to its rows of ``fitted``."""
+    def _grow(self, columns, XT, y, rows, block, xs, depth,
+              candidates=None) -> int:
+        """Grow the subtree of ``rows`` (ascending); ``block[c]`` lists
+        them by ascending ``X[:, columns[c]]`` and ``xs[c]`` holds those
+        values. Both are None where the subtree is a leaf by depth.
+        ``candidates`` are the node's split candidates, found here when not
+        given. A leaf writes its mean to its rows of ``fitted``."""
         node = self._new_node()
         node_y = y[rows]
-        mean = self.value[node] = float(node_y.mean())
-        split = (None if depth >= self.max_depth
-                 else self._best_split(X, y, node_y, mean, block))
+        # node_y.mean()'s bits; an empty fit makes one NaN leaf
+        mean = self.value[node] = float(np.add.reduce(node_y) / len(rows))
+        split = (None if depth >= self.max_depth else
+                 self._best_split(y, node_y, mean, block, xs, candidates))
         if split is None:
             self.fitted[rows] = mean
             return node
-        f, t = split
-        go_left = X[:, f] <= t
-        self.feature[node] = f
-        self.threshold[node] = t
-        left_block = right_block = None
+        c, i = split
+        f = self.feature[node] = int(columns[c])
+        t = self.threshold[node] = float((xs[c, i] + xs[c, i + 1]) / 2.0)
+        go_left = XT[f] <= t
+        left = right = (None, None)
         if depth + 1 < self.max_depth:
-            block_left = go_left[block]
-            left_block = block[block_left].reshape(len(block), -1)
-            right_block = block[~block_left].reshape(len(block), -1)
+            # each sorted column keeps its order on both sides; flat
+            # indices and take are faster than boolean masks here
+            in_left = go_left[block]
+            left, right = ((block.ravel()[side].reshape(len(block), -1),
+                            xs.ravel()[side].reshape(len(block), -1))
+                           for side in (in_left.ravel().nonzero()[0],
+                                        (~in_left).ravel().nonzero()[0]))
         row_left = go_left[rows]
-        self.left[node] = self._grow(X, y, rows[row_left], left_block,
+        self.left[node] = self._grow(columns, XT, y, rows[row_left], *left,
                                      depth + 1)
-        self.right[node] = self._grow(X, y, rows[~row_left], right_block,
-                                      depth + 1)
+        self.right[node] = self._grow(columns, XT, y, rows[~row_left],
+                                      *right, depth + 1)
         return node
 
-    def _best_split(self, X, y, node_y, mean, block):
-        """The split of highest gain above 1e-12 as ``(feature, threshold)``,
-        or None; ``mean`` is ``node_y``'s. Ties go to the first feature, then
-        to the first boundary in ascending value order."""
-        n = len(node_y)
+    def _candidates(self, xs):
+        """``(c, i)``, in (column, position) order: the boundaries between
+        sorted positions i and i + 1 of ``xs[c]`` that leave at least
+        ``min_samples_leaf`` rows, and one, on each side."""
         m = max(self.min_samples_leaf, 1)  # 0 allows what 1 allows
-        # the boundary after sorted position i leaves i + 1 rows on the left;
-        # each side keeps at least m rows, so lo <= i < hi
-        lo, hi = m - 1, n - m
-        if hi <= lo:
+        lo, hi = m - 1, xs.shape[1] - m  # lo <= i < hi; none if hi <= lo
+        c, i = (xs[:, lo:hi] < xs[:, lo + 1:hi + 1]).nonzero()
+        return c, i + lo
+
+    def _best_split(self, y, node_y, mean, block, xs, candidates):
+        """The split of highest gain above 1e-12 as ``(c, i)``, column c
+        of ``xs`` between sorted positions i and i + 1, or None; ``mean``
+        is ``node_y``'s. Ties go to the first column, then to the first
+        boundary in ascending value order."""
+        c, i = self._candidates(xs) if candidates is None else candidates
+        if not len(c):
             return None
-        xs = X[block, np.arange(len(block))[:, None]]
-        f, i = np.nonzero(xs[:, lo:hi] < xs[:, lo + 1:hi + 1])
-        if not len(f):
-            return None
-        i += lo
-        # prefix sums, sequential along each sorted column
+        # prefix sums, sequential along each sorted column, read at flat
+        # indices: at (c, i) and at the column's last entry
+        n = len(node_y)
         ys = y[block]
-        csum = np.cumsum(ys, axis=1)
-        csq = np.cumsum(ys * ys, axis=1)
+        csum = ys.cumsum(axis=1).ravel()
+        csq = (ys * ys).cumsum(axis=1).ravel()
         total_ss = float(((node_y - mean) ** 2).sum())
         sizes = i + 1
-        left_ss = csq[f, i] - csum[f, i] ** 2 / sizes
-        rsum = csum[f, -1] - csum[f, i]
-        rsq = csq[f, -1] - csq[f, i]
-        right_ss = rsq - rsum ** 2 / (n - sizes)
+        right_sizes = n - sizes
+        at = c * n + i
+        end = at + right_sizes
+        left_sum, left_sq = csum[at], csq[at]
+        left_ss = left_sq - left_sum ** 2 / sizes
+        rsum = csum[end] - left_sum
+        right_ss = (csq[end] - left_sq) - rsum ** 2 / right_sizes
         gain = total_ss - left_ss - right_ss
-        k = int(np.argmax(gain))  # the first maximum in (feature, i) order
+        k = int(gain.argmax())  # the first maximum in (c, i) order
         if not gain[k] > 1e-12:
             return None
-        f, i = int(f[k]), int(i[k])
-        return f, float((xs[f, i] + xs[f, i + 1]) / 2.0)
+        return int(c[k]), int(i[k])
 
     def to_dict(self) -> dict:
         return {
@@ -161,11 +224,13 @@ class BoostedRegressor:
         self.base_prediction = float(y.mean())
         self.trees, self.train_losses = [], []
         current = np.full(len(y), self.base_prediction)
-        order = np.argsort(X, axis=0, kind="stable")  # same X every round
+        # the same X every round: sort and prune once, and refit one tree,
+        # which keeps its root's sorted columns from round to round
+        order = np.argsort(X, axis=0, kind="stable")
+        columns = split_columns(X, order)
+        tree = RegressionTree(self.max_depth, self.min_samples_leaf)
         for _ in range(self.rounds):
-            residual = y - current
-            tree = RegressionTree(self.max_depth, self.min_samples_leaf).fit(
-                X, residual, order)
+            tree.fit(X, y - current, order, columns)
             self.trees.append(tree.to_dict())
             current = current + self.learning_rate * tree.fitted
             self.train_losses.append(float(((y - current) ** 2).mean()))

@@ -216,6 +216,27 @@ def test_save_load_roundtrip_identical(tmp_path):
     assert clone.infeasible_registry == model.infeasible_registry
 
 
+def test_saved_file_is_json_dumps_of_the_whole_model(tmp_path):
+    # save_model writes one member at a time; the bytes are those of the
+    # whole document in one json.dumps
+    data = toy_dataset(tmp_path, infeasible_every=5)
+    model = learn_meta(data, CFG, seed=0)
+    assert model.gate is not None and model.infeasible_registry
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    doc = {
+        "format_version": MODEL_FORMAT_VERSION,
+        "columns": model.columns,
+        "target_names": model.target_names,
+        "infeasible_registry": [[list(a), list(c)] for a, c in
+                                sorted(model.infeasible_registry)],
+        "gate": model.gate.to_dict(),
+        "members": [{name: reg.to_dict() for name, reg in member.items()}
+                    for member in model.members],
+    }
+    assert path.read_bytes() == json.dumps(doc).encode("utf-8")
+
+
 def test_load_corrupt_file(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

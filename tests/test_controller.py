@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from shapenas import (ActionCatalog, BobConfig, CandidateNetwork, ContextSpec,
                       LayerTemplate, SearchSpace, ShapingConfig,
@@ -170,7 +170,7 @@ def test_select_action_draws_as_generator_choice(scores, eps, temperature,
     phi = TabularValues({(s, a): v for a, (_, v) in zip(legal, scores)})
     shaped = np.array([q.value(s, a) + eps * phi.value(s, a) for a in legal])
     probs = reference_softmax(shaped, temperature)
-    assert softmax(shaped, temperature).tolist() == probs.tolist()
+    assert softmax(shaped, temperature) == probs.tolist()
     if tie is None:
         rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
     else:
@@ -187,6 +187,49 @@ def test_select_action_draws_as_generator_choice(scores, eps, temperature,
     want = legal[twin.choice(len(legal), p=probs)]
     assert select_action(q, [phi], (eps,), s, legal, temperature, rng) == want
     assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def numpy_softmax(scores, temperature):
+    """The softmax as numpy operations throughout: the reference for the
+    bits of the one that does its exact steps in Python floats."""
+    z = np.array(scores, dtype=float)
+    z /= temperature
+    z -= z.max()
+    np.exp(z, out=z)
+    z /= z.sum()
+    return z
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=400, deadline=None)
+@given(scores=st.lists(SCORES | st.sampled_from([math.nan, math.inf,
+                                                 -math.inf]),
+                       min_size=1, max_size=13),
+       temperature=st.floats(0.05, 10.0) | st.sampled_from([1, 3]))
+@example(scores=[-math.inf, -math.inf, -math.inf], temperature=1.0)
+@example(scores=[1.0, math.nan, 2.0], temperature=0.5)
+@example(scores=[math.inf, 1.0, -math.inf], temperature=2.0)
+@example(scores=[-0.0, 0.0, -math.inf], temperature=1)
+def test_softmax_bits_equal_numpy_softmax(scores, temperature):
+    want = numpy_softmax(scores, temperature)
+    got = softmax(scores, temperature)
+    assert all(type(p) is float for p in got)
+    # every entry is NaN on both sides, or every bit is equal (a NaN's
+    # sign and payload are not compared)
+    non_finite = bool(np.isnan(want).any())
+    if non_finite:
+        assert np.isnan(want).all() and np.isnan(got).all()
+    else:
+        assert np.array(got).tobytes() == want.tobytes()
+    q = TabularValues({(("s",), a): v for a, v in enumerate(scores)})
+    legal = list(range(len(scores)))
+    if non_finite:
+        with pytest.raises(ValueError, match="is not finite"):
+            select_action(q, [], (), ("s",), legal, temperature,
+                          np.random.default_rng(0))
+    else:
+        assert select_action(q, [], (), ("s",), legal, temperature,
+                             np.random.default_rng(0)) in legal
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -892,17 +892,31 @@ POOL_STRIDE_0 = {"catalog": {"actions": [
     *(({"shaping": {"backend": "mlp", "q_step_size": step}},
        "config key 'shaping.q_step_size': q_step_size must be a finite "
        "number > 0") for step in (-0.5, 0, float("nan"))),
+    # train-predictor checks its section before it reads the stats file
+    *(({"predictor": {"stats_path": "never_read.csv", key: value}},
+       f"config key 'predictor.{key}'") for key, value in (
+        ("rounds", 2.5), ("bag_size", 2.5), ("shrinkage", float("nan")),
+        ("rounds", -1), ("max_depth", -2), ("max_depth", 1.5),
+        ("shrinkage", -0.5), ("min_samples_leaf", -3),
+        ("min_samples_leaf", 0.5), ("min_samples", -1),
+        ("oversample_factor", float("nan")))),
 ], ids=["field_named", "second_of_two_fields", "template_field",
         "no_field_named", "no_steps", "no_episodes", "negative_episodes",
         "fractional_episodes", "negative_warmup",
         "negative_shaping_episodes", "negative_epsilon_cap",
         "nan_epsilon_cap", "zero_width_layer", "negative_width_layer",
         "fractional_width_layer", "hidden_not_a_list",
-        "negative_q_step_size", "zero_q_step_size", "nan_q_step_size"])
+        "negative_q_step_size", "zero_q_step_size", "nan_q_step_size",
+        "fractional_rounds", "fractional_bag_size", "nan_shrinkage",
+        "negative_rounds", "negative_max_depth", "fractional_max_depth",
+        "negative_shrinkage", "negative_min_samples_leaf",
+        "fractional_min_samples_leaf", "negative_min_samples",
+        "nan_oversample_factor"])
 def test_dataclass_check_names_section_and_key(tmp_path, capsys, overrides,
                                                where):
     cfg = write_config(tmp_path, overrides)
-    rc, err = run_cli(tmp_path, capsys, cfg)
+    command = "train-predictor" if "predictor" in overrides else "search"
+    rc, err = run_cli(tmp_path, capsys, cfg, command=command)
     assert rc == 2
     assert where in err
 

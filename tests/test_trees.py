@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shapenas.trees import BoostedRegressor, RegressionTree
+from shapenas.trees import BoostedRegressor, RegressionTree, split_columns
 
 
 def walk(tree, X):
@@ -44,6 +44,12 @@ def test_tree_respects_depth_and_leaf_means():
     # a leaf prediction is a mean of targets, hence inside the target range
     pred = walk(tree.to_dict(), X)
     assert pred.min() >= y.min() and pred.max() <= y.max()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_empty_fit_makes_one_nan_leaf():
+    tree = RegressionTree().fit(np.empty((0, 3)), np.empty(0))
+    assert tree.feature == [-1] and np.isnan(tree.value).all()
 
 
 def test_boosting_constant_target_is_exact():
@@ -160,11 +166,11 @@ def test_fitted_walk_equals_per_tree_loop(rounds, max_depth,
 
 class ReferenceTree(RegressionTree):
     """The grower the presorted fit replaces: a stable argsort of every
-    feature at every node. ``order`` is accepted and ignored, so that
-    boosting can run on this grower. ``fitted`` comes from the reference
-    walk."""
+    feature at every node, all features scored. ``order`` and ``columns``
+    are accepted and ignored, so that boosting can run on this grower.
+    ``fitted`` comes from the reference walk."""
 
-    def fit(self, X, y, order=None):
+    def fit(self, X, y, order=None, columns=None):
         self.feature, self.threshold = [], []
         self.left, self.right, self.value = [], [], []
         self._grow(X, y, depth=0)
@@ -213,19 +219,26 @@ class ReferenceTree(RegressionTree):
         return best
 
 
+COPIES = {"copy": lambda x: x, "increasing": lambda x: 3 * x + 1,
+          "decreasing": lambda x: -x}
+
+
 @st.composite
 def fit_data(draw):
     """Rows and targets with the ties that decide splits: columns of 1-4
-    levels (a constant one among them), copies of earlier columns (equal
-    gains across features), continuous columns, bootstrap duplicates, and
-    few-level or constant targets."""
+    levels (a constant one among them), copies of earlier columns and
+    increasing functions of them (equal gains across features, which the
+    fit prunes), decreasing ones (which it must keep), continuous columns,
+    bootstrap duplicates, and few-level or constant targets."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n = draw(st.integers(1, 80))
     columns = []
     for _ in range(draw(st.integers(1, 4))):
-        kind = draw(st.sampled_from(["levels", "continuous", "copy"]))
-        if kind == "copy" and columns:
-            columns.append(columns[draw(st.integers(0, len(columns) - 1))])
+        kind = draw(st.sampled_from(["levels", "continuous", "copy",
+                                     "increasing", "decreasing"]))
+        if kind in COPIES and columns:
+            earlier = columns[draw(st.integers(0, len(columns) - 1))]
+            columns.append(COPIES[kind](earlier))
         elif kind == "continuous":
             columns.append(rng.normal(size=n))
         else:
@@ -250,7 +263,8 @@ def fit_data(draw):
        min_samples_leaf=st.integers(0, 6))
 def test_presorted_fit_equals_per_node_sort(data, max_depth,
                                             min_samples_leaf):
-    # covers n < 2 * min_samples_leaf too: n starts at 1
+    # covers n < 2 * min_samples_leaf too: n starts at 1; the pruned tree
+    # scores fewer columns than the reference, which sees all of X
     X, y = data
     tree = RegressionTree(max_depth, min_samples_leaf).fit(X, y)
     ref = ReferenceTree(max_depth, min_samples_leaf).fit(X, y)
@@ -279,3 +293,56 @@ def test_fitted_equals_walk_over_training_rows(data, max_depth,
     X, y = data
     tree = RegressionTree(max_depth, min_samples_leaf).fit(X, y)
     assert np.array_equal(tree.fitted, walk(tree.to_dict(), X))
+
+
+def test_split_columns_drops_constant_columns_and_increasing_copies():
+    rng = np.random.default_rng(4)
+    base = rng.integers(0, 5, 50) * 0.5
+    other = rng.normal(size=50)
+    X = np.stack([np.full(50, 2.0),   # constant
+                  base,
+                  3 * base + 1,       # an increasing function of base
+                  -base,              # decreasing: sorts ties another way
+                  base,               # a copy
+                  other,
+                  np.exp(other),      # increasing in other
+                  np.minimum(base, 1.0),  # merges levels: kept
+                  base + (base >= 1.0)    # increasing with a jump
+                  ], axis=1)
+    order = np.argsort(X, axis=0, kind="stable")
+    assert split_columns(X, order).tolist() == [1, 3, 5, 7]
+
+
+def test_split_columns_keeps_a_column_that_differs_only_in_nans():
+    # the first two columns sort alike and rise at the same places, but
+    # NaN < 2 is false: once the third column splits off the rows of 2, the
+    # node left holds 0, 1 and NaN, which only the second column separates
+    nan_col = np.repeat([0.0, 1.0, 2.0, np.nan], 3)
+    X = np.stack([nan_col, np.repeat([0.0, 1.0, 2.0, 2.0], 3),
+                  np.repeat([0.0, 0.0, 1.0, 0.0], 3)], axis=1)
+    y = np.repeat([0.0, 1.0, 100.0, 8.0], 3)
+    assert split_columns(X, np.argsort(X, axis=0, kind="stable")).tolist() \
+        == [0, 1, 2]
+    tree = RegressionTree(2, 1).fit(X, y)
+    assert tree.feature == [2, 1, -1, -1, -1]
+    assert tree.to_dict() == ReferenceTree(2, 1).fit(X, y).to_dict()
+
+
+def test_refit_on_same_presort_equals_fresh_fit():
+    rng = np.random.default_rng(5)
+    X = np.round(rng.uniform(size=(60, 3)), 1)
+    order = np.argsort(X, axis=0, kind="stable")
+    columns = split_columns(X, order)
+    tree = RegressionTree(3, 2)
+    for seed in range(3):
+        y = np.random.default_rng(seed).normal(size=60)
+        first = tree.fit(X, y, order, columns).to_dict()
+        assert first == RegressionTree(3, 2).fit(X, y).to_dict()
+        assert np.array_equal(tree.fitted, walk(first, X))
+    # the root's candidates change with min_samples_leaf: the best split
+    # at 2 sets the few rows of the largest X[:, 0] apart, which 20 forbids
+    y = 100.0 * (X[:, 0] == X[:, 0].max())
+    tree.fit(X, y, order, columns)
+    tree.min_samples_leaf = 20
+    assert tree.fit(X, y, order, columns).to_dict() == RegressionTree(
+        3, 20).fit(X, y).to_dict()
