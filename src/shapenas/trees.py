@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 
 import numpy as np
 
@@ -253,8 +255,13 @@ class BoostedRegressor:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BoostedRegressor":
-        """The regressor ``to_dict`` wrote; its trees are checked when a
-        ``Forest`` compiles them."""
+        """The regressor ``to_dict`` wrote. ``learning_rate`` and
+        ``base_prediction`` must be finite numbers; the trees are checked
+        when a ``Forest`` compiles them."""
+        for key in ("learning_rate", "base_prediction"):
+            # not a bool, a string or None, which numpy reads as a number
+            if not (type(d[key]) in (int, float) and math.isfinite(d[key])):
+                raise ValueError(f"{key} {d[key]!r} is not a finite number")
         model = cls(d["rounds"], d["learning_rate"], d["max_depth"],
                     d["min_samples_leaf"])
         model.base_prediction = float(d["base_prediction"])
@@ -263,16 +270,24 @@ class BoostedRegressor:
         return model
 
 
+_NODE_LISTS = ("feature", "threshold", "left", "right", "value")
+
+
 def _node_arrays(trees: list, n_features: int):
     """The node lists of ``trees`` stacked tree after tree, as ``(sizes,
     local, feature, threshold, left, right, value)``: each tree's node
     count, each node's index in its tree, and the five lists. Raises
     ValueError naming the tree and node unless every tree's node lists
-    share one nonzero length, values are finite, and each feature is -1 (a
-    leaf) or a column below ``n_features`` with a finite threshold and
-    children after it in its own tree, so that every walk ends at a leaf."""
-    lengths = np.array([[len(t[name]) for t in trees] for name in
-                        ("feature", "threshold", "left", "right", "value")],
+    share one nonzero length, ``feature``, ``left`` and ``right`` hold ints
+    in intp's range, values are finite, and each feature is -1 (a leaf) or
+    a column below ``n_features`` with a finite threshold and children
+    after it in its own tree, so that every walk ends at a leaf."""
+    # per_tree[name] holds each tree's list; map and itemgetter keep the
+    # per-tree work out of Python bytecode
+    per_tree = dict(zip(_NODE_LISTS, list(zip(*map(
+        operator.itemgetter(*_NODE_LISTS), trees))) or [()] * 5))
+    lengths = np.array([list(map(len, per_tree[name]))
+                        for name in _NODE_LISTS],
                        dtype=np.intp).reshape(5, len(trees))
     sizes = lengths[0]
     uneven = (sizes == 0) | (lengths != sizes).any(axis=0)
@@ -280,15 +295,31 @@ def _node_arrays(trees: list, n_features: int):
         raise ValueError(f"tree {int(np.argmax(uneven))}: node lists are "
                          f"empty or differ in length")
     n_nodes = int(sizes.sum())
+    ends = np.cumsum(sizes)
 
-    def stacked(name, dtype):
-        return np.fromiter(itertools.chain.from_iterable(
-            t[name] for t in trees), dtype, n_nodes)
+    def node_of(i) -> str:
+        tree = int(np.searchsorted(ends, i, side="right"))
+        return f"tree {tree} node {i - ends[tree] + sizes[tree]}"
 
-    feature, left, right = (stacked(name, np.intp)
-                            for name in ("feature", "left", "right"))
-    threshold, value = stacked("threshold", float), stacked("value", float)
-    local = np.arange(n_nodes) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    def indices(name):
+        # numpy would read 1.5, true or "2" as an index; an int past intp
+        # overflows
+        entries = list(itertools.chain.from_iterable(per_tree[name]))
+        if list(map(type, entries)).count(int) == n_nodes:
+            try:
+                return np.fromiter(entries, np.intp, n_nodes)
+            except OverflowError:
+                pass
+        info = np.iinfo(np.intp)
+        i = next(i for i, v in enumerate(entries) if type(v) is not int
+                 or not info.min <= v <= info.max)
+        raise ValueError(f"{node_of(i)}: {name} {entries[i]!r} is not an "
+                         f"index")
+
+    feature, left, right = map(indices, ("feature", "left", "right"))
+    threshold, value = (np.fromiter(itertools.chain.from_iterable(
+        per_tree[name]), float, n_nodes) for name in ("threshold", "value"))
+    local = np.arange(n_nodes) - np.repeat(ends - sizes, sizes)
     size = np.repeat(sizes, sizes)
     bad = ~np.isfinite(value) | (feature != -1) & (
         (feature < 0) | (feature >= n_features) | ~np.isfinite(threshold)
@@ -296,9 +327,8 @@ def _node_arrays(trees: list, n_features: int):
         | (right <= local) | (right >= size))
     if bad.any():
         i = int(np.argmax(bad))
-        tree = int(np.searchsorted(np.cumsum(sizes), i, side="right"))
         raise ValueError(
-            f"tree {tree} node {local[i]}: feature {feature[i]}, threshold "
+            f"{node_of(i)}: feature {feature[i]}, threshold "
             f"{threshold[i]}, children {left[i]} and {right[i]}, value "
             f"{value[i]}: not a node of a {size[i]}-node tree over "
             f"{n_features} columns")
@@ -322,20 +352,26 @@ class Forest:
 
     def __init__(self, regressors, n_features: int, names=None):
         self.regressors = list(regressors)
-        blocks = []
-        for r, reg in enumerate(self.regressors):
-            try:
-                blocks.append(_node_arrays(reg.trees, n_features))
-            except (KeyError, TypeError, ValueError) as exc:
-                if names is None:
-                    raise
-                problem = f"no key {exc}" if isinstance(exc, KeyError) else exc
-                raise ValueError(f"{names[r]}: {problem}") from exc
-        sizes, local, feature, threshold, left, right, value = (
-            np.concatenate(arrays) for arrays in zip(*blocks))
+        try:  # all regressors' trees in one pass
+            sizes, local, feature, threshold, left, right, value = (
+                _node_arrays([tree for reg in self.regressors
+                              for tree in reg.trees], n_features))
+        except (KeyError, TypeError, ValueError):
+            # the first malformed regressor names the error
+            for r, reg in enumerate(self.regressors):
+                try:
+                    _node_arrays(reg.trees, n_features)
+                except (KeyError, TypeError, ValueError) as exc:
+                    if names is None:
+                        raise
+                    problem = (f"no key {exc}" if isinstance(exc, KeyError)
+                               else exc)
+                    raise ValueError(f"{names[r]}: {problem}") from exc
+            raise
         # tree j is tree rank[j] of regressor owner[j]
-        self._counts = np.array([len(b[0]) for b in blocks], dtype=np.intp)
-        self._owner = np.repeat(np.arange(len(blocks)), self._counts)
+        self._counts = np.array([len(reg.trees) for reg in self.regressors],
+                                dtype=np.intp)
+        self._owner = np.repeat(np.arange(len(self.regressors)), self._counts)
         self._rank = np.arange(len(sizes)) - np.repeat(
             np.cumsum(self._counts) - self._counts, self._counts)
         self._roots = np.cumsum(sizes) - sizes

@@ -305,9 +305,48 @@ def no_members(doc):
     return "model file has no members"
 
 
+def null_columns(doc):
+    doc["columns"] = None
+    return "columns must be a list of strings, got None"
+
+
+def number_in_registry(doc):
+    doc["infeasible_registry"][1] = 1
+    return "infeasible_registry entry 1: 1 is not a pair of number lists"
+
+
+def string_learning_rate(doc):
+    doc["members"][1]["Memory Usage"]["learning_rate"] = "x"
+    return ("member 1, target 'Memory Usage': learning_rate 'x' is not a "
+            "finite number")
+
+
+def index_entry(name, bad):
+    """Entry ``name`` of tree 2's first split set to ``bad``, which numpy
+    would read as an index."""
+    def corrupt(doc):
+        tree, j = corrupt_tree(doc)
+        tree[name][j] = bad
+        return (f"member 1, target 'Memory Usage': tree 2 node {j}: {name} "
+                f"{bad!r} is not an index")
+    corrupt.__name__ = f"{name}_{bad!r}"
+    return corrupt
+
+
+def threshold_past_double_range(doc):
+    tree, j = corrupt_tree(doc)
+    tree["threshold"][j] = 10 ** 400
+    return "not a valid model file"
+
+
 @pytest.mark.parametrize("corrupt", [
     left_into_next_tree, feature_past_columns, short_threshold,
-    child_before_parent, null_threshold, member_lacks_target, no_members])
+    child_before_parent, null_threshold, member_lacks_target, no_members,
+    null_columns, number_in_registry, string_learning_rate,
+    index_entry("feature", 1.5), index_entry("feature", True),
+    index_entry("left", 1.5), index_entry("right", True),
+    index_entry("feature", 2 ** 63), threshold_past_double_range],
+    ids=lambda corrupt: corrupt.__name__)
 def test_load_rejects_malformed_model(gated, tmp_path, corrupt):
     model, _ = gated
     path = tmp_path / "model.json"
@@ -318,6 +357,96 @@ def test_load_rejects_malformed_model(gated, tmp_path, corrupt):
     with pytest.raises(ModelFormatError,
                        match=re.escape(f"{path}: {where}")):
         load_model(path)
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "3"])
+def test_load_rejects_top_level_that_is_not_an_object(tmp_path, text):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    with pytest.raises(ModelFormatError, match=re.escape(
+            f"{path}: not a valid model file: the top level is {text}, not "
+            f"an object")):
+        load_model(path)
+
+
+def test_load_names_an_index_past_64_bits(gated, tmp_path):
+    # orjson reads an integer past 64 bits as a float, or refuses the file
+    model, _ = gated
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    tree, j = corrupt_tree(doc)
+    tree["feature"][j] = 2 ** 64
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match=re.escape(f"{path}: ") + (
+            f"not a valid model file|member 1, target 'Memory Usage': "
+            f"tree 2 node {j}: feature .* is not an index")):
+        load_model(path)
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_load_rejects_nan_and_infinity_tokens(gated, tmp_path, token):
+    # json would read them; a model file never holds them
+    model, _ = gated
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    doc["members"][0]["Memory Usage"]["base_prediction"] = float(token)
+    path.write_text(json.dumps(doc))
+    assert token in path.read_text()
+    with pytest.raises(ModelFormatError,
+                       match=re.escape(f"{path}: not a valid model file")):
+        load_model(path)
+
+
+# -0.0, subnormals, the extremes and reprs such as 1e+16 and 1e-07
+FLOATS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e16, -1e16, 1e-7, 1e22, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=40, deadline=None)
+@given(pool=st.lists(FLOATS, min_size=1, max_size=16),
+       seed=st.integers(0, 2 ** 16))
+def test_save_load_keeps_every_float_bit_for_bit(gated, tmp_path_factory,
+                                                 pool, seed):
+    model, rows = gated
+    rng = np.random.default_rng(seed)
+
+    def draw(n):
+        return [pool[i] for i in rng.integers(0, len(pool), n)]
+
+    def scrambled(reg):
+        d = reg.to_dict()
+        learning_rate, base = draw(2)
+        trees = [dict(t, threshold=draw(len(t["threshold"])),
+                      value=draw(len(t["value"]))) for t in d["trees"]]
+        return BoostedRegressor.from_dict(dict(
+            d, learning_rate=learning_rate, base_prediction=base,
+            trees=trees))
+
+    def hexes(m):
+        return [(reg.learning_rate.hex(), reg.base_prediction.hex(),
+                 [x.hex() for t in reg.trees
+                  for x in t["threshold"] + t["value"]])
+                for reg in [r for member in m.members
+                            for r in member.values()] + [m.gate]]
+
+    original = BobModel(
+        model.columns, model.target_names,
+        [{name: scrambled(reg) for name, reg in member.items()}
+         for member in model.members],
+        scrambled(model.gate), model.infeasible_registry)
+    path = tmp_path_factory.mktemp("floats") / "model.json"
+    save_model(original, path)
+    loaded = load_model(path)
+    assert hexes(loaded) == hexes(original)
+    with np.errstate(all="ignore"):  # large values overflow alike
+        assert (loaded.predict_matrix(rows).tobytes()
+                == original.predict_matrix(rows).tobytes())
+        assert (loaded.gate_forest.predict(rows).tobytes()
+                == original.gate_forest.predict(rows).tobytes())
 
 
 def test_predict_matrix_on_zero_rows(tmp_path):

@@ -2,7 +2,10 @@ import csv
 import hashlib
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 import yaml
@@ -899,7 +902,8 @@ POOL_STRIDE_0 = {"catalog": {"actions": [
         ("rounds", -1), ("max_depth", -2), ("max_depth", 1.5),
         ("shrinkage", -0.5), ("min_samples_leaf", -3),
         ("min_samples_leaf", 0.5), ("min_samples", -1),
-        ("oversample_factor", float("nan")))),
+        ("oversample_factor", float("nan")), ("oversample_factor", -3.0),
+        ("oversample_factor", 0.5))),
 ], ids=["field_named", "second_of_two_fields", "template_field",
         "no_field_named", "no_steps", "no_episodes", "negative_episodes",
         "fractional_episodes", "negative_warmup",
@@ -911,7 +915,8 @@ POOL_STRIDE_0 = {"catalog": {"actions": [
         "negative_rounds", "negative_max_depth", "fractional_max_depth",
         "negative_shrinkage", "negative_min_samples_leaf",
         "fractional_min_samples_leaf", "negative_min_samples",
-        "nan_oversample_factor"])
+        "nan_oversample_factor", "negative_oversample_factor",
+        "oversample_factor_below_one"])
 def test_dataclass_check_names_section_and_key(tmp_path, capsys, overrides,
                                                where):
     cfg = write_config(tmp_path, overrides)
@@ -943,3 +948,27 @@ def test_log_level_shows_memo_log_and_traceback_only_at_debug(
     err = capsys.readouterr().err
     assert "schema_version 99" in err
     assert ("Traceback (most recent call last)" in err) == (level == "debug")
+
+
+def test_compare_without_a_model_never_imports_orjson(tmp_path):
+    # load_model imports orjson itself, so a command that loads no model
+    # does not pay its import or its memory
+    cfg = write_config(tmp_path, {"shaping": {"episodes": 3}})
+    code = f"""
+import sys
+import shapenas.cli
+assert "orjson" not in sys.modules
+assert shapenas.cli.main(["compare", "--config", {cfg!r},
+                          "--out", {str(tmp_path / "out")!r}]) == 0
+assert "orjson" not in sys.modules, "compare imported orjson"
+try:
+    shapenas.bob.load_model({str(tmp_path / "missing.json")!r})
+except OSError:
+    pass
+assert "orjson" in sys.modules, "load_model did not import orjson"
+"""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
