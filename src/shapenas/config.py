@@ -73,12 +73,23 @@ def _is_number(value) -> bool:
 
 
 def number_list(value, key: str) -> tuple:
-    """``value`` as a tuple of numbers; anything but a list of numbers
-    raises a ConfigError naming ``key``."""
-    if not isinstance(value, list) or not all(map(_is_number, value)):
+    """``value`` as a tuple of numbers; anything but a list (or tuple) of
+    numbers raises a ConfigError naming ``key``."""
+    if not isinstance(value, (list, tuple)) or not all(map(_is_number,
+                                                           value)):
         raise ConfigError(f"config key {key!r} must be a list of numbers, "
                           f"got {value!r}")
     return tuple(value)
+
+
+def path_key(section_doc, key: str, section: str) -> str:
+    """The file path at ``section.key``, which must be a non-empty string:
+    ``open`` would read an int as a file descriptor."""
+    path = require(section_doc, key, section)
+    if not isinstance(path, str) or not path:
+        raise ConfigError(f"config key '{section}.{key}' must be a non-empty "
+                          f"path string, got {path!r}")
+    return path
 
 
 def _tuples(value):
@@ -146,8 +157,22 @@ def build_context(doc: dict) -> ContextSpec:
 
 
 def build_contexts(doc: dict) -> list[ContextSpec]:
-    return [build_section(ContextSpec, c, f"contexts[{i}]")
-            for i, c in enumerate(require(doc, "contexts"))]
+    """The ``contexts`` list: at least one context, all with the same
+    number of task values, since the rows of all contexts share columns."""
+    specs = require(doc, "contexts")
+    if not isinstance(specs, list) or not specs:
+        raise ConfigError(f"config key 'contexts' must be a non-empty list, "
+                          f"got {specs!r}")
+    contexts = [build_section(ContextSpec, c, f"contexts[{i}]")
+                for i, c in enumerate(specs)]
+    for i, ctx in enumerate(contexts):
+        task = number_list(ctx.task, f"contexts[{i}].task")
+        if len(task) != len(contexts[0].task):
+            raise ConfigError(
+                f"config key 'contexts[{i}].task' has {len(task)} values, "
+                f"but 'contexts[0].task' has {len(contexts[0].task)}: every "
+                f"context needs the same number")
+    return contexts
 
 
 def build_input_shape(doc: dict) -> tuple[int, int, int]:
@@ -173,13 +198,15 @@ def build_shaping(doc: dict) -> ShapingConfig:
     return build_section(ShapingConfig, require(doc, "shaping"), "shaping")
 
 
-def build_predictor_cfg(doc: dict) -> BobConfig:
-    """The predictor section's ``BobConfig``; also checks the section's
-    ``test_fraction`` and ``oversample_factor``, which the caller reads."""
+def build_predictor_cfg(doc: dict) -> tuple[BobConfig, str, float, float]:
+    """The predictor section as ``(bob_cfg, stats_path, test_fraction,
+    oversample_factor)``, with the defaults 0.25 and 1.0 (no
+    oversampling)."""
     section = doc.get("predictor", {})
     cfg = build_section(BobConfig, section, "predictor",
                         other_keys=("stats_path", "test_fraction",
                                     "oversample_factor"))
+    stats_path = path_key(section, "stats_path", "predictor")
     fraction = section.get("test_fraction", 0.25)
     if not _is_number(fraction) or not 0 < fraction < 1:
         raise ConfigError(f"config key 'predictor.test_fraction' must be "
@@ -188,7 +215,7 @@ def build_predictor_cfg(doc: dict) -> BobConfig:
     if not (_is_number(factor) and 1 <= factor < math.inf):
         raise ConfigError(f"config key 'predictor.oversample_factor' must "
                           f"be a finite number >= 1, got {factor!r}")
-    return cfg
+    return cfg, stats_path, fraction, factor
 
 
 def build_oracle(doc: dict, catalog: ActionCatalog):
@@ -205,7 +232,7 @@ def build_oracle(doc: dict, catalog: ActionCatalog):
     if kind == "tabular":  # the synthetic oracle's keys are ignored
         check_keys(spec, "oracle", {"kind", "path"}
                    | {f.name for f in dataclasses.fields(SyntheticTaskSpec)})
-        return TabularOracle(require(spec, "path", "oracle"))
+        return TabularOracle(path_key(spec, "path", "oracle"))
     raise ConfigError(f"unknown oracle kind {kind!r}")
 
 
@@ -230,6 +257,23 @@ def _check_synthetic(spec: dict, n: int) -> None:
                 f"catalog's {n} (0 to {n - 1})")
 
 
-def build_synth_stats_model(doc: dict) -> SynthStatsModel:
-    return build_section(SynthStatsModel, doc.get("synth_stats_model", {}),
-                         "synth_stats_model")
+def build_synth_corpus(doc: dict
+                       ) -> tuple[list[ContextSpec], SynthStatsModel, int]:
+    """gen-synth's ``(contexts, ground-truth model, row count)``: one
+    context multiplier per context, and ``synth_stats.count`` an integer of
+    at least 1 (default 1000)."""
+    contexts = build_contexts(doc)
+    model = build_section(SynthStatsModel, doc.get("synth_stats_model", {}),
+                          "synth_stats_model")
+    key = "synth_stats_model.context_multipliers"
+    multipliers = number_list(model.context_multipliers, key)
+    if len(multipliers) != len(contexts):
+        raise ConfigError(f"config key '{key}' has {len(multipliers)} "
+                          f"entries, but there are {len(contexts)} contexts")
+    synth_stats = doc.get("synth_stats", {})
+    check_keys(synth_stats, "synth_stats", ("count",))
+    count = synth_stats.get("count", 1000)
+    if type(count) is not int or count < 1:
+        raise ConfigError(f"config key 'synth_stats.count' must be an "
+                          f"integer of at least 1, got {count!r}")
+    return contexts, model, count

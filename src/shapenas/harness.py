@@ -143,11 +143,7 @@ def cmd_gen_synth(config_path, seed: int, out_dir) -> str:
     doc = cfgmod.load_config(config_path)
     _ensure_out(out_dir, config_path)
     catalog = cfgmod.build_catalog(doc)
-    contexts = cfgmod.build_contexts(doc)
-    model = cfgmod.build_synth_stats_model(doc)
-    synth_stats = doc.get("synth_stats", {})
-    cfgmod.check_keys(synth_stats, "synth_stats", ("count",))
-    count = synth_stats.get("count", 1000)
+    contexts, model, count = cfgmod.build_synth_corpus(doc)
     _, raw_rows = orc.gen_synth_stats(catalog, contexts, model, count, seed,
                                       cfgmod.build_input_shape(doc))
     path = os.path.join(out_dir, "stats.csv")
@@ -160,16 +156,9 @@ def cmd_train_predictor(config_path, seed: int, out_dir) -> dict:
     """Ingest -> oversample -> fit -> score; writes model.json + report."""
     doc = cfgmod.load_config(config_path)
     _ensure_out(out_dir, config_path)
-    pred_doc = doc.get("predictor", {})
-    bob_cfg = cfgmod.build_predictor_cfg(doc)
-    stats_path = pred_doc.get("stats_path")
-    if not stats_path:
-        raise cfgmod.ConfigError("missing required config key "
-                                 "'predictor.stats_path'")
+    bob_cfg, stats_path, fraction, factor = cfgmod.build_predictor_cfg(doc)
     data = ds.ingest_stats(stats_path)
-    train, holdout = ds.train_holdout_split(
-        data, pred_doc.get("test_fraction", 0.25), seed)
-    factor = pred_doc.get("oversample_factor", 1.0)
+    train, holdout = ds.train_holdout_split(data, fraction, seed)
     if factor > 1.0:
         train = ds.oversample(train, factor, seed)
     model = bob.learn_meta(train, bob_cfg, seed)
@@ -199,7 +188,7 @@ def _build_secondary(doc, space):
     cfgmod.check_keys(spec, "secondary", ("kind", "model_path", "metric"))
     kind = spec.get("kind", "none")
     if kind == "predictor":
-        path = cfgmod.require(spec, "model_path", "secondary")
+        path = cfgmod.path_key(spec, "model_path", "secondary")
         model = bob.load_model(path)
         _check_columns(model, path, space.context)
         return controller.PredictorSecondary(model, space.context)

@@ -43,7 +43,7 @@ class RegressionTree:
     has no predict of its own: ``to_dict`` is the form that boosting keeps,
     ``model.json`` stores and ``Forest`` compiles.
 
-    ``fit`` sorts each feature once (XGBoost's presorted column blocks,
+    ``presort`` sorts each feature once (XGBoost's presorted column blocks,
     Chen & Guestrin, KDD 2016) and no node sorts again. Only the columns
     that can win a split (``split_columns``) are scored; nodes store their
     original indices. A node holds those columns' rows in sorted order and
@@ -63,40 +63,29 @@ class RegressionTree:
         self.right: list[int] = []
         self.value: list[float] = []
         self.fitted = np.empty(0)
-        self._root_key, self._root = None, None
 
-    def fit(self, X: np.ndarray, y: np.ndarray,
-            order: np.ndarray | None = None,
-            columns: np.ndarray | None = None) -> "RegressionTree":
-        """Grow the tree on ``(X, y)``. ``order`` is
-        ``np.argsort(X, axis=0, kind="stable")`` and ``columns`` is
-        ``split_columns(X, order)``; each is computed here when not given.
-
-        The root's sorted columns and split candidates do not depend on
-        ``y``, so a refit given the same ``X``, ``order`` and ``columns``
-        objects and ``min_samples_leaf`` keeps them: boosting refits one
-        tree on one ``X`` every round. A fit makes new node lists, so the
-        ``to_dict`` of an earlier fit stays as it was."""
-        key = (X, order, columns, self.min_samples_leaf)
-        if order is None or self._root_key is None or not all(
-                a is b for a, b in zip(key, self._root_key)):
-            self._root_key, self._root = key, self._presort(X, order, columns)
+    def fit(self, X: np.ndarray, y: np.ndarray, root=None) -> "RegressionTree":
+        """Grow the tree on ``(X, y)`` from ``root``, this tree's
+        ``presort(X)``, which is taken here when not given. The root does
+        not depend on ``y``, so boosting presorts once and hands it to
+        every round. A fit makes new node lists, so the ``to_dict`` of an
+        earlier fit stays as it was."""
+        columns, XT, block, xs, candidates = (self.presort(X) if root is None
+                                              else root)
         self.feature, self.threshold = [], []
         self.left, self.right, self.value = [], [], []
         self.fitted = np.empty(len(y))
-        columns, XT, block, xs, candidates = self._root
         self._grow(columns, XT, y, np.arange(len(y)), block, xs, 0,
                    candidates)
         return self
 
-    def _presort(self, X, order, columns):
-        """``(columns, X.T, block, xs, candidates)`` of the root: ``X.T``
-        contiguous, and the columns' rows and values in sorted order and
-        split candidates, as ``_grow`` takes them."""
-        if order is None:
-            order = np.argsort(X, axis=0, kind="stable")
-        if columns is None:
-            columns = split_columns(X, order)
+    def presort(self, X: np.ndarray):
+        """The root of a fit on ``X``, as ``(columns, X.T, block, xs,
+        candidates)``: the columns that can win a split, ``X.T``
+        contiguous, those columns' rows and values in sorted order, and the
+        root's split candidates under this tree's ``min_samples_leaf``."""
+        order = np.argsort(X, axis=0, kind="stable")
+        columns = split_columns(X, order)
         XT = np.ascontiguousarray(X.T)
         # block[c] lists the rows by ascending X[:, columns[c]], ties in
         # row order: what a stable argsort of a node's own rows would give
@@ -208,6 +197,9 @@ class BoostedRegressor:
     trees only when a ``Forest`` compiles them. ``predict`` is the walk of
     a forest of this one regressor; a caller that predicts more than once,
     or with several regressors, compiles a ``Forest`` and keeps it.
+
+    ``fit`` takes one ``RegressionTree.presort`` of ``X`` and hands that
+    root to every round's tree fit, so ``X`` is sorted once per regressor.
     """
 
     def __init__(self, rounds=50, learning_rate=0.1, max_depth=4,
@@ -226,13 +218,11 @@ class BoostedRegressor:
         self.base_prediction = float(y.mean())
         self.trees, self.train_losses = [], []
         current = np.full(len(y), self.base_prediction)
-        # the same X every round: sort and prune once, and refit one tree,
-        # which keeps its root's sorted columns from round to round
-        order = np.argsort(X, axis=0, kind="stable")
-        columns = split_columns(X, order)
+        # every round fits the same X: presort it once for all of them
         tree = RegressionTree(self.max_depth, self.min_samples_leaf)
+        root = tree.presort(X)
         for _ in range(self.rounds):
-            tree.fit(X, y - current, order, columns)
+            tree.fit(X, y - current, root)
             self.trees.append(tree.to_dict())
             current = current + self.learning_rate * tree.fitted
             self.train_losses.append(float(((y - current) ** 2).mean()))

@@ -585,11 +585,38 @@ def test_secondary_metric_count_checked(tmp_path, capsys, command, overrides,
      "config key 'input_shape' must be three positive integers"),
     ("gen-synth", dict(SYNTH, input_shape=[3, 16]),
      "config key 'input_shape' must be three positive integers"),
+    *(("gen-synth", dict(SYNTH, synth_stats={"count": count}),
+       f"config key 'synth_stats.count' must be an integer of at least 1, "
+       f"got {count!r}") for count in ("abc", 2.5, True, 0)),
+    ("gen-synth", dict(SYNTH, contexts=[]),
+     "config key 'contexts' must be a non-empty list, got []"),
+    ("gen-synth", dict(SYNTH, contexts=[
+        dict(SYNTH["contexts"][0], task=[0.5]), SYNTH["contexts"][1]]),
+     "config key 'contexts[1].task' has 0 values, but 'contexts[0].task' "
+     "has 1"),
+    ("gen-synth", dict(SYNTH, synth_stats_model={
+        "context_multipliers": [1.0]}),
+     "config key 'synth_stats_model.context_multipliers' has 1 entries, but "
+     "there are 2 contexts"),
+    *(("train-predictor", {"predictor": {"stats_path": path}},
+       f"config key 'predictor.stats_path' must be a non-empty path string, "
+       f"got {path!r}") for path in (0, 7, "", ["a"])),
+    *(("search", {"secondary": {"kind": "predictor", "model_path": path}},
+       f"config key 'secondary.model_path' must be a non-empty path string, "
+       f"got {path!r}") for path in (0, ["a"])),
+    *((command, {"oracle": {"kind": "tabular", "path": 0}},
+       "config key 'oracle.path' must be a non-empty path string, got 0")
+      for command in ("search", "compare")),
 ], ids=["reference_index_outside_catalog", "reference_not_a_list",
         "reference_action_does_not_fit", "weights_not_a_list",
         "weight_is_a_string", "no_weights", "metric_too_short",
         "metric_is_a_string", "input_shape_two_values",
-        "gen_synth_input_shape"])
+        "gen_synth_input_shape", "count_is_a_string", "fractional_count",
+        "count_is_a_bool", "zero_count", "no_contexts",
+        "task_lengths_differ", "one_multiplier_for_two_contexts",
+        "stats_path_zero", "stats_path_seven", "stats_path_empty",
+        "stats_path_list", "model_path_zero", "model_path_list",
+        "search_oracle_path_zero", "compare_oracle_path_zero"])
 def test_bad_raw_value_names_key(tmp_path, capsys, command, overrides,
                                  message):
     cfg = write_config(tmp_path, overrides)
@@ -972,3 +999,24 @@ assert "orjson" in sys.modules, "load_model did not import orjson"
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+PINNED_MODEL_SHA = ("99837972dd16b9b82980ad37fbf1224f"
+                    "0ae0d82a546cc96bda05a430e1c8bc26")
+
+
+def test_train_predictor_model_bytes_pinned(tmp_path):
+    """The model.json bytes of a small bag with a gate and oversampling,
+    recorded before the boosted fit handed one presort to every round; no
+    change that keeps results may move them."""
+    gen = write_config(tmp_path, dict(PINNED_CORPUS,
+                                      synth_stats={"count": 300}),
+                       name="gen.yaml")
+    stats = cmd_gen_synth(gen, seed=5, out_dir=str(tmp_path / "data"))
+    train = write_config(tmp_path, {"predictor": {
+        "stats_path": stats, "bag_size": 3, "rounds": 8, "min_samples": 10,
+        "min_samples_leaf": 3, "oversample_factor": 1.5}}, name="train.yaml")
+    cmd_train_predictor(train, seed=2, out_dir=str(tmp_path / "model"))
+    path = tmp_path / "model" / "model.json"
+    assert json.loads(path.read_text())["gate"] is not None
+    assert sha(path) == PINNED_MODEL_SHA

@@ -166,11 +166,11 @@ def test_fitted_walk_equals_per_tree_loop(rounds, max_depth,
 
 class ReferenceTree(RegressionTree):
     """The grower the presorted fit replaces: a stable argsort of every
-    feature at every node, all features scored. ``order`` and ``columns``
-    are accepted and ignored, so that boosting can run on this grower.
-    ``fitted`` comes from the reference walk."""
+    feature at every node, all features scored. ``root`` is accepted and
+    ignored, so that boosting can run on this grower. ``fitted`` comes from
+    the reference walk."""
 
-    def fit(self, X, y, order=None, columns=None):
+    def fit(self, X, y, root=None):
         self.feature, self.threshold = [], []
         self.left, self.right, self.value = [], [], []
         self._grow(X, y, depth=0)
@@ -331,18 +331,32 @@ def test_split_columns_keeps_a_column_that_differs_only_in_nans():
 def test_refit_on_same_presort_equals_fresh_fit():
     rng = np.random.default_rng(5)
     X = np.round(rng.uniform(size=(60, 3)), 1)
-    order = np.argsort(X, axis=0, kind="stable")
-    columns = split_columns(X, order)
-    tree = RegressionTree(3, 2)
-    for seed in range(3):
-        y = np.random.default_rng(seed).normal(size=60)
-        first = tree.fit(X, y, order, columns).to_dict()
-        assert first == RegressionTree(3, 2).fit(X, y).to_dict()
-        assert np.array_equal(tree.fitted, walk(first, X))
-    # the root's candidates change with min_samples_leaf: the best split
-    # at 2 sets the few rows of the largest X[:, 0] apart, which 20 forbids
-    y = 100.0 * (X[:, 0] == X[:, 0].max())
-    tree.fit(X, y, order, columns)
-    tree.min_samples_leaf = 20
-    assert tree.fit(X, y, order, columns).to_dict() == RegressionTree(
-        3, 20).fit(X, y).to_dict()
+    for min_samples_leaf in (0, 2, 20):
+        tree = RegressionTree(3, min_samples_leaf)
+        root = tree.presort(X)
+        for seed in range(3):
+            y = np.random.default_rng(seed).normal(size=60)
+            refit = tree.fit(X, y, root).to_dict()
+            assert refit == RegressionTree(3, min_samples_leaf).fit(
+                X, y).to_dict()
+            assert np.array_equal(tree.fitted, walk(refit, X))
+        # the root's candidates depend on min_samples_leaf: the best split
+        # at 2 sets the few rows of the largest X[:, 0] apart, which 20
+        # forbids
+        y = 100.0 * (X[:, 0] == X[:, 0].max())
+        assert tree.fit(X, y, root).to_dict() == RegressionTree(
+            3, min_samples_leaf).fit(X, y).to_dict()
+
+
+@pytest.mark.parametrize("rounds", [2, 7])
+def test_boosting_presorts_once_per_fit(rounds):
+    X = random_rows(3, 40)
+    y = X[:, 0] - 2 * X[:, 1]
+    presort = RegressionTree.presort
+    with mock.patch.object(RegressionTree, "presort", autospec=True,
+                           side_effect=presort) as spy:
+        model = BoostedRegressor(rounds, 0.3, 3, 2).fit(X, y)
+        assert spy.call_count == 1
+        model.fit(X[:20], y[:20])
+        assert spy.call_count == 2
+    assert len(model.trees) == rounds
