@@ -153,7 +153,9 @@ def build_catalog(doc: dict) -> ActionCatalog:
 
 
 def build_context(doc: dict) -> ContextSpec:
-    return build_section(ContextSpec, require(doc, "context"), "context")
+    context = build_section(ContextSpec, require(doc, "context"), "context")
+    number_list(context.task, "context.task")
+    return context
 
 
 def build_contexts(doc: dict) -> list[ContextSpec]:

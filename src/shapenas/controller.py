@@ -14,7 +14,6 @@ import hashlib
 import json
 import math
 import time
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import NamedTuple
@@ -296,8 +295,7 @@ def softmax(scores, temperature: float) -> list[float]:
     sum is NaN)."""
     z = [x / temperature for x in scores]
     top = max(z)
-    e = np.array([x - top for x in z])
-    np.exp(e, out=e)
+    e = np.exp([x - top for x in z])
     total = float(e.sum())
     return [x / total for x in e.tolist()]
 
@@ -307,10 +305,11 @@ def select_action(q, phis, epsilons, s, legal, temperature, rng) -> int:
 
     The draw is ``legal[rng.choice(len(legal), p=probs)]`` done with
     ``Generator.choice``'s own arithmetic, without its checks of ``p``: the
-    sequential cumulative sum of ``probs`` (``np.cumsum``'s), each entry
-    divided by the last, and the first entry above one ``rng.random()``
-    (``searchsorted(side="right")``). So both the action drawn and the
-    generator's state after the draw are ``choice``'s.
+    sequential cumulative sum of ``probs`` (``np.cumsum``'s), and the first
+    entry that, divided by the last, lies above one ``rng.random()`` (the
+    index ``searchsorted(side="right")`` finds among the divided entries).
+    So both the action drawn and the generator's state after the draw are
+    ``choice``'s.
     """
     if not legal:
         raise TerminalStateError("no legal actions in this state")
@@ -320,8 +319,10 @@ def select_action(q, phis, epsilons, s, legal, temperature, rng) -> int:
     if not math.isfinite(total):  # a NaN or +inf score, or all -inf
         raise ValueError(f"state {s!r}: the softmax of the shaped scores at "
                          f"temperature {temperature!r} is not finite")
-    cdf = [c / total for c in cdf]
-    return int(legal[bisect_right(cdf, rng.random())])
+    u = rng.random()
+    for a, c in zip(legal, cdf):  # the last entry divides to 1.0 > u
+        if c / total > u:
+            return int(a)
 
 
 # ---------------------------------------------------------------------------
@@ -338,26 +339,18 @@ def _make_values(cfg: ShapingConfig, space: SearchSpace, seed: int, tag: int):
 
 
 def _state_of(q, ctx):
-    """The value stores' state of a chain, by the store's type: its
-    ``embed_state`` vector for the MLP, its action tuple for the table.
-
-    Each call gives a new function. For the MLP it embeds each chain once
-    and hands out the same read-only array whenever the chain recurs, so
-    the store's forwards, remembered by state identity, are found again.
-    ``embed_state`` is looked up in this module at each call, where the
+    """The value stores' state of a chain, by the store's type: its action
+    tuple for the table, its ``embed_state`` vector, made read-only, for the
+    MLP. ``embed_state`` is looked up in this module at each call, where the
     traced benchmark run wraps it."""
     if not isinstance(q, MlpValues):
-        return lambda net, actions: tuple(actions)
-    states = {}
+        return lambda net, chain: chain
 
-    def state_of(net, actions):
-        key = tuple(actions)
-        s = states.get(key)
-        if s is None:
-            s = states[key] = embed_state(net, ctx)
-            s.flags.writeable = False
+    def embedded(net, chain):
+        s = embed_state(net, ctx)
+        s.flags.writeable = False
         return s
-    return state_of
+    return embedded
 
 
 def init_state(cfg: ShapingConfig, space: SearchSpace, seed: int,
@@ -383,6 +376,12 @@ def run_episodes(state: ShapingState, space: SearchSpace, oracle, secondary,
     runs on a state without them (``init_state(..., shaped=False)``).
     ``scalar_weights`` (w0, w1, ...) makes the Q reward
     w0*r_P + sum_i w_i*r_S^i instead of r_P.
+
+    A chain is an action tuple, and the run derives each chain once: on its
+    first visit ``nodes`` maps it to its network (``grow``), its state in
+    the value stores and its legal actions, and later visits read them
+    back. So an MLP state is one array per chain, which the store's
+    remembered forwards find again by identity.
     """
     catalog = space.catalog
     state_of = _state_of(state.q, space.context)
@@ -391,7 +390,7 @@ def run_episodes(state: ShapingState, space: SearchSpace, oracle, secondary,
     budgets = [float(b) for b in cfg.budgets[:n_sec]]
     cap = float(cfg.epsilon_cap)
     root = space.empty_network()
-    root_legal, root_s = legal_actions(root, catalog), state_of(root, [])
+    nodes = {(): (root, state_of(root, ()), legal_actions(root, catalog))}
 
     for _ in range(n_episodes):
         episode = state.episode_count
@@ -399,8 +398,9 @@ def run_episodes(state: ShapingState, space: SearchSpace, oracle, secondary,
             or episode < cfg.shaping_episodes
         if not shaping_phase:  # a finite shaping phase is over
             state.epsilons = (0.0,) * len(state.epsilons)
-        # each step's successor is the next step's (net, chain, legal, s)
-        net, actions, legal, s = root, [], root_legal, root_s
+        # each step's successor is the next step's (chain, net, s, legal)
+        actions = ()
+        net, s, legal = nodes[actions]
         ep_return = 0.0
         episode_last_primary = None
         pending = None  # (s, a, r_s) awaiting successor action
@@ -414,15 +414,20 @@ def run_episodes(state: ShapingState, space: SearchSpace, oracle, secondary,
                 for i, phi in enumerate(state.phis):
                     potential_update(phi, p_s, p_a, s, a, p_rs[i], cfg.beta,
                                      cfg.gamma)
-            net_next = grow(net, catalog, a)
-            chain = actions + [a]
+            chain = actions + (a,)
+            node = nodes.get(chain)
+            if node is None:
+                grown = grow(net, catalog, a)
+                node = nodes[chain] = (grown, state_of(grown, chain),
+                                       legal_actions(grown, catalog))
+            net_next, sp, legal_prime = node
             try:
                 r_p = float(oracle.accuracy(net_next, chain))
             except Exception as exc:  # oracle failure truncates the trace
                 trace.error = f"oracle failure at episode {episode} " \
                               f"step {step}: {exc}"
                 trace.final_network = net
-                trace.final_actions = tuple(actions)
+                trace.final_actions = actions
                 return
             raw = secondary.metrics(net_next, chain) if n_sec else None
             infeasible = n_sec > 0 and raw is None
@@ -434,9 +439,6 @@ def run_episodes(state: ShapingState, space: SearchSpace, oracle, secondary,
             delta_stop = math.inf if episode_last_primary is None \
                 else r_p - episode_last_primary
 
-            sp = state_of(net_next, chain)
-            legal_prime = legal_actions(net_next, catalog)
-
             if cfg.delta_mode == "per_secondary" and n_sec:
                 deltas = ([0.0] * n_sec if state.last_secondary is None
                           else [v - last for v, last in
@@ -444,10 +446,10 @@ def run_episodes(state: ShapingState, space: SearchSpace, oracle, secondary,
             else:
                 deltas = [delta] * n_sec
             if shaping_phase:
-                state.epsilons = tuple(
+                state.epsilons = tuple([
                     min(cap, epsilon_update(eps_i, delta_i,
                                             cfg.epsilon_threshold))
-                    for eps_i, delta_i in zip(state.epsilons, deltas))
+                    for eps_i, delta_i in zip(state.epsilons, deltas)])
             pending = (s, a, r_s)
             reward = r_p
             if scalar_weights is not None:
@@ -458,20 +460,20 @@ def run_episodes(state: ShapingState, space: SearchSpace, oracle, secondary,
                     reward += w * v
                 reward = scalar_weights[0] * r_p + reward
             # the potentials at (s, a), read once: nothing updates them
-            # between here and the record
-            phi_sa = tuple(phi.value(s, a) for phi in state.phis)
+            # between here and the record; a list makes a tuple faster
+            phi_sa = tuple([phi.value(s, a) for phi in state.phis])
             target = q_update(state.q, phi_sa, state.epsilons, s, a, sp,
                               reward, legal_prime, cfg.gamma)
 
             ep_return += r_p
             trace.records.append(StepRecord(
-                episode=episode, step=step, state_key=tuple(actions),
+                episode=episode, step=step, state_key=actions,
                 action=a, r_p=r_p, r_s=tuple(r_s), epsilons=state.epsilons,
                 delta=delta, q_target=target,
                 phi_values=phi_sa,
                 cum_return=ep_return, infeasible=infeasible))
 
-            net, actions, legal, s = net_next, chain, legal_prime, sp
+            actions, net, s, legal = chain, net_next, sp, legal_prime
             state.last_primary = r_p
             state.last_secondary = r_s if n_sec else None
             episode_last_primary = r_p
@@ -486,7 +488,7 @@ def run_episodes(state: ShapingState, space: SearchSpace, oracle, secondary,
         state.episode_count += 1
         trace.episode_returns.append(ep_return)
         trace.final_network = net
-        trace.final_actions = tuple(actions)
+        trace.final_actions = actions
 
 
 def run_search(space: SearchSpace, oracle, secondary, cfg: ShapingConfig,
@@ -517,16 +519,16 @@ def greedy_rollout(state: ShapingState, space: SearchSpace) -> tuple:
     """Argmax rollout of the shaped score; ties break to the lowest index."""
     state_of = _state_of(state.q, space.context)
     net = space.empty_network()
-    actions = []
+    actions = ()
     while True:
         legal = legal_actions(net, space.catalog)
         if not legal:
-            return tuple(actions)
+            return actions
         scores = shaped_scores(state.q, state.phis, state.epsilons,
                                state_of(net, actions), legal)
         a = legal[int(np.argmax(scores))]
         net = grow(net, space.catalog, a)
-        actions.append(a)
+        actions += (a,)
 
 
 def brute_force_best_chain(space: SearchSpace, oracle, gamma: float) -> tuple:

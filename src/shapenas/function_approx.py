@@ -4,8 +4,8 @@ Both backends answer ``value(s, a)``, "what is the value of (state,
 action)?", and ``values(s, actions)``, the list of ``value(s, a)`` for each
 action in turn, and take ``blend(s, a, target, rate)``, one regression step
 toward a scalar target. The state ``s`` is the backend's own view of a
-chain: the tabular backend keys on the chain's action tuple and is exact,
-which is what the policy-invariance tests need; the MLP consumes the
+chain: the tabular backend keys its rows on the chain's action tuple and is
+exact, which is what the policy-invariance tests need; the MLP consumes the
 chain's fixed-length ``embed_state`` vector concatenated with an action
 one-hot, and answers a state's row of values in one stacked forward.
 
@@ -169,30 +169,40 @@ def sgd_step(fa: MlpApprox, x, target: float,
 
 
 class TabularValues:
-    """Exact dictionary over discrete (action tuple, action index) pairs."""
+    """Exact dictionary over discrete (action tuple, action index) pairs,
+    held as one row per state, ``{state: {action: value}}``, so that a
+    state's row of values hashes the state once. The constructor takes, and
+    ``to_dict`` writes sorted, the flat ``(state, action) -> value`` pairs.
+    """
 
     def __init__(self, table=None):
-        self.table = dict(table or {})
+        self.table = {}
+        for (s, a), v in (table or {}).items():
+            self.table.setdefault(s, {})[a] = v
 
     def value(self, s, a) -> float:
-        return self.table.get((s, a), 0.0)
+        return self.table.get(s, {}).get(a, 0.0)
 
     def values(self, s, actions) -> list:
-        get = self.table.get
-        return [get((s, a), 0.0) for a in actions]
+        row = self.table.get(s)
+        if row is None:  # a state not yet updated, as every new chain is
+            return [0.0] * len(actions)
+        get = row.get
+        return [get(a, 0.0) for a in actions]
 
     def blend(self, s, a, target, rate=1.0) -> None:
         """v <- v + rate * (target - v) in place; rate=1 (the default)
         assigns exactly."""
         if not math.isfinite(target):
             raise ValueError(f"non-finite regression target {target!r}")
-        v = self.table.get((s, a), 0.0)
-        self.table[(s, a)] = v + rate * (target - v)
+        row = self.table.setdefault(s, {})
+        v = row.get(a, 0.0)
+        row[a] = v + rate * (target - v)
 
     def to_dict(self):
         return {"backend": "tabular",
-                "table": [[list(k[0]), k[1], v]
-                          for k, v in sorted(self.table.items())]}
+                "table": [[list(s), a, v] for s in sorted(self.table)
+                          for a, v in sorted(self.table[s].items())]}
 
     @classmethod
     def from_dict(cls, d):

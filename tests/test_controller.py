@@ -325,28 +325,45 @@ def test_epsilon_zero_matches_plain_q_learning(toy_space):
 
 
 def test_each_chain_state_computed_once(toy_space, monkeypatch):
-    # a step's successor is the next step's state: one legality check and
-    # (MLP only) one embedding per step, plus the empty network's
-    calls = Counter()
-    for name in ("legal_actions", "embed_state"):
+    # a search derives each chain once: one grow, one legality check and
+    # (MLP only) one embedding per distinct chain, plus the empty network's
+    # legality check and embedding, and hands the stores one state object
+    # per chain
+    calls, states = Counter(), []
+    for name in ("grow", "legal_actions", "embed_state", "select_action"):
         def counted(*args, _fn=getattr(controller, name), _name=name):
             calls[_name] += 1
+            if _name == "select_action":
+                states.append(args[3])
             return _fn(*args)
         monkeypatch.setattr(controller, name, counted)
     for backend in ("tabular", "mlp"):
         for weights in (None, (1.0, 0.1)):
             calls.clear()
+            states.clear()
             trace = run_search(toy_space, make_oracle(),
                                make_secondary([5, 40, 70]),
                                config(episodes=10, backend=backend,
                                       hidden=(8,)), seed=0, weights=weights)
-            bound = len(trace.records) + len(trace.episode_returns)
             assert len(trace.records) == 40
-            assert calls["legal_actions"] <= bound
-            if backend == "tabular":
-                assert calls["embed_state"] == 0
-            else:
-                assert 0 < calls["embed_state"] <= bound
+            chains = {r.state_key + (r.action,) for r in trace.records}
+            assert len(chains) < len(trace.records)  # chains recur
+            assert calls["grow"] == len(chains)
+            assert calls["legal_actions"] == len(chains) + 1
+            # an MLP store takes its input width from one embedding
+            stores = 1 + len(trace.state.phis)
+            assert calls["embed_state"] == \
+                (0 if backend == "tabular" else stores + len(chains) + 1)
+            # the state handed to the stores is one object per chain
+            by_chain = {}
+            for s, r in zip(states, trace.records, strict=True):
+                assert by_chain.setdefault(r.state_key, s) is s
+            assert len({id(s) for s in by_chain.values()}) == len(by_chain)
+            for chain, s in by_chain.items():
+                if backend == "tabular":
+                    assert s == chain
+                else:
+                    assert not s.flags.writeable
 
 
 def test_scalarized_rejects_state_with_potentials(toy_space):
@@ -531,7 +548,8 @@ def test_step_scalars_are_python_floats(toy_space):
             assert type(v) is float, v
         for store in (state.q, *state.phis):
             if isinstance(store, TabularValues):
-                assert all(type(v) is float for v in store.table.values())
+                assert all(type(v) is float for row in store.table.values()
+                           for v in row.values())
 
 
 def test_checkpoint_version_mismatch(tmp_path):

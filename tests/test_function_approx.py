@@ -1,4 +1,5 @@
 import copy
+import json
 import math
 import pickle
 from unittest import mock
@@ -144,7 +145,7 @@ def test_blend_updates_in_place():
     tab = TabularValues()
     table = tab.table
     assert tab.blend(("s",), 0, target=2.0) is None
-    assert tab.table is table and table == {(("s",), 0): 2.0}
+    assert tab.table is table and table == {("s",): {0: 2.0}}
 
 
 def test_backprop_matches_finite_differences():
@@ -212,6 +213,50 @@ def test_values_roundtrip():
         assert clone.to_dict() == mlp.to_dict() != saved
         assert [p.tolist() for p in arrays] \
             == clone.to_dict()["weights"] + clone.to_dict()["biases"]
+
+
+STATES = st.lists(st.integers(0, 3), max_size=3).map(tuple)
+ACTIONS = st.integers(0, 4)
+TARGETS = st.floats(-1e3, 1e3)
+STORE_OPS = st.one_of(
+    st.tuples(st.just("blend"), STATES, ACTIONS, TARGETS,
+              st.sampled_from([1.0, 0.5, 0.3])),
+    st.tuples(st.just("value"), STATES, ACTIONS),
+    st.tuples(st.just("values"), STATES, st.lists(ACTIONS, max_size=6)))
+
+
+def hexes(values):
+    return [v.hex() for v in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(start=st.dictionaries(st.tuples(STATES, ACTIONS), TARGETS,
+                             max_size=8),
+       ops=st.lists(STORE_OPS, max_size=40))
+def test_row_store_matches_flat_reference(start, ops):
+    """The table's rows answer, update and save as the flat
+    ``{(s, a): v}`` dict that they replaced."""
+    tab, flat = TabularValues(start), dict(start)
+    for op, s, *rest in ops:
+        if op == "blend":
+            a, target, rate = rest
+            tab.blend(s, a, target, rate)
+            v = flat.get((s, a), 0.0)
+            flat[s, a] = v + rate * (target - v)
+        elif op == "value":
+            assert tab.value(s, rest[0]).hex() \
+                == flat.get((s, rest[0]), 0.0).hex()
+        else:
+            assert hexes(tab.values(s, rest[0])) \
+                == hexes([flat.get((s, a), 0.0) for a in rest[0]])
+    saved = tab.to_dict()
+    listing = [[list(s), a, v] for (s, a), v in sorted(flat.items())]
+    assert saved == {"backend": "tabular", "table": listing}
+    assert hexes(v for _, _, v in saved["table"]) \
+        == hexes(v for _, _, v in listing)
+    for clone in (TabularValues.from_dict(saved),
+                  TabularValues.from_dict(json.loads(json.dumps(saved)))):
+        assert clone.to_dict() == saved and clone.table == tab.table
 
 
 def test_values_row_matches_single_lookups():

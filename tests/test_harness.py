@@ -607,6 +607,8 @@ def test_secondary_metric_count_checked(tmp_path, capsys, command, overrides,
     *((command, {"oracle": {"kind": "tabular", "path": 0}},
        "config key 'oracle.path' must be a non-empty path string, got 0")
       for command in ("search", "compare")),
+    ("search", {"context": {"task": 0.5}},
+     "config key 'context.task' must be a list of numbers, got 0.5"),
 ], ids=["reference_index_outside_catalog", "reference_not_a_list",
         "reference_action_does_not_fit", "weights_not_a_list",
         "weight_is_a_string", "no_weights", "metric_too_short",
@@ -616,7 +618,8 @@ def test_secondary_metric_count_checked(tmp_path, capsys, command, overrides,
         "task_lengths_differ", "one_multiplier_for_two_contexts",
         "stats_path_zero", "stats_path_seven", "stats_path_empty",
         "stats_path_list", "model_path_zero", "model_path_list",
-        "search_oracle_path_zero", "compare_oracle_path_zero"])
+        "search_oracle_path_zero", "compare_oracle_path_zero",
+        "context_task_not_a_list"])
 def test_bad_raw_value_names_key(tmp_path, capsys, command, overrides,
                                  message):
     cfg = write_config(tmp_path, overrides)
