@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import math
 import time
 from dataclasses import dataclass, field
@@ -27,6 +28,8 @@ from .design_space import (ActionCatalog, CandidateNetwork, ContextSpec,
 from .function_approx import (MlpValues, TabularValues, values_from_dict)
 
 CHECKPOINT_FORMAT_VERSION = 1
+
+log = logging.getLogger(__name__)
 
 
 class TerminalStateError(ValueError):
@@ -211,7 +214,12 @@ class PredictorSecondary:
 
 
 class CallableSecondary:
-    """Raw metrics from an arbitrary function of (network, action chain)."""
+    """Raw metrics from an arbitrary function of (network, action chain).
+
+    ``fn`` must be a function of the chain: with a deterministic oracle,
+    ``run_episodes`` calls it once per distinct chain in a run and reuses
+    the metrics on later visits.
+    """
 
     def __init__(self, fn, n_metrics: int):
         self.fn = fn
@@ -381,16 +389,30 @@ def run_episodes(state: ShapingState, space: SearchSpace, oracle, secondary,
     first visit ``nodes`` maps it to its network (``grow``), its state in
     the value stores and its legal actions, and later visits read them
     back. So an MLP state is one array per chain, which the store's
-    remembered forwards find again by identity.
+    remembered forwards find again by identity. When the oracle declares
+    itself ``deterministic``, the node also keeps the chain's scores (r_P,
+    the normalized r_S, the infeasible flag and the Q reward) from the
+    first visit, so each chain is scored once per call; the secondary must
+    then be a function of the chain, as ``CallableSecondary`` requires. Any
+    other oracle, and the secondary with it, is asked on every step.
     """
     catalog = space.catalog
-    state_of = _state_of(state.q, space.context)
+    q, phis, rng = state.q, state.phis, state.rng
+    state_of = _state_of(q, space.context)
     n_sec = (len(cfg.epsilon0) if scalar_weights is None
              else len(scalar_weights) - 1)
     budgets = [float(b) for b in cfg.budgets[:n_sec]]
     cap = float(cfg.epsilon_cap)
+    beta, gamma, temperature = cfg.beta, cfg.gamma, cfg.softmax_temperature
+    threshold, tau, warmup = cfg.epsilon_threshold, cfg.tau, cfg.warmup
+    per_secondary = cfg.delta_mode == "per_secondary" and n_sec > 0
+    memo = getattr(oracle, "deterministic", False) is True
+    record = trace.records.append
+    first = len(trace.records)  # the run's steps are the records after it
     root = space.empty_network()
-    nodes = {(): (root, state_of(root, ()), legal_actions(root, catalog))}
+    # chain -> (network, state, legal actions, scores or None)
+    nodes = {(): (root, state_of(root, ()), legal_actions(root, catalog),
+                  None)}
 
     for _ in range(n_episodes):
         episode = state.episode_count
@@ -400,46 +422,60 @@ def run_episodes(state: ShapingState, space: SearchSpace, oracle, secondary,
             state.epsilons = (0.0,) * len(state.epsilons)
         # each step's successor is the next step's (chain, net, s, legal)
         actions = ()
-        net, s, legal = nodes[actions]
+        net, s, legal, _ = nodes[actions]
         ep_return = 0.0
         episode_last_primary = None
         pending = None  # (s, a, r_s) awaiting successor action
         for step in range(cfg.max_steps):
             if not legal:
                 break
-            a = select_action(state.q, state.phis, state.epsilons, s, legal,
-                              cfg.softmax_temperature, state.rng)
+            a = select_action(q, phis, state.epsilons, s, legal, temperature,
+                              rng)
             if pending is not None:
                 p_s, p_a, p_rs = pending
-                for i, phi in enumerate(state.phis):
-                    potential_update(phi, p_s, p_a, s, a, p_rs[i], cfg.beta,
-                                     cfg.gamma)
+                for i, phi in enumerate(phis):
+                    potential_update(phi, p_s, p_a, s, a, p_rs[i], beta, gamma)
             chain = actions + (a,)
             node = nodes.get(chain)
             if node is None:
                 grown = grow(net, catalog, a)
                 node = nodes[chain] = (grown, state_of(grown, chain),
-                                       legal_actions(grown, catalog))
-            net_next, sp, legal_prime = node
-            try:
-                r_p = float(oracle.accuracy(net_next, chain))
-            except Exception as exc:  # oracle failure truncates the trace
-                trace.error = f"oracle failure at episode {episode} " \
-                              f"step {step}: {exc}"
-                trace.final_network = net
-                trace.final_actions = actions
-                return
-            raw = secondary.metrics(net_next, chain) if n_sec else None
-            infeasible = n_sec > 0 and raw is None
-            r_s = ([0.0] * n_sec if raw is None  # worst normalized score
-                   else normalize_secondary(raw, budgets))
+                                       legal_actions(grown, catalog), None)
+            net_next, sp, legal_prime, scores = node
+            if scores is None:
+                try:
+                    r_p = float(oracle.accuracy(net_next, chain))
+                except Exception as exc:  # oracle failure truncates the trace
+                    trace.error = f"oracle failure at episode {episode} " \
+                                  f"step {step}: {exc}"
+                    trace.final_network = net
+                    trace.final_actions = actions
+                    _log_scoring(memo, nodes, len(trace.records) - first)
+                    return
+                raw = secondary.metrics(net_next, chain) if n_sec else None
+                infeasible = n_sec > 0 and raw is None
+                r_s = ((0.0,) * n_sec if raw is None  # worst normalized score
+                       else tuple(normalize_secondary(raw, budgets)))
+                reward = r_p
+                if scalar_weights is not None:
+                    # term by term, not sum(): from Python 3.12 sum() rounds
+                    # a float sum differently (compensated summation)
+                    reward = 0.0
+                    for w, v in zip(scalar_weights[1:], r_s):
+                        reward += w * v
+                    reward = scalar_weights[0] * r_p + reward
+                if memo:
+                    nodes[chain] = (net_next, sp, legal_prime,
+                                    (r_p, r_s, infeasible, reward))
+            else:
+                r_p, r_s, infeasible, reward = scores
 
             delta = 0.0 if state.last_primary is None \
                 else r_p - state.last_primary
             delta_stop = math.inf if episode_last_primary is None \
                 else r_p - episode_last_primary
 
-            if cfg.delta_mode == "per_secondary" and n_sec:
+            if per_secondary:
                 deltas = ([0.0] * n_sec if state.last_secondary is None
                           else [v - last for v, last in
                                 zip(r_s, state.last_secondary)])
@@ -447,48 +483,49 @@ def run_episodes(state: ShapingState, space: SearchSpace, oracle, secondary,
                 deltas = [delta] * n_sec
             if shaping_phase:
                 state.epsilons = tuple([
-                    min(cap, epsilon_update(eps_i, delta_i,
-                                            cfg.epsilon_threshold))
+                    min(cap, epsilon_update(eps_i, delta_i, threshold))
                     for eps_i, delta_i in zip(state.epsilons, deltas)])
             pending = (s, a, r_s)
-            reward = r_p
-            if scalar_weights is not None:
-                # term by term, not sum(): from Python 3.12 sum() rounds a
-                # float sum differently (compensated summation)
-                reward = 0.0
-                for w, v in zip(scalar_weights[1:], r_s):
-                    reward += w * v
-                reward = scalar_weights[0] * r_p + reward
-            # the potentials at (s, a), read once: nothing updates them
-            # between here and the record; a list makes a tuple faster
-            phi_sa = tuple([phi.value(s, a) for phi in state.phis])
-            target = q_update(state.q, phi_sa, state.epsilons, s, a, sp,
-                              reward, legal_prime, cfg.gamma)
+            # the potentials at (s, a) after the pending blend, which moves
+            # them on the MLP backend; a list makes a tuple faster
+            phi_sa = tuple([phi.value(s, a) for phi in phis])
+            target = q_update(q, phi_sa, state.epsilons, s, a, sp, reward,
+                              legal_prime, gamma)
 
             ep_return += r_p
-            trace.records.append(StepRecord(
-                episode=episode, step=step, state_key=actions,
-                action=a, r_p=r_p, r_s=tuple(r_s), epsilons=state.epsilons,
-                delta=delta, q_target=target,
-                phi_values=phi_sa,
-                cum_return=ep_return, infeasible=infeasible))
+            record(StepRecord(episode, step, actions, a, r_p, r_s,
+                              state.epsilons, delta, target, phi_sa,
+                              ep_return, infeasible))
 
             actions, net, s, legal = chain, net_next, sp, legal_prime
             state.last_primary = r_p
             state.last_secondary = r_s if n_sec else None
             episode_last_primary = r_p
-            if step + 1 >= cfg.warmup and delta_stop < cfg.tau:
+            if step + 1 >= warmup and delta_stop < tau:
                 break
         # flush the trailing potential update with a terminal successor
         if pending is not None:
             p_s, p_a, p_rs = pending
-            for i, phi in enumerate(state.phis):
-                potential_update(phi, p_s, p_a, None, 0, p_rs[i], cfg.beta,
-                                 cfg.gamma)
+            for i, phi in enumerate(phis):
+                potential_update(phi, p_s, p_a, None, 0, p_rs[i], beta, gamma)
         state.episode_count += 1
         trace.episode_returns.append(ep_return)
         trace.final_network = net
         trace.final_actions = actions
+    _log_scoring(memo, nodes, len(trace.records) - first)
+
+
+def _log_scoring(memo, nodes, steps) -> None:
+    """Log at DEBUG how many steps a run took and how many distinct chains
+    it scored, or that its oracle is not memoized."""
+    if not log.isEnabledFor(logging.DEBUG):
+        return
+    if memo:
+        log.debug("run_episodes: %d steps, %d distinct chains scored", steps,
+                  sum(node[3] is not None for node in nodes.values()))
+    else:
+        log.debug("run_episodes: %d steps; the oracle is not memoized (it "
+                  "does not declare itself deterministic)", steps)
 
 
 def run_search(space: SearchSpace, oracle, secondary, cfg: ShapingConfig,

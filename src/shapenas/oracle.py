@@ -42,10 +42,39 @@ class SyntheticTaskSpec:
     min_depth: int = 0
     seed: int = 0
 
+    def __post_init__(self):
+        def number(value):
+            return isinstance(value, (int, float)) \
+                and not isinstance(value, bool)
+
+        if not (number(self.diminishing) and math.isfinite(self.diminishing)):
+            raise ValueError(f"diminishing must be a finite number, got "
+                             f"{self.diminishing!r}")
+        if not (number(self.noise_sigma) and 0 <= self.noise_sigma < math.inf):
+            raise ValueError(f"noise_sigma must be a finite number >= 0, got "
+                             f"{self.noise_sigma!r}")
+        if not (number(self.accuracy_cap) and self.accuracy_cap > 0):
+            raise ValueError(f"accuracy_cap must be a number > 0, got "
+                             f"{self.accuracy_cap!r}")
+        for name in ("min_depth", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 0:
+                raise ValueError(f"{name} must be an integer >= 0, got "
+                                 f"{value!r}")
+
 
 class SyntheticOracle:
+    """Accuracy of a chain under a ``SyntheticTaskSpec``.
+
+    ``deterministic`` is true when ``noise_sigma`` is 0: the accuracy is
+    then a function of the chain alone, and a search scores each chain
+    once per run. A noisy oracle draws from its own generator on every
+    call, so a search asks it again on every step.
+    """
+
     def __init__(self, spec: SyntheticTaskSpec):
         self.spec = spec
+        self.deterministic = bool(spec.noise_sigma == 0)
         self._rng = np.random.default_rng(spec.seed)
         self._bonus = {(p, c): b for p, c, b in spec.interaction_bonus}
 
@@ -79,7 +108,10 @@ class TabularOracle:
 
     File format: CSV with header ``chain,accuracy[,latency_<i>...]``; the
     latency columns (one per context) ride along for benchmark-style use.
+    A lookup is a function of the chain, so the oracle is ``deterministic``.
     """
+
+    deterministic = True
 
     def __init__(self, path):
         self.table = {}

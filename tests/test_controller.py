@@ -1,10 +1,12 @@
 import json
+import logging
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import (HealthCheck, example, given, settings,
+                        strategies as st)
 
 from shapenas import (ActionCatalog, BobConfig, CandidateNetwork, ContextSpec,
                       LayerTemplate, SearchSpace, ShapingConfig,
@@ -18,7 +20,9 @@ from shapenas.controller import (CallableSecondary, PredictorSecondary,
                                  load_checkpoint, potential_update, q_update,
                                  save_checkpoint, select_action, softmax)
 from shapenas.function_approx import TabularValues
-from shapenas.oracle import SynthStatsModel, gen_synth_stats
+from shapenas.oracle import (SynthStatsModel, TabularOracle, encode_chain,
+                             gen_synth_stats)
+from test_pinned_traces import per_action, two_metrics
 
 
 def make_secondary(per_action, mode="mean"):
@@ -364,6 +368,95 @@ def test_each_chain_state_computed_once(toy_space, monkeypatch):
                     assert s == chain
                 else:
                     assert not s.flags.writeable
+
+
+class Undeclared:
+    """An oracle that does not declare itself deterministic, so a search
+    asks it on every step."""
+
+    def __init__(self, oracle):
+        self.accuracy = oracle.accuracy
+
+
+# toy_space is a frozen dataclass, so one instance serves every example
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(backend=st.sampled_from(["tabular", "mlp"]),
+       weights=st.sampled_from([None, (1.0, 0.1), (0.5, 2.0)]),
+       secondary=st.sampled_from(["infeasible", "per_secondary"]),
+       seed=st.integers(0, 50), min_depth=st.integers(0, 2))
+def test_scores_memo_equals_per_step_scoring(toy_space, backend, weights,
+                                             secondary, seed, min_depth):
+    # a deterministic oracle's memoized scores give the run an oracle
+    # asked on every step gives
+    if secondary == "infeasible":
+        source, extra = CallableSecondary(per_action, 1), {}
+    else:
+        source = CallableSecondary(two_metrics, 2)
+        extra = dict(delta_mode="per_secondary", epsilon0=(1.0, 0.7),
+                     budgets=(100.0, 80.0))
+        weights = None if weights is None else weights + (0.3,)
+    cfg = config(episodes=8, backend=backend, hidden=(8,), **extra)
+    oracle = make_oracle(base_utility=(0.25, 0.1, 0.02), diminishing=0.7,
+                         interaction_bonus=((0, 1, 0.05),),
+                         min_depth=min_depth)
+    assert oracle.deterministic
+    memo, asked = (run_search(toy_space, o, source, cfg, seed=seed,
+                              weights=weights)
+                   for o in (oracle, Undeclared(oracle)))
+    assert memo.fingerprint() == asked.fingerprint()
+    assert greedy_rollout(memo.state, toy_space) == \
+        greedy_rollout(asked.state, toy_space)
+
+
+def all_chains(space):
+    """Every non-empty chain of the design space."""
+    chains, frontier = [], [((), space.empty_network())]
+    while frontier:
+        actions, net = frontier.pop()
+        for a in legal_actions(net, space.catalog):
+            chain = actions + (a,)
+            chains.append(chain)
+            frontier.append((chain, grow(net, space.catalog, a)))
+    return chains
+
+
+def test_deterministic_oracle_scores_each_chain_once(toy_space, tmp_path,
+                                                     caplog):
+    def counted(fn, counter):
+        def wrapper(net, actions):
+            counter[tuple(actions)] += 1
+            return fn(net, actions)
+        return wrapper
+
+    synthetic = make_oracle(base_utility=(0.25, 0.1, 0.02), diminishing=0.7)
+    table = tmp_path / "table.csv"
+    table.write_text("chain,accuracy\n" + "".join(
+        f"{encode_chain(c)},{synthetic.accuracy(None, c)!r}\n"
+        for c in all_chains(toy_space)))
+    noisy = make_oracle(base_utility=(0.25, 0.1, 0.02), diminishing=0.7,
+                        noise_sigma=0.05, seed=5)
+    caplog.set_level(logging.DEBUG, logger="shapenas.controller")
+    for oracle in (synthetic, TabularOracle(table), noisy):
+        oracle_calls, secondary_calls = Counter(), Counter()
+        oracle.accuracy = counted(oracle.accuracy, oracle_calls)
+        secondary = CallableSecondary(
+            counted(per_action, secondary_calls), 1)
+        caplog.clear()
+        trace = run_search(toy_space, oracle, secondary,
+                           config(episodes=10), seed=0)
+        chains = Counter(r.state_key + (r.action,) for r in trace.records)
+        assert len(chains) < len(trace.records)  # chains recur
+        per_run = chains if oracle is noisy else Counter(set(chains))
+        assert oracle_calls == per_run
+        assert secondary_calls == per_run
+        # one DEBUG line per run: steps, and the chains scored if memoized
+        lines = [r.getMessage() for r in caplog.records
+                 if r.name == "shapenas.controller"]
+        assert lines == [
+            f"run_episodes: 40 steps; the oracle is not memoized (it does "
+            f"not declare itself deterministic)" if oracle is noisy else
+            f"run_episodes: 40 steps, {len(chains)} distinct chains scored"]
 
 
 def test_scalarized_rejects_state_with_potentials(toy_space):

@@ -650,9 +650,23 @@ def test_bad_raw_value_names_key(tmp_path, capsys, command, overrides,
      "config key 'oracle.interaction_bonus': entry [0, 1, '0.1'] is not"),
     ({"interaction_bonus": {"0": 1}},
      "config key 'oracle.interaction_bonus' must be a list"),
+    *(({"seed": seed}, f"config key 'oracle.seed': seed must be an integer "
+       f">= 0, got {seed!r}") for seed in (1.5, -3, True)),
+    *(({"noise_sigma": sigma}, f"config key 'oracle.noise_sigma': "
+       f"noise_sigma must be a finite number >= 0, got {sigma!r}")
+      for sigma in (-1.0, True, float("inf"))),
+    ({"min_depth": 1.5}, "config key 'oracle.min_depth': min_depth must be "
+     "an integer >= 0, got 1.5"),
+    ({"diminishing": float("nan")}, "config key 'oracle.diminishing': "
+     "diminishing must be a finite number, got nan"),
+    ({"accuracy_cap": -1.0}, "config key 'oracle.accuracy_cap': "
+     "accuracy_cap must be a number > 0, got -1.0"),
 ], ids=["utility_too_short", "utility_too_long", "utility_not_a_list",
         "bonus_names_action_7", "bonus_pair", "bonus_is_a_string",
-        "bonus_not_a_list"])
+        "bonus_not_a_list", "seed_fractional", "seed_negative",
+        "seed_is_a_bool", "noise_negative", "noise_is_a_bool",
+        "noise_infinite", "min_depth_fractional", "diminishing_nan",
+        "cap_negative"])
 def test_synthetic_oracle_checked_against_catalog(tmp_path, capsys, command,
                                                   oracle, message):
     cfg = write_config(tmp_path, {"oracle": oracle})

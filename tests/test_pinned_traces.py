@@ -8,6 +8,10 @@ shaped digests were re-recorded, on an unchanged search loop, when the
 fingerprint began to hash float fields as ``float``: before, a potential's
 ``np.float64`` hashed as its numpy repr, which depends on numpy's version.
 
+The ``noisy_oracle`` case draws the oracle's noise on every step: a
+search memoizes a chain's scores only for an oracle that declares itself
+deterministic, so this case pins the per-step scoring path.
+
 Tabular backend only: MLP values depend on the BLAS summation order of the
 host, so their digests are not portable across machines.
 """
@@ -32,7 +36,7 @@ def two_metrics(net, actions):
 
 TWO = dict(epsilon0=(1.0, 0.7), budgets=(100.0, 80.0))
 
-# name: (config overrides, secondary, scalarized weights)
+# name: (config overrides, secondary, scalarized weights[, oracle overrides])
 CASES = {
     "shaped_infeasible": ({}, CallableSecondary(per_action, 1), None),
     "scalarized": ({}, CallableSecondary(per_action, 1), (1.0, 0.1)),
@@ -42,6 +46,8 @@ CASES = {
                           CallableSecondary(two_metrics, 2), None),
     "tau_warmup": (dict(tau=0.05, warmup=2),
                    CallableSecondary(per_action, 1), None),
+    "noisy_oracle": ({}, CallableSecondary(per_action, 1), None,
+                     dict(noise_sigma=0.05, seed=5)),
 }
 
 PINNED = {
@@ -60,15 +66,19 @@ PINNED = {
     "tau_warmup": (
         "80e97e839001032e0a4f40456626bc566ca8742270f0923009ffecbe57931c22",
         (0, 0, 1, 0)),
+    "noisy_oracle": (
+        "731109e2cc5fc3c800f7e37e0933a3d6c3d5276c42dd09ba7054c070a8c49389",
+        (0, 0, 1, 0)),
 }
 
 
 def search(toy_space, name):
-    overrides, secondary, weights = CASES[name]
+    overrides, secondary, weights, *oracle_overrides = CASES[name]
     cfg = ShapingConfig(**dict(dict(episodes=12, max_steps=4, tau=-1e9,
                                     budgets=(100.0,)), **overrides))
     oracle = SyntheticOracle(SyntheticTaskSpec(
-        (0.25, 0.1, 0.02), diminishing=0.7, interaction_bonus=((0, 1, 0.05),)))
+        (0.25, 0.1, 0.02), diminishing=0.7, interaction_bonus=((0, 1, 0.05),),
+        **dict(*oracle_overrides)))
     return run_search(toy_space, oracle, secondary, cfg, seed=3,
                       weights=weights)
 
@@ -91,3 +101,8 @@ def test_pinned_cases_cover_what_they_name(toy_space):
                if r.episode >= 5)
     stopped = search(toy_space, "tau_warmup")
     assert len(stopped.records) < 12 * 4  # some episode stopped early
+    noisy = search(toy_space, "noisy_oracle")
+    scores = {}  # chain -> the primary rewards its visits drew
+    for r in noisy.records:
+        scores.setdefault(r.state_key + (r.action,), set()).add(r.r_p)
+    assert any(len(drawn) > 1 for drawn in scores.values())
