@@ -7,6 +7,11 @@ coupled back to the primary signal: it multiplies by exp(growth in primary
 reward) each step while above a cutoff and drops to zero permanently once
 below it. The comparison baseline is the same loop without potentials or
 epsilons: plain Q-learning on the scalarized reward w0*r_P + sum_i w_i*r_S^i.
+
+An arm is described by ``weights`` alone: None is the shaped arm, and a
+tuple (w0, w1, ...) is the scalarized arm's Q-reward weights. ``run_search``
+derives the arm's potentials from it, so a new arm is one more
+``(name, weights)`` entry in ``harness.cmd_compare``'s list.
 """
 from __future__ import annotations
 
@@ -361,29 +366,15 @@ def _state_of(q, ctx):
     return embedded
 
 
-def init_state(cfg: ShapingConfig, space: SearchSpace, seed: int,
-               shaped: bool = True) -> ShapingState:
-    """Fresh controller state; ``shaped=False`` gives the scalarized
-    baseline's state, which has no potentials and no epsilons."""
-    n_phi = len(cfg.epsilon0) if shaped else 0
-    return ShapingState(
-        q=_make_values(cfg, space, seed, 0),
-        phis=[_make_values(cfg, space, seed, 1 + i) for i in range(n_phi)],
-        epsilons=tuple(float(e) for e in cfg.epsilon0[:n_phi]),
-        last_primary=None,
-        last_secondary=None,
-        rng=np.random.default_rng(seed))
-
-
 def run_episodes(state: ShapingState, space: SearchSpace, oracle, secondary,
                  cfg: ShapingConfig, n_episodes: int, trace: SearchTrace,
-                 scalar_weights=None) -> None:
+                 weights=None) -> None:
     """Advance the controller by n_episodes, appending to the trace in place.
 
-    Potentials and epsilons are those of ``state``; the scalarized baseline
-    runs on a state without them (``init_state(..., shaped=False)``).
-    ``scalar_weights`` (w0, w1, ...) makes the Q reward
-    w0*r_P + sum_i w_i*r_S^i instead of r_P.
+    ``weights`` is the arm, as in ``run_search``: None is the shaped arm,
+    whose Q reward is r_P and which reads one secondary per potential of
+    ``state``; (w0, w1, ...) is the scalarized arm, whose Q reward is
+    w0*r_P + sum_i w_i*r_S^i over one secondary per weight after w0.
 
     A chain is an action tuple, and the run derives each chain once: on its
     first visit ``nodes`` maps it to its network (``grow``), its state in
@@ -399,8 +390,7 @@ def run_episodes(state: ShapingState, space: SearchSpace, oracle, secondary,
     catalog = space.catalog
     q, phis, rng = state.q, state.phis, state.rng
     state_of = _state_of(q, space.context)
-    n_sec = (len(cfg.epsilon0) if scalar_weights is None
-             else len(scalar_weights) - 1)
+    n_sec = len(phis) if weights is None else len(weights) - 1
     budgets = [float(b) for b in cfg.budgets[:n_sec]]
     cap = float(cfg.epsilon_cap)
     beta, gamma, temperature = cfg.beta, cfg.gamma, cfg.softmax_temperature
@@ -457,13 +447,13 @@ def run_episodes(state: ShapingState, space: SearchSpace, oracle, secondary,
                 r_s = ((0.0,) * n_sec if raw is None  # worst normalized score
                        else tuple(normalize_secondary(raw, budgets)))
                 reward = r_p
-                if scalar_weights is not None:
+                if weights is not None:
                     # term by term, not sum(): from Python 3.12 sum() rounds
                     # a float sum differently (compensated summation)
                     reward = 0.0
-                    for w, v in zip(scalar_weights[1:], r_s):
+                    for w, v in zip(weights[1:], r_s):
                         reward += w * v
-                    reward = scalar_weights[0] * r_p + reward
+                    reward = weights[0] * r_p + reward
                 if memo:
                     nodes[chain] = (net_next, sp, legal_prime,
                                     (r_p, r_s, infeasible, reward))
@@ -533,20 +523,33 @@ def run_search(space: SearchSpace, oracle, secondary, cfg: ShapingConfig,
                episodes: int | None = None, weights=None) -> SearchTrace:
     """Full search: init (or resume from ``state``), run episodes.
 
-    Shaped by default; ``weights`` (w0, w1, ...) selects the scalarized
-    baseline, the same loop on a state without potentials (see
-    ``run_episodes``).
+    ``weights`` describes the arm. None is the shaped arm, with one
+    potential and one epsilon per ``cfg.epsilon0`` entry; (w0, w1, ...) is
+    the scalarized baseline, the same loop without potentials or epsilons
+    on the Q reward w0*r_P + sum_i w_i*r_S^i (see ``run_episodes``). A
+    resumed ``state`` must hold as many potentials and epsilons as the arm.
     """
     t0 = time.perf_counter()
+    n_phi = len(cfg.epsilon0) if weights is None else 0
     if state is None:
-        state = init_state(cfg, space, seed, shaped=weights is None)
-    elif weights is not None and (state.phis or len(state.epsilons)):
-        raise ValueError("the scalarized baseline runs on a state without "
-                         "potentials or epsilons")
+        state = ShapingState(
+            q=_make_values(cfg, space, seed, 0),
+            phis=[_make_values(cfg, space, seed, 1 + i)
+                  for i in range(n_phi)],
+            epsilons=tuple(float(e) for e in cfg.epsilon0[:n_phi]),
+            last_primary=None,
+            last_secondary=None,
+            rng=np.random.default_rng(seed))
+    elif len(state.phis) != n_phi or len(state.epsilons) != n_phi:
+        raise ValueError(
+            f"the {'shaped' if weights is None else 'scalarized'} arm runs "
+            f"on {n_phi} potentials and epsilons, but the state has "
+            f"{len(state.phis)} potentials and {len(state.epsilons)} "
+            f"epsilons")
     trace = SearchTrace([], [], None, (), 0.0, seed)
     run_episodes(state, space, oracle, secondary, cfg,
                  episodes if episodes is not None else cfg.episodes, trace,
-                 scalar_weights=None if weights is None else tuple(weights))
+                 weights=None if weights is None else tuple(weights))
     trace.wall_time = time.perf_counter() - t0
     trace.state = state
     return trace

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import functools
+import itertools
 import json
 import logging
 import math
@@ -237,21 +238,22 @@ def _log_layer_memo(secondary) -> None:
         log.debug("predictor layer memo: %d layers", len(secondary.memo))
 
 
-def _run_one(doc, space, secondary, shaping, seed, weights):
+def _run_one(doc, space, secondary, shaping, run):
+    seed, weights = run
     # a fresh oracle per replicate: a noisy one restarts its noise stream
     oracle = cfgmod.build_oracle(doc, space.catalog)
     return controller.run_search(space, oracle, secondary, shaping, seed,
                                  weights=weights)
 
 
-def _run_replicates(doc, space, secondary, shaping, jobs, seeds, weights):
-    """One trace per (seed, weights) pair, in order; ``weights`` None runs
-    the shaped search. Up to ``jobs`` worker processes."""
+def _run_replicates(doc, space, secondary, shaping, jobs, runs):
+    """One trace per ``(seed, weights)`` run, in order, on up to ``jobs``
+    worker processes; ``weights`` is the arm, as in ``run_search``."""
     run = functools.partial(_run_one, doc, space, secondary, shaping)
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run, seeds, weights))
-    return list(map(run, seeds, weights))
+            return list(pool.map(run, runs))
+    return list(map(run, runs))
 
 
 def _replicate_summary(oracle, secondary, trace, ref_size: float) -> dict:
@@ -300,9 +302,8 @@ def cmd_search(config_path, seed: int, replicates: int, jobs: int,
     _check_metric_count(secondary, "shaping.epsilon0", n_sec)
     ref_size = network_size(reference_network(space,
                                               doc.get("reference_chain")))
-    seeds = [seed + i for i in range(replicates)]
-    traces = _run_replicates(doc, space, secondary, shaping, jobs, seeds,
-                             [None] * replicates)
+    traces = _run_replicates(doc, space, secondary, shaping, jobs,
+                             [(seed + i, None) for i in range(replicates)])
 
     rows, timings, failed, errors = [], [], [], []
     for trace in traces:
@@ -327,7 +328,13 @@ def cmd_search(config_path, seed: int, replicates: int, jobs: int,
 
 def cmd_compare(config_path, seed: int, replicates: int, jobs: int,
                 out_dir) -> dict:
-    """Shaped vs scalarized on identical seeds; reports the plateau speedup."""
+    """Shaped vs scalarized on identical seeds; reports the plateau speedup.
+
+    Each arm is a ``(name, weights)`` entry, ``weights`` as in
+    ``controller.run_search``: a new arm is one more entry in ``arms``. An
+    arm's curves are ``curve_<name>_replicate_<seed>.csv``, and its report
+    keys are ``<name>_episodes_to_95`` and ``mean_<name>``.
+    """
     doc = cfgmod.load_config(config_path)
     _ensure_out(out_dir, config_path)
     space = cfgmod.build_space(doc)
@@ -343,40 +350,30 @@ def cmd_compare(config_path, seed: int, replicates: int, jobs: int,
     secondary = _build_secondary(doc, space)
     _check_metric_count(secondary, "shaping.epsilon0", n_sec)
     _check_metric_count(secondary, "scalarized_weights", len(weights) - 1)
-    traces = _run_replicates(doc, space, secondary, shaping, jobs, seeds * 2,
-                             [None] * replicates + [weights] * replicates)
+    arms = [("shaped", None), ("scalarized", weights)]
+    traces = iter(_run_replicates(doc, space, secondary, shaping, jobs,
+                                  [(s, w) for _, w in arms for s in seeds]))
     _log_layer_memo(secondary)
-    shaped, scalar = traces[:replicates], traces[replicates:]
 
-    failed, errors = [], []
-    shaped_ep, scalar_ep = [], []
-    for ts, tc in zip(shaped, scalar):
-        tag = f"replicate_{ts.seed}"
-        write_curve(os.path.join(out_dir, f"curve_shaped_{tag}.csv"), ts,
-                    n_sec)
-        write_curve(os.path.join(out_dir, f"curve_scalarized_{tag}.csv"), tc,
-                    n_sec)
-        shaped_ep.append(episodes_to_plateau(ts.episode_returns))
-        scalar_ep.append(episodes_to_plateau(tc.episode_returns))
-        arm_errors = [f"{arm} seed {t.seed}: {t.error}"
-                      for arm, t in (("shaped", ts), ("scalarized", tc))
-                      if t.error is not None]
-        if arm_errors:
-            failed.append(ts.seed)
-            errors.extend(arm_errors)
-    mean_shaped = float(np.mean(shaped_ep))
-    mean_scalar = float(np.mean(scalar_ep))
-    report = {
-        "seeds": seeds,
-        "shaped_episodes_to_95": shaped_ep,
-        "scalarized_episodes_to_95": scalar_ep,
-        "mean_shaped": mean_shaped,
-        "mean_scalarized": mean_scalar,
-        "speedup_ratio": (mean_scalar / mean_shaped if mean_shaped else None),
-        "failed_seeds": failed,
-    }
+    report = {"seeds": seeds}
+    errors = {s: [] for s in seeds}
+    for name, _ in arms:
+        plateaus = []
+        for trace in itertools.islice(traces, replicates):
+            write_curve(os.path.join(
+                out_dir, f"curve_{name}_replicate_{trace.seed}.csv"), trace,
+                n_sec)
+            plateaus.append(episodes_to_plateau(trace.episode_returns))
+            if trace.error is not None:
+                errors[trace.seed].append(
+                    f"{name} seed {trace.seed}: {trace.error}")
+        report[f"{name}_episodes_to_95"] = plateaus
+        report[f"mean_{name}"] = float(np.mean(plateaus))
+    shaped, scalar = report["mean_shaped"], report["mean_scalarized"]
+    report["speedup_ratio"] = scalar / shaped if shaped else None
+    failed = report["failed_seeds"] = [s for s in seeds if errors[s]]
     _write_json(os.path.join(out_dir, "compare_report.json"), report)
     if failed:
         raise HarnessError(f"replicates failed for seeds {failed}: "
-                           + "; ".join(errors))
+                           + "; ".join(e for s in failed for e in errors[s]))
     return report

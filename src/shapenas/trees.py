@@ -269,7 +269,8 @@ def _node_arrays(trees: list, n_features: int):
     count, each node's index in its tree, and the five lists. Raises
     ValueError naming the tree and node unless every tree's node lists
     share one nonzero length, ``feature``, ``left`` and ``right`` hold ints
-    in intp's range, values are finite, and each feature is -1 (a leaf) or
+    in intp's range, ``threshold`` and ``value`` hold ints or floats (not
+    bools), values are finite, and each feature is -1 (a leaf) or
     a column below ``n_features`` with a finite threshold and children
     after it in its own tree, so that every walk ends at a leaf."""
     # per_tree[name] holds each tree's list; map and itemgetter keep the
@@ -306,9 +307,20 @@ def _node_arrays(trees: list, n_features: int):
         raise ValueError(f"{node_of(i)}: {name} {entries[i]!r} is not an "
                          f"index")
 
+    def numbers(name):
+        # numpy would read true, "1.5" or null as a float; the set of the
+        # entries' types is the cheapest check of the whole list
+        def entries():
+            return itertools.chain.from_iterable(per_tree[name])
+
+        if {*map(type, entries())} <= {int, float}:
+            return np.fromiter(entries(), float, n_nodes)
+        i, bad = next((i, v) for i, v in enumerate(entries())
+                      if type(v) is not int and type(v) is not float)
+        raise ValueError(f"{node_of(i)}: {name} {bad!r} is not a number")
+
     feature, left, right = map(indices, ("feature", "left", "right"))
-    threshold, value = (np.fromiter(itertools.chain.from_iterable(
-        per_tree[name]), float, n_nodes) for name in ("threshold", "value"))
+    threshold, value = map(numbers, ("threshold", "value"))
     local = np.arange(n_nodes) - np.repeat(ends - sizes, sizes)
     size = np.repeat(sizes, sizes)
     bad = ~np.isfinite(value) | (feature != -1) & (

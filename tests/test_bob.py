@@ -321,14 +321,14 @@ def string_learning_rate(doc):
             "finite number")
 
 
-def index_entry(name, bad):
+def index_entry(name, bad, kind="an index"):
     """Entry ``name`` of tree 2's first split set to ``bad``, which numpy
-    would read as an index."""
+    would read as ``kind``."""
     def corrupt(doc):
         tree, j = corrupt_tree(doc)
         tree[name][j] = bad
         return (f"member 1, target 'Memory Usage': tree 2 node {j}: {name} "
-                f"{bad!r} is not an index")
+                f"{bad!r} is not {kind}")
     corrupt.__name__ = f"{name}_{bad!r}"
     return corrupt
 
@@ -345,7 +345,9 @@ def threshold_past_double_range(doc):
     null_columns, number_in_registry, string_learning_rate,
     index_entry("feature", 1.5), index_entry("feature", True),
     index_entry("left", 1.5), index_entry("right", True),
-    index_entry("feature", 2 ** 63), threshold_past_double_range],
+    index_entry("feature", 2 ** 63), threshold_past_double_range,
+    index_entry("threshold", True, "a number"),
+    index_entry("value", "1.5", "a number")],
     ids=lambda corrupt: corrupt.__name__)
 def test_load_rejects_malformed_model(gated, tmp_path, corrupt):
     model, _ = gated

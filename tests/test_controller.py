@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import math
@@ -465,6 +466,20 @@ def test_scalarized_rejects_state_with_potentials(toy_space):
     shaped = run_search(*args, seed=0)
     with pytest.raises(ValueError, match="potentials"):
         run_search(*args, seed=0, state=shaped.state, weights=(1.0, 0.1))
+
+
+@pytest.mark.parametrize("copies", [0, 2])
+def test_shaped_rejects_state_with_other_potential_count(toy_space, copies):
+    # the shaped arm needs one potential per epsilon0 entry: without them
+    # it would run unshaped, and with more it would index past the r_S
+    args = (toy_space, make_oracle(), make_secondary([5, 40, 70]),
+            config(episodes=2))
+    state = run_search(*args, seed=0).state
+    state = dataclasses.replace(state, phis=state.phis * copies,
+                                epsilons=state.epsilons * copies)
+    with pytest.raises(ValueError,
+                       match=f"1 potentials.* {copies} potentials"):
+        run_search(*args, seed=0, state=state)
 
 
 def test_null_second_secondary_reduces_to_single(toy_space):

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -109,7 +110,7 @@ def test_episodes_to_plateau_step_curve():
 def test_gen_synth_row_count_and_header(tmp_path):
     cfg = write_config(tmp_path, SYNTH)
     path = cmd_gen_synth(cfg, seed=0, out_dir=str(tmp_path / "out"))
-    lines = open(path).read().strip().splitlines()
+    lines = Path(path).read_text().strip().splitlines()
     assert len(lines) == 101
     assert lines[0].startswith("Type,Kernel Size,Stride,Padding")
     assert "feasible" in lines[0]
@@ -129,7 +130,7 @@ def test_gen_synth_rule_off_all_feasible(tmp_path):
         SYNTH, synth_stats_model={"context_multipliers": [1.0, 2.5],
                                   "infeasibility_rule": False}))
     path = cmd_gen_synth(cfg, seed=0, out_dir=str(tmp_path / "out"))
-    rows = open(path).read().strip().splitlines()[1:]
+    rows = Path(path).read_text().strip().splitlines()[1:]
     assert all(row.rsplit(",", 1)[-1] == "1" for row in rows)
 
 
@@ -261,6 +262,46 @@ def test_compare_parallel_matches_serial(tmp_path):
     for name in names:
         assert sha(tmp_path / "serial" / name) == \
             sha(tmp_path / "parallel" / name), name
+
+
+PINNED_OUTPUTS = {
+    "compare": {
+        "compare_report.json":
+        "ae736aa573e548b0f821c21900c0133f51e0c72fb8b8a9b07f2bbb10fee16ee1",
+        "curve_shaped_replicate_0.csv":
+        "40235e57e1495d3ca3bf6c8da2931245bfab3afd68429b4512f9af43c1e1204f",
+        "curve_shaped_replicate_1.csv":
+        "d98dde3dd2681ff6c40e7201cd02b3448916d85c3323584ac39408000d15adbf",
+        "curve_scalarized_replicate_0.csv":
+        "87d7f152d38cb260cab0a2f96de4a51e935fbf90ffe2ca7b75ee4d4d7b3dfe4d",
+        "curve_scalarized_replicate_1.csv":
+        "28230a2fe13ebab40a31d5ac36544354af796e6ad41d5771216d2cd8508a09e1",
+    },
+    "search": {
+        "report.json":
+        "add0f85a442ce60573b49d08df0052a7706e5783592612527fe62e66ee2bad0d",
+        "trace_replicate_0.csv":
+        "adbad3b7b34b1e4d3b5750b43a8946e494b5f4b6cf1ca6f26c0f23c05874ade5",
+        "trace_replicate_1.csv":
+        "a79e8401765d1c16e3c58ebbff43acc68f2fc5123853404dcf16990a385b6bca",
+        "curve_replicate_0.csv":
+        "40235e57e1495d3ca3bf6c8da2931245bfab3afd68429b4512f9af43c1e1204f",
+        "curve_replicate_1.csv":
+        "d98dde3dd2681ff6c40e7201cd02b3448916d85c3323584ac39408000d15adbf",
+    },
+}
+
+
+def test_compare_and_search_outputs_pinned(tmp_path):
+    # every deterministic artifact of a short BASE run, to the byte; the
+    # shaped arm's curves equal the one-arm search's
+    cfg = write_config(tmp_path)
+    for name, command in (("compare", cmd_compare), ("search", cmd_search)):
+        out = tmp_path / name
+        command(cfg, seed=0, replicates=2, jobs=1, out_dir=str(out))
+        assert {p.name: sha(p) for p in out.iterdir()
+                if p.name not in ("config.yaml", "timings.json")} \
+            == PINNED_OUTPUTS[name]
 
 
 def test_predictor_secondary_parallel_matches_serial(tmp_path):
