@@ -15,11 +15,13 @@ derives the arm's potentials from it, so a new arm is one more
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
 import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import NamedTuple
@@ -313,6 +315,15 @@ def softmax(scores, temperature: float) -> list[float]:
     return [x / total for x in e.tolist()]
 
 
+@functools.cache
+def _uniform_bounds(k: int) -> list[float]:
+    """The entries ``select_action`` compares one draw against when all k
+    probabilities are ``1.0 / k``: the running sums, each divided by the
+    last."""
+    cdf = list(accumulate([1.0 / k] * k))
+    return [c / cdf[-1] for c in cdf]
+
+
 def select_action(q, phis, epsilons, s, legal, temperature, rng) -> int:
     """Sample from the softmax over shaped scores restricted to legal actions.
 
@@ -323,11 +334,21 @@ def select_action(q, phis, epsilons, s, legal, temperature, rng) -> int:
     index ``searchsorted(side="right")`` finds among the divided entries).
     So both the action drawn and the generator's state after the draw are
     ``choice``'s.
+
+    When every score equals the first and the first over ``temperature``
+    is finite, ``softmax`` is skipped: each shifted score is then +-0.0,
+    whose exp is 1.0, and numpy's sum of k ones is k, so every probability
+    is exactly ``1.0 / k`` and the divided entries are ``_uniform_bounds``.
     """
     if not legal:
         raise TerminalStateError("no legal actions in this state")
-    cdf = list(accumulate(softmax(shaped_scores(q, phis, epsilons, s, legal),
-                                  temperature)))
+    scores = shaped_scores(q, phis, epsilons, s, legal)
+    # count, not max == min, which [0.0, nan] passes
+    if (scores.count(scores[0]) == len(scores)
+            and math.isfinite(scores[0] / temperature)):
+        return int(legal[bisect_right(_uniform_bounds(len(legal)),
+                                      rng.random())])
+    cdf = list(accumulate(softmax(scores, temperature)))
     total = cdf[-1]
     if not math.isfinite(total):  # a NaN or +inf score, or all -inf
         raise ValueError(f"state {s!r}: the softmax of the shaped scores at "

@@ -94,12 +94,20 @@ def normalize_curve(returns) -> np.ndarray:
 
 
 def smooth(values, window: int = 3) -> np.ndarray:
-    """Trailing moving average, the documented plateau-detection smoother."""
+    """Trailing moving average, the documented plateau-detection smoother:
+    entry i is the mean of the last ``window`` values up to i (of all of
+    them while i < window - 1). Each window is summed from 0.0, oldest term
+    first, and divided by its count, in elementwise IEEE adds: the bits of
+    numpy 2's ``np.mean`` of each slice (which also starts from 0.0, so an
+    all -0.0 window gives 0.0), but in one pass over the curve and without
+    depending on a numpy version's reduction order."""
     v = np.asarray(values, dtype=float)
-    out = np.empty_like(v)
-    for i in range(len(v)):
-        out[i] = v[max(0, i - window + 1):i + 1].mean()
-    return out
+    # window - 1 leading zeros stand in for the 0.0 each sum starts from
+    padded = np.concatenate([np.zeros(window - 1), v])
+    total = np.zeros(len(v))
+    for j in range(window):
+        total += padded[j:j + len(v)]
+    return total / np.minimum(np.arange(1, len(v) + 1), window)
 
 
 def episodes_to_plateau(returns, fraction: float = 0.95,

@@ -270,9 +270,10 @@ def _node_arrays(trees: list, n_features: int):
     ValueError naming the tree and node unless every tree's node lists
     share one nonzero length, ``feature``, ``left`` and ``right`` hold ints
     in intp's range, ``threshold`` and ``value`` hold ints or floats (not
-    bools), values are finite, and each feature is -1 (a leaf) or
-    a column below ``n_features`` with a finite threshold and children
-    after it in its own tree, so that every walk ends at a leaf."""
+    bools) in the double range, values are finite, and each feature is -1
+    (a leaf) or a column below ``n_features`` with a finite threshold and
+    children after it in its own tree, so that every walk ends at a
+    leaf."""
     # per_tree[name] holds each tree's list; map and itemgetter keep the
     # per-tree work out of Python bytecode
     per_tree = dict(zip(_NODE_LISTS, list(zip(*map(
@@ -314,9 +315,19 @@ def _node_arrays(trees: list, n_features: int):
             return itertools.chain.from_iterable(per_tree[name])
 
         if {*map(type, entries())} <= {int, float}:
-            return np.fromiter(entries(), float, n_nodes)
+            try:
+                return np.fromiter(entries(), float, n_nodes)
+            except OverflowError:  # an int past the double range
+                pass
+
+        def number(v):
+            try:  # math.isfinite overflows on an int past the double range
+                return type(v) is float or type(v) is int and math.isfinite(v)
+            except OverflowError:
+                return False
+
         i, bad = next((i, v) for i, v in enumerate(entries())
-                      if type(v) is not int and type(v) is not float)
+                      if not number(v))
         raise ValueError(f"{node_of(i)}: {name} {bad!r} is not a number")
 
     feature, left, right = map(indices, ("feature", "left", "right"))

@@ -167,6 +167,18 @@ SCORES = st.one_of(st.floats(-50.0, 50.0), st.sampled_from([-1.0, 0.0, 2.5]))
        eps=st.sampled_from([0.0, 0.3, 1.7]),
        temperature=st.floats(0.05, 10.0), seed=st.integers(0, 2**32 - 1),
        tie=st.none() | st.integers(0, 13))
+# every shaped score equal: the uniform draw, at widths 1 and 13, on mixed
+# -0.0 and 0.0 (q -0.0 plus 0.3 * -0.0 stays -0.0), and with u at the
+# divided running sums k/k of the uniform probabilities
+@example(scores=[(2.5, 2.5)], eps=0.3, temperature=1.0, seed=7, tie=None)
+@example(scores=[(-1.0, 2.5)] * 13, eps=1.7, temperature=0.05, seed=7,
+         tie=None)
+@example(scores=[(-0.0, -0.0), (0.0, 0.0), (-0.0, -0.0)], eps=0.3,
+         temperature=2.0, seed=11, tie=None)
+@example(scores=[(0.0, 0.0)] * 4, eps=0.0, temperature=1.0, seed=0, tie=0)
+@example(scores=[(0.0, 0.0)] * 4, eps=0.0, temperature=1.0, seed=0, tie=2)
+@example(scores=[(0.0, 0.0)] * 4, eps=0.0, temperature=1.0, seed=0, tie=3)
+@example(scores=[(2.5, -1.0)] * 13, eps=0.3, temperature=3.0, seed=0, tie=5)
 def test_select_action_draws_as_generator_choice(scores, eps, temperature,
                                                  seed, tie):
     s = (2, 0)
@@ -215,6 +227,13 @@ def numpy_softmax(scores, temperature):
 @example(scores=[1.0, math.nan, 2.0], temperature=0.5)
 @example(scores=[math.inf, 1.0, -math.inf], temperature=2.0)
 @example(scores=[-0.0, 0.0, -math.inf], temperature=1)
+# all equal: uniform at widths 1 and 13 and on mixed -0.0 and 0.0; 1e308 over
+# 0.05 overflows, so that draw must still raise; all NaN
+@example(scores=[2.5], temperature=0.5)
+@example(scores=[-1.0] * 13, temperature=0.05)
+@example(scores=[-0.0, 0.0, -0.0, 0.0], temperature=3)
+@example(scores=[1e308, 1e308], temperature=0.05)
+@example(scores=[math.nan, math.nan, math.nan], temperature=1.0)
 def test_softmax_bits_equal_numpy_softmax(scores, temperature):
     want = numpy_softmax(scores, temperature)
     got = softmax(scores, temperature)

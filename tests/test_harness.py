@@ -8,8 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from shapenas import cli, harness
 from shapenas.config import ConfigError, load_config
@@ -94,6 +96,32 @@ def test_normalize_curve_constant_maps_to_ones():
 def test_smooth_is_trailing_average():
     out = smooth([1.0, 2.0, 3.0, 4.0], window=3)
     assert list(out) == [1.0, 1.5, 2.0, 3.0]
+
+
+def trailing_mean(values, window):
+    """Each entry's window, its terms added to 0.0 oldest first in Python
+    floats, over the count (np.mean of a slice also starts from 0.0, so an
+    all -0.0 window gives 0.0)."""
+    out = []
+    for i in range(len(values)):
+        terms = values[max(0, i - window + 1):i + 1]
+        total = 0.0
+        for x in terms:
+            total += x
+        out.append(total / len(terms))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.floats(1e-5, 1e5) | st.floats(-1e5, -1e-5)
+                       | st.sampled_from([0.0, -0.0]), max_size=300),
+       window=st.integers(1, 5))
+def test_smooth_bits_equal_python_trailing_mean(values, window):
+    # curves shorter than the window included
+    got = smooth(values, window)
+    assert got.dtype == np.float64
+    assert got.tobytes() == np.array(trailing_mean(values, window),
+                                     dtype=float).tobytes()
 
 
 def test_episodes_to_plateau_step_curve():

@@ -1,10 +1,12 @@
+import re
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shapenas.trees import BoostedRegressor, RegressionTree, split_columns
+from shapenas.trees import (BoostedRegressor, Forest, RegressionTree,
+                            split_columns)
 
 
 def walk(tree, X):
@@ -144,6 +146,21 @@ def test_compiled_walk_equals_per_tree_loop(trees, base, learning_rate,
         "train_losses": [0.0] * len(trees), "trees": trees})
     X = random_rows(seed, n_rows)
     assert np.array_equal(model.predict(X), reference_predict(model, X))
+
+
+@pytest.mark.parametrize("name", ["threshold", "value"])
+def test_forest_names_an_int_past_double_range(name):
+    # numpy would raise a bare OverflowError converting it to a float
+    reg = BoostedRegressor.from_dict({
+        "rounds": 1, "learning_rate": 0.5, "max_depth": 1,
+        "min_samples_leaf": 1, "base_prediction": 0.0, "train_losses": [0.0],
+        "trees": [{"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0],
+                   "left": [1, -1, -1], "right": [2, -1, -1],
+                   "value": [0.0, 1.0, 2.0]}]})
+    reg.trees[0][name][0] = 10 ** 400
+    with pytest.raises(ValueError, match=re.escape(
+            f"reg: tree 0 node 0: {name} {10 ** 400!r} is not a number")):
+        Forest([reg], 1, ["reg"])
 
 
 @settings(max_examples=30, deadline=None)
