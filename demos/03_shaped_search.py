@@ -40,4 +40,4 @@ for ep in range(0, cfg.episodes, 20):
 
 chain = greedy_rollout(trace.state, space)
 print(f"\ngreedy architecture after training: {chain}")
-print(f"final accuracy: {oracle.accuracy(None, list(chain)):.3f}")
+print(f"final accuracy: {oracle.accuracy(None, chain):.3f}")

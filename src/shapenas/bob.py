@@ -130,27 +130,18 @@ class BobModel:
         return np.clip(out, 0.0, None)  # responses are physical, never < 0
 
 
-def predict_layers(model: BobModel, X: np.ndarray) -> list[MetaPrediction]:
-    """Per-row piecewise prediction: infeasible when the registry or the gate
-    fires, otherwise the bag-mean regression values.
-
-    All rows go through one registry pass, one gate call and one regression
-    call together.
-    """
-    model._check_schema(X)
-    ok = np.asarray([row_signature(r) not in model.infeasible_registry
-                     for r in X], dtype=bool)
-    if ok.any():
-        ok[ok] = model.gate_feasible(X[ok])
-    values = iter(model.predict_matrix(X[ok]) if ok.any() else ())
-    return [MetaPrediction(True, tuple(float(v) for v in next(values)))
-            if feasible else INFEASIBLE for feasible in ok]
-
-
 def predict(model: BobModel, features: np.ndarray) -> MetaPrediction:
-    """Piecewise prediction for one feature row (see predict_layers)."""
-    row = np.asarray(features, dtype=float).ravel()
-    return predict_layers(model, row[None, :])[0]
+    """Piecewise prediction for one feature row, the one row rule: a row
+    whose width is not the model's raises SchemaMismatchError; a row in the
+    infeasible registry, or one the gate rejects, is infeasible; any other
+    row gets the bag-mean regression values."""
+    row = np.asarray(features, dtype=float).reshape(1, -1)
+    model._check_schema(row)
+    if (row_signature(row[0]) in model.infeasible_registry
+            or not model.gate_feasible(row)[0]):
+        return INFEASIBLE
+    return MetaPrediction(True, tuple(float(v)
+                                      for v in model.predict_matrix(row)[0]))
 
 
 def network_prediction(per_layer, n_targets: int) -> MetaPrediction:
@@ -166,10 +157,10 @@ def network_prediction(per_layer, n_targets: int) -> MetaPrediction:
 
 
 def predict_network(model: BobModel, feature_matrix: np.ndarray) -> MetaPrediction:
-    """Whole-network behavior from its per-layer rows (see
-    network_prediction); an empty matrix is the empty network."""
+    """Whole-network behavior: ``network_prediction`` over ``predict`` of
+    each per-layer row; an empty matrix is the empty network."""
     X = np.atleast_2d(np.asarray(feature_matrix, dtype=float))
-    per_layer = predict_layers(model, X) if X.size else []
+    per_layer = [predict(model, row) for row in X] if X.size else []
     return network_prediction(per_layer, len(model.target_names))
 
 

@@ -105,11 +105,15 @@ def build_section(cls, mapping, section: str, other_keys=()):
     """Build the dataclass ``cls`` from the config mapping at ``section``.
 
     Lists become tuples. Keys in ``other_keys`` belong to the section but
-    not to ``cls`` and are skipped. An unknown key, a missing required key
-    and a string where ``cls`` takes a number (PyYAML reads ``1.0e9``, with
-    no sign after the ``e``, as a string) raise ConfigError naming the key.
-    So does a ValueError from ``cls``'s own checks, which names the first
-    field its message mentions (or the section, if it mentions none).
+    not to ``cls`` and are skipped. These raise ConfigError naming the key:
+    an unknown key; a missing required key; where ``cls`` takes a number,
+    anything but an int or a float (or null, for an ``int | None`` field),
+    such as ``1.0e9``, which PyYAML reads as a string when no sign follows
+    the ``e``; and where it takes a ``tuple[float, ...]``, anything but a
+    list of numbers. A bool passes as a number, so that ``cls``'s own checks,
+    whose messages name it, decide it. A ValueError from those checks names
+    the first field its message mentions (or the section, if it mentions
+    none).
     """
     fields = {f.name: f for f in dataclasses.fields(cls)}
     check_keys(mapping, section, fields.keys() | set(other_keys))
@@ -118,9 +122,14 @@ def build_section(cls, mapping, section: str, other_keys=()):
     for key, value in mapping.items():
         if key in other_keys:
             continue
-        if isinstance(value, str) and hints[key] in _NUMBER_TYPES:
+        hint = hints[key]
+        if hint == tuple[float, ...]:
+            value = number_list(value, f"{section}.{key}")
+        elif hint in _NUMBER_TYPES and not (
+                isinstance(value, (int, float))
+                or value is None and hint == int | None):
             raise ConfigError(f"config key '{section}.{key}' must be a "
-                              f"number, got the string {value!r}")
+                              f"number, got {value!r}")
         kwargs[key] = _tuples(value)
     for name, f in fields.items():
         if name not in kwargs and f.default is dataclasses.MISSING \
@@ -153,9 +162,7 @@ def build_catalog(doc: dict) -> ActionCatalog:
 
 
 def build_context(doc: dict) -> ContextSpec:
-    context = build_section(ContextSpec, require(doc, "context"), "context")
-    number_list(context.task, "context.task")
-    return context
+    return build_section(ContextSpec, require(doc, "context"), "context")
 
 
 def build_contexts(doc: dict) -> list[ContextSpec]:
@@ -168,10 +175,9 @@ def build_contexts(doc: dict) -> list[ContextSpec]:
     contexts = [build_section(ContextSpec, c, f"contexts[{i}]")
                 for i, c in enumerate(specs)]
     for i, ctx in enumerate(contexts):
-        task = number_list(ctx.task, f"contexts[{i}].task")
-        if len(task) != len(contexts[0].task):
+        if len(ctx.task) != len(contexts[0].task):
             raise ConfigError(
-                f"config key 'contexts[{i}].task' has {len(task)} values, "
+                f"config key 'contexts[{i}].task' has {len(ctx.task)} values, "
                 f"but 'contexts[0].task' has {len(contexts[0].task)}: every "
                 f"context needs the same number")
     return contexts
@@ -239,7 +245,7 @@ def build_oracle(doc: dict, catalog: ActionCatalog):
 
 
 def _check_synthetic(spec: dict, n: int) -> None:
-    utility = number_list(spec["base_utility"], "oracle.base_utility")
+    utility = spec["base_utility"]  # a list of numbers: build_section checked
     if len(utility) != n:
         raise ConfigError(f"config key 'oracle.base_utility' has "
                           f"{len(utility)} entries, but the catalog has {n} "
@@ -268,7 +274,7 @@ def build_synth_corpus(doc: dict
     model = build_section(SynthStatsModel, doc.get("synth_stats_model", {}),
                           "synth_stats_model")
     key = "synth_stats_model.context_multipliers"
-    multipliers = number_list(model.context_multipliers, key)
+    multipliers = model.context_multipliers
     if len(multipliers) != len(contexts):
         raise ConfigError(f"config key '{key}' has {len(multipliers)} "
                           f"entries, but there are {len(contexts)} contexts")

@@ -601,14 +601,15 @@ def brute_force_best_chain(space: SearchSpace, oracle, gamma: float) -> tuple:
         legal = legal_actions(net, space.catalog)
         if not legal:
             if value > best_value:
-                best, best_value = tuple(actions), value
+                best, best_value = actions, value
             return
         for a in legal:
             net_next = grow(net, space.catalog, a)
-            r = float(oracle.accuracy(net_next, actions + [a]))
-            visit(net_next, actions + [a], value + (gamma ** t) * r, t + 1)
+            chain = actions + (a,)
+            r = float(oracle.accuracy(net_next, chain))
+            visit(net_next, chain, value + (gamma ** t) * r, t + 1)
 
-    visit(space.empty_network(), [], 0.0, 0)
+    visit(space.empty_network(), (), 0.0, 0)
     return best
 
 

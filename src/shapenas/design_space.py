@@ -63,13 +63,14 @@ class LayerTemplate:
     def __post_init__(self):
         if self.block_kind not in BLOCK_KINDS:
             raise ValueError(f"unknown block_kind {self.block_kind!r}")
-        for name, low in (("kernel_size", 1), ("stride", 1), ("padding", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}")
+        for name, low in (("kernel_size", 1), ("stride", 1), ("padding", 0),
+                          ("channels", 0)):
+            value = getattr(self, name)
+            if type(value) is not int or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got "
+                                 f"{value!r}")
         if self.expansion_ratio <= 0:
             raise ValueError("expansion_ratio must be positive")
-        if self.channels < 0:
-            raise ValueError("channels must be non-negative")
 
 
 @dataclass(frozen=True)

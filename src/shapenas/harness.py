@@ -266,9 +266,9 @@ def _run_replicates(doc, space, secondary, shaping, jobs, runs):
 
 def _replicate_summary(oracle, secondary, trace, ref_size: float) -> dict:
     final_net = trace.final_network
-    final_acc = (float(oracle.accuracy(final_net, list(trace.final_actions)))
+    final_acc = (float(oracle.accuracy(final_net, trace.final_actions))
                  if final_net is not None and final_net.depth else 0.0)
-    raw = secondary.metrics(final_net, list(trace.final_actions)) \
+    raw = secondary.metrics(final_net, trace.final_actions) \
         if final_net is not None and secondary.n_metrics else None
     summary = {
         "seed": trace.seed,

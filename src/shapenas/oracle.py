@@ -172,19 +172,17 @@ class SynthStatsModel:
 TARGET_NAMES = ["Execution time", "Memory Usage"]
 
 
-def random_network(catalog: ActionCatalog, input_shape, rng) -> tuple:
-    """A random shape-valid chain of random depth; returns (net, actions)."""
+def random_network(catalog: ActionCatalog, input_shape,
+                   rng) -> CandidateNetwork:
+    """A random shape-valid chain of random depth."""
     depth = int(rng.integers(1, catalog.max_depth + 1))
     net = CandidateNetwork(input_shape)
-    actions = []
     for _ in range(depth):
         legal = legal_actions(net, catalog)
         if not legal:
             break
-        a = int(rng.choice(legal))
-        net = grow(net, catalog, a)
-        actions.append(a)
-    return net, actions
+        net = grow(net, catalog, int(rng.choice(legal)))
+    return net
 
 
 def gen_synth_stats(catalog: ActionCatalog, contexts, true_model: SynthStatsModel,
@@ -202,7 +200,7 @@ def gen_synth_stats(catalog: ActionCatalog, contexts, true_model: SynthStatsMode
     rng = np.random.default_rng(seed)
     raw_rows, X_rows, Y_rows = [], [], []
     while len(raw_rows) < count:
-        net, _ = random_network(catalog, input_shape, rng)
+        net = random_network(catalog, input_shape, rng)
         ci = int(rng.integers(len(contexts)))
         ctx, mult = contexts[ci], true_model.context_multipliers[ci]
         ctx_vec = encode_context(ctx)

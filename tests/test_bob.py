@@ -469,11 +469,12 @@ def test_predict_network_sums_layers_and_empty_is_zero(tmp_path):
     assert empty.feasible and empty.values == (0.0,)
 
 
-# --- batched layer prediction ----------------------------------------------
+# --- layer prediction ------------------------------------------------------
 
 
 def reference_predict(model, row):
-    """The uncached one-row path that the batched layer prediction replaces."""
+    """The row rule spelled out from the model's registry, gate and
+    regression, which ``predict`` must match."""
     if row_signature(row) in model.infeasible_registry \
             or not model.gate_feasible(row[None, :])[0]:
         return INFEASIBLE

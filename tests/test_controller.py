@@ -15,7 +15,7 @@ from shapenas import (ActionCatalog, BobConfig, CandidateNetwork, ContextSpec,
                       brute_force_best_chain, check_epsilon_schedule,
                       greedy_rollout, grow, learn_meta, legal_actions,
                       parse_network, predict_network, run_search)
-from shapenas import controller
+from shapenas import controller, harness
 from shapenas.controller import (CallableSecondary, PredictorSecondary,
                                  TerminalStateError, epsilon_update,
                                  load_checkpoint, potential_update, q_update,
@@ -331,6 +331,34 @@ def test_small_task_recovers_brute_force_optimum(toy_space):
     trace = run_search(toy_space, oracle, make_secondary([10, 10, 10]), cfg,
                        seed=1)
     assert greedy_rollout(trace.state, toy_space) == best
+
+
+def test_oracle_and_secondary_see_only_tuples(toy_space):
+    """A chain is an action tuple wherever the search, the replicate summary
+    and the brute-force enumeration hand it to the oracle or the
+    secondary."""
+    seen = []
+
+    class RecordingOracle(SyntheticOracle):
+        def accuracy(self, net, actions):
+            seen.append(type(actions))
+            return super().accuracy(net, actions)
+
+    def metric(net, actions):
+        seen.append(type(actions))
+        return [float(len(actions))]
+
+    oracle = RecordingOracle(SyntheticTaskSpec((0.25, 0.05, 0.02)))
+    secondary = CallableSecondary(metric, 1)
+    trace = run_search(toy_space, oracle, secondary, config(episodes=3),
+                       seed=0)
+    assert trace.final_actions and seen.count(tuple) == len(seen)
+    seen.clear()
+    harness._replicate_summary(oracle, secondary, trace, ref_size=1.0)
+    assert seen == [tuple, tuple]
+    seen.clear()
+    brute_force_best_chain(toy_space, oracle, gamma=0.9)
+    assert seen and seen.count(tuple) == len(seen)
 
 
 def test_epsilon_zero_matches_plain_q_learning(toy_space):

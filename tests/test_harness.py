@@ -678,6 +678,17 @@ def test_secondary_metric_count_checked(tmp_path, capsys, command, overrides,
       for command in ("search", "compare")),
     ("search", {"context": {"task": 0.5}},
      "config key 'context.task' must be a list of numbers, got 0.5"),
+    *(("search", {"shaping": {key: value}},
+       f"config key 'shaping.{key}' must be a number, got {value!r}")
+      for key, value in (("tau", [1]), ("gamma", None), ("tau", {"a": 1}))),
+    *(("search", {"context": {key: value}},
+       f"config key 'context.{key}' must be a number, got {value!r}")
+      for key, value in (("cores", None), ("memory_mb", [4096]))),
+    *(("search", {"shaping": {key: value}},
+       f"config key 'shaping.{key}' must be a list of numbers, got "
+       f"{value!r}") for key, value in (
+        ("budgets", None), ("epsilon0", ["a"]), ("epsilon0", [True]),
+        ("budgets", [True]))),
 ], ids=["reference_index_outside_catalog", "reference_not_a_list",
         "reference_action_does_not_fit", "weights_not_a_list",
         "weight_is_a_string", "no_weights", "metric_too_short",
@@ -688,7 +699,10 @@ def test_secondary_metric_count_checked(tmp_path, capsys, command, overrides,
         "stats_path_zero", "stats_path_seven", "stats_path_empty",
         "stats_path_list", "model_path_zero", "model_path_list",
         "search_oracle_path_zero", "compare_oracle_path_zero",
-        "context_task_not_a_list"])
+        "context_task_not_a_list", "tau_is_a_list", "gamma_is_null",
+        "tau_is_a_mapping", "cores_is_null", "memory_is_a_list",
+        "budgets_is_null", "epsilon0_string_entry", "epsilon0_bool_entry",
+        "budgets_bool_entry"])
 def test_bad_raw_value_names_key(tmp_path, capsys, command, overrides,
                                  message):
     cfg = write_config(tmp_path, overrides)
@@ -977,6 +991,14 @@ def test_bad_predictor_setting_names_key(tmp_path, capsys, setting, key):
     assert not (tmp_path / "out" / "model.json").exists()
 
 
+def one_action_set(index, **setting):
+    """A catalog override: BASE's actions, with ``setting`` on action
+    ``index``."""
+    actions = [dict(action) for action in BASE["catalog"]["actions"]]
+    actions[index].update(setting)
+    return {"catalog": {"actions": actions}}
+
+
 POOL_STRIDE_0 = {"catalog": {"actions": [
     {"block_kind": "conv", "kernel_size": 3, "stride": 1, "padding": 1,
      "channels": 8},
@@ -1017,6 +1039,12 @@ POOL_STRIDE_0 = {"catalog": {"actions": [
         ("min_samples_leaf", 0.5), ("min_samples", -1),
         ("oversample_factor", float("nan")), ("oversample_factor", -3.0),
         ("oversample_factor", 0.5))),
+    *((one_action_set(index, **{key: value}),
+       f"config key 'catalog.actions[{index}].{key}': {key} must be an "
+       f"integer >= {least}, got {value!r}")
+      for index, key, value, least in (
+          (2, "stride", 2.5, 1), (0, "channels", 8.5, 0),
+          (0, "padding", 0.5, 0), (1, "kernel_size", True, 1))),
 ], ids=["field_named", "second_of_two_fields", "template_field",
         "no_field_named", "no_steps", "no_episodes", "negative_episodes",
         "fractional_episodes", "negative_warmup",
@@ -1029,7 +1057,8 @@ POOL_STRIDE_0 = {"catalog": {"actions": [
         "negative_shrinkage", "negative_min_samples_leaf",
         "fractional_min_samples_leaf", "negative_min_samples",
         "nan_oversample_factor", "negative_oversample_factor",
-        "oversample_factor_below_one"])
+        "oversample_factor_below_one", "fractional_stride",
+        "fractional_channels", "fractional_padding", "bool_kernel_size"])
 def test_dataclass_check_names_section_and_key(tmp_path, capsys, overrides,
                                                where):
     cfg = write_config(tmp_path, overrides)
