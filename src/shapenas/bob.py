@@ -50,11 +50,10 @@ class BobConfig:
         for name, least in (("bag_size", 1), ("rounds", 0), ("max_depth", 0),
                             ("min_samples_leaf", 0), ("min_samples", 0)):
             value = getattr(self, name)
-            if type(value) is not int or value < least:
-                raise ValueError(f"{name} must be at least {least} and an "
-                                 f"integer, got {value!r}")
-        if not (isinstance(self.shrinkage, (int, float))
-                and 0 < self.shrinkage < math.inf):  # NaN fails this too
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got "
+                                 f"{value!r}")
+        if not 0 < self.shrinkage < math.inf:  # NaN fails this too
             raise ValueError(f"shrinkage must be a finite number > 0, got "
                              f"{self.shrinkage!r}")
 

@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import math
 import re
+import types
 import typing
 
 import yaml
@@ -16,7 +17,6 @@ from .design_space import (ActionCatalog, ContextSpec, LayerTemplate,
 from .oracle import SyntheticOracle, SyntheticTaskSpec, SynthStatsModel, TabularOracle
 
 CONFIG_SCHEMA_VERSION = 1
-_NUMBER_TYPES = (int, float, int | None)
 TOP_LEVEL_KEYS = frozenset((
     "schema_version", "input_shape", "catalog", "context", "contexts",
     "oracle", "shaping", "secondary", "scalarized_weights", "reference_chain",
@@ -68,18 +68,62 @@ def check_keys(mapping, section: str, known) -> None:
             raise ConfigError(f"unknown config key '{section}.{key}'")
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+# each scalar annotation a config field may carry: the types of the YAML
+# values it takes, and how a message names one such value and a list of
+# them. A bool is not a number.
+_SCALARS = {
+    bool: ((bool,), "true or false", "true or false values"),
+    int: ((int,), "an integer", "integers"),
+    float: ((int, float), "a number", "numbers"),
+    str: ((str,), "a string", "strings"),
+    type(None): ((type(None),), "null", "nulls"),
+}
+
+
+def _fits(value, hint) -> bool:
+    """Whether the YAML value ``value`` has the type annotation ``hint``:
+    a scalar of ``_SCALARS``, ``X | Y``, or ``tuple[X, ...]``, fixed
+    ``tuple[X, Y, ...]`` or bare ``tuple`` as a list."""
+    if hint in _SCALARS:
+        return type(value) in _SCALARS[hint][0]
+    args = typing.get_args(hint)
+    if type(hint) is types.UnionType:
+        return any(_fits(value, arg) for arg in args)
+    if not isinstance(value, list):  # a tuple annotation
+        return False
+    if args[1:] == (...,):
+        return all(_fits(v, args[0]) for v in value)
+    return not args or (len(value) == len(args)
+                        and all(map(_fits, value, args)))
+
+
+def _kind(hint, plural=False) -> str:
+    """How a message names a value of the annotation ``hint``, or, with
+    ``plural``, a list of them; the config's fixed tuples repeat one type."""
+    if hint in _SCALARS:
+        return _SCALARS[hint][2 if plural else 1]
+    args = typing.get_args(hint)
+    if type(hint) is types.UnionType:
+        return " or ".join(_kind(arg, plural) for arg in args)
+    if not args:  # a tuple annotation
+        return "a list"
+    count = "" if args[1:] == (...,) else f"{len(args)} "
+    return f"a list of {count}{_kind(args[0], plural=True)}"
+
+
+def _check_type(value, hint, key: str):
+    """``value``, which must have the type annotation ``hint`` (see
+    ``_fits``); else a ConfigError naming ``key``."""
+    if not _fits(value, hint):
+        raise ConfigError(f"config key {key!r} must be {_kind(hint)}, "
+                          f"got {value!r}")
+    return value
 
 
 def number_list(value, key: str) -> tuple:
-    """``value`` as a tuple of numbers; anything but a list (or tuple) of
-    numbers raises a ConfigError naming ``key``."""
-    if not isinstance(value, (list, tuple)) or not all(map(_is_number,
-                                                           value)):
-        raise ConfigError(f"config key {key!r} must be a list of numbers, "
-                          f"got {value!r}")
-    return tuple(value)
+    """``value`` as a tuple of numbers; anything but a list of numbers
+    raises a ConfigError naming ``key``."""
+    return tuple(_check_type(value, tuple[float, ...], key))
 
 
 def path_key(section_doc, key: str, section: str) -> str:
@@ -106,14 +150,12 @@ def build_section(cls, mapping, section: str, other_keys=()):
 
     Lists become tuples. Keys in ``other_keys`` belong to the section but
     not to ``cls`` and are skipped. These raise ConfigError naming the key:
-    an unknown key; a missing required key; where ``cls`` takes a number,
-    anything but an int or a float (or null, for an ``int | None`` field),
-    such as ``1.0e9``, which PyYAML reads as a string when no sign follows
-    the ``e``; and where it takes a ``tuple[float, ...]``, anything but a
-    list of numbers. A bool passes as a number, so that ``cls``'s own checks,
-    whose messages name it, decide it. A ValueError from those checks names
-    the first field its message mentions (or the section, if it mentions
-    none).
+    an unknown key; a missing required key; and a value that does not have
+    its field's type annotation (see ``_fits``), such as ``1.0e9`` for a
+    ``float``, which PyYAML reads as a string when no sign follows the
+    ``e``. ``cls``'s own checks then decide the values; a ValueError from
+    them names the first field its message mentions (or the section, if it
+    mentions none).
     """
     fields = {f.name: f for f in dataclasses.fields(cls)}
     check_keys(mapping, section, fields.keys() | set(other_keys))
@@ -122,15 +164,8 @@ def build_section(cls, mapping, section: str, other_keys=()):
     for key, value in mapping.items():
         if key in other_keys:
             continue
-        hint = hints[key]
-        if hint == tuple[float, ...]:
-            value = number_list(value, f"{section}.{key}")
-        elif hint in _NUMBER_TYPES and not (
-                isinstance(value, (int, float))
-                or value is None and hint == int | None):
-            raise ConfigError(f"config key '{section}.{key}' must be a "
-                              f"number, got {value!r}")
-        kwargs[key] = _tuples(value)
+        kwargs[key] = _tuples(_check_type(value, hints[key],
+                                         f"{section}.{key}"))
     for name, f in fields.items():
         if name not in kwargs and f.default is dataclasses.MISSING \
                 and f.default_factory is dataclasses.MISSING:
@@ -153,7 +188,7 @@ def build_catalog(doc: dict) -> ActionCatalog:
         raise ConfigError(f"config key 'catalog.actions' must be a non-empty "
                           f"list, got {actions!r}")
     max_depth = require(cat, "max_depth", "catalog")
-    if type(max_depth) is not int or max_depth < 1:
+    if not _fits(max_depth, int) or max_depth < 1:
         raise ConfigError(f"config key 'catalog.max_depth' must be an "
                           f"integer of at least 1, got {max_depth!r}")
     return ActionCatalog(
@@ -186,8 +221,7 @@ def build_contexts(doc: dict) -> list[ContextSpec]:
 def build_input_shape(doc: dict) -> tuple[int, int, int]:
     """The network input's (channels, height, width)."""
     shape = doc.get("input_shape", [3, 16, 16])
-    if not (isinstance(shape, list) and len(shape) == 3
-            and all(type(v) is int and v >= 1 for v in shape)):
+    if not (_fits(shape, tuple[int, int, int]) and min(shape) >= 1):
         raise ConfigError(f"config key 'input_shape' must be three positive "
                           f"integers (channels, height, width), got {shape!r}")
     return tuple(shape)
@@ -216,11 +250,11 @@ def build_predictor_cfg(doc: dict) -> tuple[BobConfig, str, float, float]:
                                     "oversample_factor"))
     stats_path = path_key(section, "stats_path", "predictor")
     fraction = section.get("test_fraction", 0.25)
-    if not _is_number(fraction) or not 0 < fraction < 1:
+    if not _fits(fraction, float) or not 0 < fraction < 1:
         raise ConfigError(f"config key 'predictor.test_fraction' must be "
                           f"between 0 and 1 (exclusive), got {fraction!r}")
     factor = section.get("oversample_factor", 1.0)
-    if not (_is_number(factor) and 1 <= factor < math.inf):
+    if not (_fits(factor, float) and 1 <= factor < math.inf):
         raise ConfigError(f"config key 'predictor.oversample_factor' must "
                           f"be a finite number >= 1, got {factor!r}")
     return cfg, stats_path, fraction, factor
@@ -250,15 +284,9 @@ def _check_synthetic(spec: dict, n: int) -> None:
         raise ConfigError(f"config key 'oracle.base_utility' has "
                           f"{len(utility)} entries, but the catalog has {n} "
                           f"actions")
-    bonus = spec.get("interaction_bonus", [])
-    if not isinstance(bonus, list):
-        raise ConfigError(f"config key 'oracle.interaction_bonus' must be a "
-                          f"list of [previous action, action, bonus], got "
-                          f"{bonus!r}")
-    for entry in bonus:
-        if not (isinstance(entry, list) and len(entry) == 3
-                and all(type(a) is int and 0 <= a < n for a in entry[:2])
-                and _is_number(entry[2])):
+    for entry in spec.get("interaction_bonus", []):  # a list, checked too
+        if not (_fits(entry, tuple[int, int, float])
+                and all(0 <= a < n for a in entry[:2])):
             raise ConfigError(
                 f"config key 'oracle.interaction_bonus': entry {entry!r} is "
                 f"not [previous action, action, bonus] with actions of the "
@@ -281,7 +309,7 @@ def build_synth_corpus(doc: dict
     synth_stats = doc.get("synth_stats", {})
     check_keys(synth_stats, "synth_stats", ("count",))
     count = synth_stats.get("count", 1000)
-    if type(count) is not int or count < 1:
+    if not _fits(count, int) or count < 1:
         raise ConfigError(f"config key 'synth_stats.count' must be an "
                           f"integer of at least 1, got {count!r}")
     return contexts, model, count

@@ -65,27 +65,29 @@ class ShapingConfig:
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
-        if self.softmax_temperature <= 0:
-            raise ValueError("softmax_temperature must be positive")
-        if self.epsilon_threshold <= 0:
-            raise ValueError("epsilon_threshold must be positive")
+        for name in ("beta", "softmax_temperature", "epsilon_threshold"):
+            value = getattr(self, name)
+            if not value > 0:  # NaN fails this too
+                raise ValueError(f"{name} must be positive, got {value!r}")
         for name, least in (("max_steps", 1), ("episodes", 1), ("warmup", 0),
                             ("shaping_episodes", 0)):
             value = getattr(self, name)
             if name == "shaping_episodes" and value is None:
                 continue
-            if type(value) is not int or value < least:
+            if value < least:
                 raise ValueError(f"{name} must be an integer of at least "
                                  f"{least}, got {value!r}")
+        if not all(map(math.isfinite, self.epsilon0)):
+            raise ValueError(f"epsilon0 entries must be finite, got "
+                             f"{self.epsilon0!r}")
         for e0 in self.epsilon0:
             if e0 > 0 and self.epsilon_threshold >= e0:
                 raise ValueError("epsilon_threshold must be < epsilon0")
         if len(self.budgets) != len(self.epsilon0):
             raise ValueError("one budget per secondary required")
-        if any(b <= 0 for b in self.budgets):
-            raise ValueError("budgets must be positive")
+        if not all(b > 0 for b in self.budgets):
+            raise ValueError(f"budgets must be positive, got "
+                             f"{self.budgets!r}")
         if not self.epsilon_cap >= 0:  # NaN fails this too
             raise ValueError(f"epsilon_cap must be >= 0, got "
                              f"{self.epsilon_cap!r}")
@@ -93,13 +95,11 @@ class ShapingConfig:
             raise ValueError("delta_mode must be 'primary' or 'per_secondary'")
         if self.backend not in ("tabular", "mlp"):
             raise ValueError("backend must be 'tabular' or 'mlp'")
-        if not (isinstance(self.hidden, (tuple, list))
-                and all(type(h) is int and h >= 1 for h in self.hidden)):
+        if not all(h >= 1 for h in self.hidden):
             raise ValueError(f"hidden must be a list of positive integers "
                              f"(the hidden layer widths), got "
                              f"{self.hidden!r}")
-        if not (isinstance(self.q_step_size, (int, float))
-                and 0 < self.q_step_size < math.inf):  # NaN fails this too
+        if not 0 < self.q_step_size < math.inf:  # NaN fails this too
             raise ValueError(f"q_step_size must be a finite number > 0, got "
                              f"{self.q_step_size!r}")
 

@@ -66,11 +66,12 @@ class LayerTemplate:
         for name, low in (("kernel_size", 1), ("stride", 1), ("padding", 0),
                           ("channels", 0)):
             value = getattr(self, name)
-            if type(value) is not int or value < low:
+            if value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got "
                                  f"{value!r}")
-        if self.expansion_ratio <= 0:
-            raise ValueError("expansion_ratio must be positive")
+        if not self.expansion_ratio > 0:  # NaN fails this too
+            raise ValueError(f"expansion_ratio must be positive, got "
+                             f"{self.expansion_ratio!r}")
 
 
 @dataclass(frozen=True)
@@ -160,8 +161,10 @@ class ContextSpec:
 
     def __post_init__(self):
         for name in CONTEXT_NUMERIC:
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            value = getattr(self, name)
+            if not value >= 0:  # NaN fails this too
+                raise ValueError(f"{name} must be non-negative, got "
+                                 f"{value!r}")
         if self.processor_kind not in PROCESSOR_KINDS:
             raise ValueError(f"unknown processor_kind "
                              f"{self.processor_kind!r}; expected one of "

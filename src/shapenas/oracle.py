@@ -43,22 +43,18 @@ class SyntheticTaskSpec:
     seed: int = 0
 
     def __post_init__(self):
-        def number(value):
-            return isinstance(value, (int, float)) \
-                and not isinstance(value, bool)
-
-        if not (number(self.diminishing) and math.isfinite(self.diminishing)):
+        if not math.isfinite(self.diminishing):
             raise ValueError(f"diminishing must be a finite number, got "
                              f"{self.diminishing!r}")
-        if not (number(self.noise_sigma) and 0 <= self.noise_sigma < math.inf):
+        if not 0 <= self.noise_sigma < math.inf:
             raise ValueError(f"noise_sigma must be a finite number >= 0, got "
                              f"{self.noise_sigma!r}")
-        if not (number(self.accuracy_cap) and self.accuracy_cap > 0):
+        if not self.accuracy_cap > 0:
             raise ValueError(f"accuracy_cap must be a number > 0, got "
                              f"{self.accuracy_cap!r}")
         for name in ("min_depth", "seed"):
             value = getattr(self, name)
-            if type(value) is not int or value < 0:
+            if value < 0:
                 raise ValueError(f"{name} must be an integer >= 0, got "
                                  f"{value!r}")
 
@@ -151,6 +147,16 @@ class SynthStatsModel:
     memory_coeffs: tuple[float, float] = (0.1, 0.004)
     context_multipliers: tuple[float, ...] = (1.0,)
     infeasibility_rule: bool = True
+
+    def __post_init__(self):
+        for name in ("latency_coeffs", "memory_coeffs"):
+            coeffs = getattr(self, name)
+            if not all(0 <= c < math.inf for c in coeffs):
+                raise ValueError(f"{name} must be finite and >= 0, got "
+                                 f"{coeffs!r}")
+        if not all(0 < m < math.inf for m in self.context_multipliers):
+            raise ValueError(f"context_multipliers must be finite and > 0, "
+                             f"got {self.context_multipliers!r}")
 
     def layer_latency(self, layer, multiplier: float) -> float:
         c0, c1, c2, c3 = self.latency_coeffs

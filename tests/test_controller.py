@@ -744,8 +744,16 @@ def test_shaping_config_validation():
         ShapingConfig(delta_mode="weird")
     with pytest.raises(ValueError):
         ShapingConfig(budgets=(1.0, 2.0))
-    with pytest.raises(ValueError, match="budgets must be positive"):
-        ShapingConfig(budgets=(0.0,))
+    for budget in (0.0, math.nan):
+        with pytest.raises(ValueError, match="budgets must be positive"):
+            ShapingConfig(budgets=(budget,))
+    for key in ("beta", "softmax_temperature", "epsilon_threshold"):
+        with pytest.raises(ValueError, match=f"{key} must be positive"):
+            ShapingConfig(**{key: math.nan})
+    for e0 in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="epsilon0 entries must be "
+                                             "finite"):
+            ShapingConfig(epsilon0=(e0,))
     for cap in (-1.0, math.nan):
         with pytest.raises(ValueError, match="epsilon_cap must be >= 0"):
             ShapingConfig(epsilon_cap=cap)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import logging
@@ -6,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -14,10 +16,14 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from shapenas import cli, harness
+from shapenas.bob import BobConfig
 from shapenas.config import ConfigError, load_config
+from shapenas.controller import ShapingConfig
+from shapenas.design_space import ContextSpec, LayerTemplate
 from shapenas.harness import (HarnessError, cmd_compare, cmd_gen_synth,
                               cmd_search, cmd_train_predictor,
                               episodes_to_plateau, normalize_curve, smooth)
+from shapenas.oracle import SynthStatsModel, SyntheticTaskSpec
 
 BASE = {
     "schema_version": 1,
@@ -681,14 +687,25 @@ def test_secondary_metric_count_checked(tmp_path, capsys, command, overrides,
     *(("search", {"shaping": {key: value}},
        f"config key 'shaping.{key}' must be a number, got {value!r}")
       for key, value in (("tau", [1]), ("gamma", None), ("tau", {"a": 1}))),
-    *(("search", {"context": {key: value}},
-       f"config key 'context.{key}' must be a number, got {value!r}")
-      for key, value in (("cores", None), ("memory_mb", [4096]))),
+    ("search", {"context": {"cores": None}},
+     "config key 'context.cores' must be an integer, got None"),
+    ("search", {"context": {"memory_mb": [4096]}},
+     "config key 'context.memory_mb' must be a number, got [4096]"),
     *(("search", {"shaping": {key: value}},
        f"config key 'shaping.{key}' must be a list of numbers, got "
        f"{value!r}") for key, value in (
         ("budgets", None), ("epsilon0", ["a"]), ("epsilon0", [True]),
         ("budgets", [True]))),
+    ("gen-synth", dict(SYNTH, synth_stats_model={
+        "context_multipliers": [1.0, 2.5], "latency_coeffs": [1, 2]}),
+     "config key 'synth_stats_model.latency_coeffs' must be a list of 4 "
+     "numbers, got [1, 2]"),
+    ("gen-synth", dict(SYNTH, synth_stats_model={
+        "context_multipliers": [1.0, 2.5], "infeasibility_rule": "no"}),
+     "config key 'synth_stats_model.infeasibility_rule' must be true or "
+     "false, got 'no'"),
+    ("search", {"context": {"cores": True}},
+     "config key 'context.cores' must be an integer, got True"),
 ], ids=["reference_index_outside_catalog", "reference_not_a_list",
         "reference_action_does_not_fit", "weights_not_a_list",
         "weight_is_a_string", "no_weights", "metric_too_short",
@@ -702,7 +719,8 @@ def test_secondary_metric_count_checked(tmp_path, capsys, command, overrides,
         "context_task_not_a_list", "tau_is_a_list", "gamma_is_null",
         "tau_is_a_mapping", "cores_is_null", "memory_is_a_list",
         "budgets_is_null", "epsilon0_string_entry", "epsilon0_bool_entry",
-        "budgets_bool_entry"])
+        "budgets_bool_entry", "latency_coeffs_too_short",
+        "infeasibility_rule_is_a_string", "cores_is_a_bool"])
 def test_bad_raw_value_names_key(tmp_path, capsys, command, overrides,
                                  message):
     cfg = write_config(tmp_path, overrides)
@@ -733,13 +751,18 @@ def test_bad_raw_value_names_key(tmp_path, capsys, command, overrides,
      "config key 'oracle.interaction_bonus': entry [0, 1, '0.1'] is not"),
     ({"interaction_bonus": {"0": 1}},
      "config key 'oracle.interaction_bonus' must be a list"),
-    *(({"seed": seed}, f"config key 'oracle.seed': seed must be an integer "
-       f">= 0, got {seed!r}") for seed in (1.5, -3, True)),
-    *(({"noise_sigma": sigma}, f"config key 'oracle.noise_sigma': "
-       f"noise_sigma must be a finite number >= 0, got {sigma!r}")
-      for sigma in (-1.0, True, float("inf"))),
-    ({"min_depth": 1.5}, "config key 'oracle.min_depth': min_depth must be "
-     "an integer >= 0, got 1.5"),
+    ({"seed": 1.5}, "config key 'oracle.seed' must be an integer, got 1.5"),
+    ({"seed": -3}, "config key 'oracle.seed': seed must be an integer >= 0, "
+     "got -3"),
+    ({"seed": True}, "config key 'oracle.seed' must be an integer, got True"),
+    ({"noise_sigma": -1.0}, "config key 'oracle.noise_sigma': noise_sigma "
+     "must be a finite number >= 0, got -1.0"),
+    ({"noise_sigma": True}, "config key 'oracle.noise_sigma' must be a "
+     "number, got True"),
+    ({"noise_sigma": float("inf")}, "config key 'oracle.noise_sigma': "
+     "noise_sigma must be a finite number >= 0, got inf"),
+    ({"min_depth": 1.5}, "config key 'oracle.min_depth' must be an integer, "
+     "got 1.5"),
     ({"diminishing": float("nan")}, "config key 'oracle.diminishing': "
      "diminishing must be a finite number, got nan"),
     ({"accuracy_cap": -1.0}, "config key 'oracle.accuracy_cap': "
@@ -999,6 +1022,8 @@ def one_action_set(index, **setting):
     return {"catalog": {"actions": actions}}
 
 
+NAN = float("nan")
+
 POOL_STRIDE_0 = {"catalog": {"actions": [
     {"block_kind": "conv", "kernel_size": 3, "stride": 1, "padding": 1,
      "channels": 8},
@@ -1026,7 +1051,10 @@ POOL_STRIDE_0 = {"catalog": {"actions": [
      "config key 'shaping.epsilon_cap': epsilon_cap must be >= 0"),
     *(({"shaping": {"backend": "mlp", "hidden": hidden}},
        "config key 'shaping.hidden': hidden must be a list of positive "
-       "integers") for hidden in ([0], [-2], [3.5], 7)),
+       "integers") for hidden in ([0], [-2])),
+    *(({"shaping": {"backend": "mlp", "hidden": hidden}},
+       f"config key 'shaping.hidden' must be a list of integers, got "
+       f"{hidden!r}") for hidden in ([3.5], 7)),
     *(({"shaping": {"backend": "mlp", "q_step_size": step}},
        "config key 'shaping.q_step_size': q_step_size must be a finite "
        "number > 0") for step in (-0.5, 0, float("nan"))),
@@ -1040,11 +1068,36 @@ POOL_STRIDE_0 = {"catalog": {"actions": [
         ("oversample_factor", float("nan")), ("oversample_factor", -3.0),
         ("oversample_factor", 0.5))),
     *((one_action_set(index, **{key: value}),
-       f"config key 'catalog.actions[{index}].{key}': {key} must be an "
-       f"integer >= {least}, got {value!r}")
-      for index, key, value, least in (
-          (2, "stride", 2.5, 1), (0, "channels", 8.5, 0),
-          (0, "padding", 0.5, 0), (1, "kernel_size", True, 1))),
+       f"config key 'catalog.actions[{index}].{key}' must be an integer, "
+       f"got {value!r}")
+      for index, key, value in (
+          (2, "stride", 2.5), (0, "channels", 8.5), (0, "padding", 0.5),
+          (1, "kernel_size", True))),
+    *(({"shaping": {key: NAN}},
+       f"config key 'shaping.{key}': {key} must be positive, got nan")
+      for key in ("beta", "softmax_temperature", "epsilon_threshold")),
+    ({"shaping": {"budgets": [NAN]}},
+     "config key 'shaping.budgets': budgets must be positive, got (nan,)"),
+    *(({"shaping": {"epsilon0": [e0]}},
+       f"config key 'shaping.epsilon0': epsilon0 entries must be finite, got "
+       f"({e0!r},)") for e0 in (NAN, float("inf"))),
+    *(({"context": {key: NAN}},
+       f"config key 'context.{key}': {key} must be non-negative, got nan")
+      for key in ("memory_mb", "memory_bandwidth")),
+    (one_action_set(0, expansion_ratio=NAN),
+     "config key 'catalog.actions[0].expansion_ratio': expansion_ratio must "
+     "be positive, got nan"),
+    *((dict(SYNTH, synth_stats_model={"context_multipliers": multipliers}),
+       f"config key 'synth_stats_model.context_multipliers': "
+       f"context_multipliers must be finite and > 0, got "
+       f"{tuple(multipliers)!r}")
+      for multipliers in ([1.0, -2.5], [1.0, NAN], [0.0, 1.0])),
+    *((dict(SYNTH, synth_stats_model={"context_multipliers": [1.0, 2.5],
+                                      key: coeffs}),
+       f"config key 'synth_stats_model.{key}': {key} must be finite and "
+       f">= 0, got {tuple(coeffs)!r}")
+      for key, coeffs in (("latency_coeffs", [0.5, -0.02, 0.05, 0.001]),
+                          ("memory_coeffs", [NAN, 0.004]))),
 ], ids=["field_named", "second_of_two_fields", "template_field",
         "no_field_named", "no_steps", "no_episodes", "negative_episodes",
         "fractional_episodes", "negative_warmup",
@@ -1058,14 +1111,64 @@ POOL_STRIDE_0 = {"catalog": {"actions": [
         "fractional_min_samples_leaf", "negative_min_samples",
         "nan_oversample_factor", "negative_oversample_factor",
         "oversample_factor_below_one", "fractional_stride",
-        "fractional_channels", "fractional_padding", "bool_kernel_size"])
+        "fractional_channels", "fractional_padding", "bool_kernel_size",
+        "nan_beta", "nan_softmax_temperature", "nan_epsilon_threshold",
+        "nan_budget", "nan_epsilon0", "infinite_epsilon0", "nan_memory_mb",
+        "nan_memory_bandwidth", "nan_expansion_ratio",
+        "negative_context_multiplier", "nan_context_multiplier",
+        "zero_context_multiplier", "negative_latency_coeff",
+        "nan_memory_coeff"])
 def test_dataclass_check_names_section_and_key(tmp_path, capsys, overrides,
                                                where):
     cfg = write_config(tmp_path, overrides)
-    command = "train-predictor" if "predictor" in overrides else "search"
+    command = ("train-predictor" if "predictor" in overrides
+               else "gen-synth" if "synth_stats_model" in overrides
+               else "search")
     rc, err = run_cli(tmp_path, capsys, cfg, command=command)
     assert rc == 2
     assert where in err
+
+
+# values of the wrong type for each annotation a config field carries; a
+# field with a new annotation needs an entry here
+WRONG_TYPE = {
+    bool: ("no", 1), int: (2.5, True), float: ("1.0e9", True),
+    str: (5, None), int | None: (2.5, True), tuple: ({"a": 1},),
+    tuple[int, ...]: ([3.5], 7), tuple[float, ...]: (0.5, [True]),
+    tuple[float, float]: (["a", 1], [1.0]),
+    tuple[float, float, float, float]: ([1, 2], [1, 2, 3, "4"]),
+}
+# each section build_section builds: its class, a command that reads it,
+# and the overrides that set ``key`` to ``value`` there
+FIELD_SECTIONS = [
+    (LayerTemplate, "search", "catalog.actions[0]",
+     lambda key, value: one_action_set(0, **{key: value})),
+    (ContextSpec, "search", "context",
+     lambda key, value: {"context": {key: value}}),
+    (ShapingConfig, "search", "shaping",
+     lambda key, value: {"shaping": {key: value}}),
+    (SyntheticTaskSpec, "search", "oracle",
+     lambda key, value: {"oracle": {key: value}}),
+    (BobConfig, "train-predictor", "predictor",
+     lambda key, value: {"predictor": {"stats_path": "never_read.csv",
+                                       key: value}}),
+    (SynthStatsModel, "gen-synth", "synth_stats_model",
+     lambda key, value: dict(SYNTH, synth_stats_model={
+         "context_multipliers": [1.0, 2.5], key: value})),
+]
+
+
+def test_wrong_type_of_every_field_names_key(tmp_path, capsys):
+    for cls, command, section, overrides in FIELD_SECTIONS:
+        for field in dataclasses.fields(cls):
+            hint = typing.get_type_hints(cls)[field.name]
+            for value in WRONG_TYPE[hint]:
+                cfg = write_config(tmp_path, overrides(field.name, value))
+                rc, err = run_cli(tmp_path, capsys, cfg, command=command)
+                assert rc == 2, (section, field.name, value)
+                assert err.startswith(f"error: config key "
+                                      f"'{section}.{field.name}' must be "), err
+                assert err.endswith(f", got {value!r}\n"), err
 
 
 @pytest.mark.parametrize("level", ["debug", "warning"])
