@@ -2,16 +2,21 @@
 
 A ground-truth cost model generates per-layer latency and memory records for
 three execution contexts; the third has so little memory that about one row
-in ten is infeasible. A bag of boosted regression trees learns each target,
-a boosted classifier learns the feasibility gate, and rows observed as
-infeasible are remembered exactly in a registry that short-circuits the gate.
+in ten is infeasible. The records go through a stats CSV, written as
+``gen-synth`` writes it and read as ``train-predictor`` reads it. A bag of
+boosted regression trees learns each target, a boosted classifier learns
+the feasibility gate, and rows observed as infeasible are remembered
+exactly in a registry that short-circuits the gate.
 """
+import os
+import tempfile
+
 import numpy as np
 
 from shapenas import ActionCatalog, ContextSpec, LayerTemplate
 from shapenas.bob import BobConfig, learn_meta, predict, score
-from shapenas.dataset import train_holdout_split
-from shapenas.oracle import SynthStatsModel, gen_synth_stats
+from shapenas.dataset import ingest_stats, train_holdout_split, write_stats
+from shapenas.oracle import TARGET_NAMES, SynthStatsModel, gen_synth_stats
 
 catalog = ActionCatalog((
     LayerTemplate("conv", kernel_size=3, stride=1, padding=1, channels=8),
@@ -26,7 +31,11 @@ contexts = [
 ]
 truth = SynthStatsModel(context_multipliers=(1.0, 0.6, 3.0))
 
-data, _ = gen_synth_stats(catalog, contexts, truth, count=1500, seed=0)
+rows = gen_synth_stats(catalog, contexts, truth, count=1500, seed=0)
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "stats.csv")
+    write_stats(rows, TARGET_NAMES, path)
+    data = ingest_stats(path)
 print(f"{len(data)} layer records, "
       f"{(~data.feasible).mean():.1%} infeasible")
 

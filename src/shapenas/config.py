@@ -267,30 +267,29 @@ def build_oracle(doc: dict, catalog: ActionCatalog):
     spec = require(doc, "oracle")
     kind = require(spec, "kind", "oracle")
     if kind == "synthetic":
+        n = len(catalog.actions)
+        # checked before the spec is built: its own check unpacks each entry
+        for entry in _check_type(spec.get("interaction_bonus", []), tuple,
+                                 "oracle.interaction_bonus"):
+            if not (_fits(entry, tuple[int, int, float])
+                    and all(0 <= a < n for a in entry[:2])):
+                raise ConfigError(
+                    f"config key 'oracle.interaction_bonus': entry "
+                    f"{entry!r} is not [previous action, action, bonus] "
+                    f"with actions of the catalog's {n} (0 to {n - 1})")
         task = build_section(SyntheticTaskSpec, spec, "oracle",
                              other_keys=("kind",))
-        _check_synthetic(spec, len(catalog.actions))
+        if len(task.base_utility) != n:
+            raise ConfigError(f"config key 'oracle.base_utility' has "
+                              f"{len(task.base_utility)} entries, but the "
+                              f"catalog has {n} actions")
         return SyntheticOracle(task)
     if kind == "tabular":  # the synthetic oracle's keys are ignored
         check_keys(spec, "oracle", {"kind", "path"}
                    | {f.name for f in dataclasses.fields(SyntheticTaskSpec)})
         return TabularOracle(path_key(spec, "path", "oracle"))
-    raise ConfigError(f"unknown oracle kind {kind!r}")
-
-
-def _check_synthetic(spec: dict, n: int) -> None:
-    utility = spec["base_utility"]  # a list of numbers: build_section checked
-    if len(utility) != n:
-        raise ConfigError(f"config key 'oracle.base_utility' has "
-                          f"{len(utility)} entries, but the catalog has {n} "
-                          f"actions")
-    for entry in spec.get("interaction_bonus", []):  # a list, checked too
-        if not (_fits(entry, tuple[int, int, float])
-                and all(0 <= a < n for a in entry[:2])):
-            raise ConfigError(
-                f"config key 'oracle.interaction_bonus': entry {entry!r} is "
-                f"not [previous action, action, bonus] with actions of the "
-                f"catalog's {n} (0 to {n - 1})")
+    raise ConfigError(f"config key 'oracle.kind' must be 'synthetic' or "
+                      f"'tabular', got {kind!r}")
 
 
 def build_synth_corpus(doc: dict

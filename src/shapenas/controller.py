@@ -65,6 +65,8 @@ class ShapingConfig:
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
+        if math.isnan(self.tau):  # +-inf stops every or no episode
+            raise ValueError(f"tau must not be NaN, got {self.tau!r}")
         for name in ("beta", "softmax_temperature", "epsilon_threshold"):
             value = getattr(self, name)
             if not value > 0:  # NaN fails this too

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .design_space import (ARCH_NUMERIC, BLOCK_KINDS, CONTEXT_NUMERIC,
-                           PROCESSOR_KINDS, arch_columns, context_columns,
-                           layer_values, one_hot, row_signature)
+                           PROCESSOR_KINDS, feature_columns, layer_values,
+                           one_hot, row_signature)
 
 REQUIRED_COLUMNS = ("Type", *ARCH_NUMERIC.values(), "Execution time",
                     *CONTEXT_NUMERIC.values())
@@ -71,14 +71,6 @@ class MetaDataset:
         return len(self.X)
 
 
-def dataset_columns(has_processor: bool, task_arity: int) -> list[str]:
-    cols = arch_columns()
-    cols += list(context_columns(task_arity)) if has_processor else [
-        c for c in context_columns(task_arity) if not c.startswith("processor=")
-    ]
-    return cols
-
-
 def ingest_stats(path) -> MetaDataset:
     """Load a layerwise stats CSV into an encoded, typed dataset."""
     with open(path, newline="", encoding="utf-8") as fh:
@@ -111,7 +103,9 @@ def ingest_stats(path) -> MetaDataset:
         extra_targets = [h for h in header
                          if h not in known and h != "feasible"]
         target_names = ["Execution time"] + extra_targets
-        columns = dataset_columns(has_processor, len(task_cols))
+        # parse_network's columns, less the processor's if it has none
+        columns = [c for c in feature_columns(len(task_cols))
+                   if has_processor or not c.startswith("processor=")]
 
         def cell(row, name):
             return row[col_of[name]].strip()

@@ -165,6 +165,9 @@ class ContextSpec:
             if not value >= 0:  # NaN fails this too
                 raise ValueError(f"{name} must be non-negative, got "
                                  f"{value!r}")
+        if not all(map(math.isfinite, self.task)):
+            raise ValueError(f"task entries must be finite, got "
+                             f"{self.task!r}")
         if self.processor_kind not in PROCESSOR_KINDS:
             raise ValueError(f"unknown processor_kind "
                              f"{self.processor_kind!r}; expected one of "
@@ -267,16 +270,11 @@ def row_signature(row) -> tuple:
     return (tuple(row[:n_arch]), tuple(row[n_arch:]))
 
 
-def context_columns(task_arity: int) -> list[str]:
-    cols = list(CONTEXT_NUMERIC)
-    cols += [f"processor={k}" for k in PROCESSOR_KINDS]
-    cols += [f"task_{i}" for i in range(task_arity)]
-    return cols
-
-
 def feature_columns(task_arity: int) -> list[str]:
     """Column schema of parse_network; fixed given the context arity."""
-    return arch_columns() + context_columns(task_arity)
+    return (arch_columns() + list(CONTEXT_NUMERIC)
+            + [f"processor={k}" for k in PROCESSOR_KINDS]
+            + [f"task_{i}" for i in range(task_arity)])
 
 
 _context_values = attrgetter(*CONTEXT_NUMERIC)

@@ -153,10 +153,10 @@ def cmd_gen_synth(config_path, seed: int, out_dir) -> str:
     _ensure_out(out_dir, config_path)
     catalog = cfgmod.build_catalog(doc)
     contexts, model, count = cfgmod.build_synth_corpus(doc)
-    _, raw_rows = orc.gen_synth_stats(catalog, contexts, model, count, seed,
-                                      cfgmod.build_input_shape(doc))
+    rows = orc.gen_synth_stats(catalog, contexts, model, count, seed,
+                               cfgmod.build_input_shape(doc))
     path = os.path.join(out_dir, "stats.csv")
-    ds.write_stats(raw_rows, orc.TARGET_NAMES, path,
+    ds.write_stats(rows, orc.TARGET_NAMES, path,
                    task_arity=len(contexts[0].task))
     return path
 
@@ -170,6 +170,13 @@ def cmd_train_predictor(config_path, seed: int, out_dir) -> dict:
     train, holdout = ds.train_holdout_split(data, fraction, seed)
     if factor > 1.0:
         train = ds.oversample(train, factor, seed)
+    # named here, where the key is known; learn_meta rejects a split with
+    # no feasible row itself
+    n_feasible = int(np.sum(train.feasible))
+    if 0 < n_feasible < bob_cfg.min_samples:
+        raise cfgmod.ConfigError(f"config key 'predictor.min_samples': need "
+                                 f">= {bob_cfg.min_samples} feasible rows, "
+                                 f"got {n_feasible}")
     model = bob.learn_meta(train, bob_cfg, seed)
     report = bob.score(model, holdout)
     model_path = os.path.join(out_dir, "model.json")
@@ -212,7 +219,9 @@ def _build_secondary(doc, space):
             functools.partial(_per_action_total, metric), 1)
     if kind == "none":
         return controller.CallableSecondary(_no_metrics, 0)
-    raise cfgmod.ConfigError(f"unknown secondary kind {kind!r}")
+    raise cfgmod.ConfigError(f"config key 'secondary.kind' must be "
+                             f"'predictor', 'per_action' or 'none', got "
+                             f"{kind!r}")
 
 
 def _check_columns(model, path, context) -> None:

@@ -15,7 +15,6 @@ import numpy as np
 
 from . import dataset as ds
 from .design_space import (ActionCatalog, CandidateNetwork, ContextSpec,
-                           encode_context, encode_layer, feature_columns,
                            grow, legal_actions)
 
 
@@ -43,6 +42,12 @@ class SyntheticTaskSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, self.base_utility)):
+            raise ValueError(f"base_utility entries must be finite, got "
+                             f"{self.base_utility!r}")
+        if not all(math.isfinite(b) for *_, b in self.interaction_bonus):
+            raise ValueError(f"interaction_bonus values must be finite, got "
+                             f"{self.interaction_bonus!r}")
         if not math.isfinite(self.diminishing):
             raise ValueError(f"diminishing must be a finite number, got "
                              f"{self.diminishing!r}")
@@ -192,26 +197,23 @@ def random_network(catalog: ActionCatalog, input_shape,
 
 
 def gen_synth_stats(catalog: ActionCatalog, contexts, true_model: SynthStatsModel,
-                    count: int, seed: int,
-                    input_shape=(3, 16, 16)) -> tuple[ds.MetaDataset, list]:
-    """Generate ``count`` layerwise stats rows from the linear ground truth.
-
-    Returns the encoded dataset plus the raw rows (ready for write_stats).
-    Deterministic given the seed.
+                    count: int, seed: int, input_shape=(3, 16, 16)) -> list:
+    """Generate ``count`` layerwise stats records from the linear ground
+    truth: the rows ``write_stats`` writes, which ``ingest_stats`` reads
+    back as a corpus. Deterministic given the seed.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if len(true_model.context_multipliers) != len(contexts):
         raise ValueError("one context multiplier per context required")
     rng = np.random.default_rng(seed)
-    raw_rows, X_rows, Y_rows = [], [], []
-    while len(raw_rows) < count:
+    rows = []
+    while len(rows) < count:
         net = random_network(catalog, input_shape, rng)
         ci = int(rng.integers(len(contexts)))
         ctx, mult = contexts[ci], true_model.context_multipliers[ci]
-        ctx_vec = encode_context(ctx)
         for shape, layer in net.layer_inputs():
-            if len(raw_rows) >= count:
+            if len(rows) >= count:
                 break
             feasible = true_model.layer_feasible(layer, ctx, mult)
             row = ds.stats_record(layer, shape, ctx)
@@ -222,11 +224,5 @@ def gen_synth_stats(catalog: ActionCatalog, contexts, true_model: SynthStatsMode
             else:
                 targets = ["", ""]
             row.update(zip(TARGET_NAMES, targets))
-            raw_rows.append(row)
-            X_rows.append(encode_layer(layer, shape) + ctx_vec)
-            Y_rows.append(targets if feasible else [np.nan, np.nan])
-
-    data = ds.MetaDataset(feature_columns(len(contexts[0].task)),
-                          list(TARGET_NAMES), X_rows, Y_rows,
-                          [r["feasible"] for r in raw_rows])
-    return data, raw_rows
+            rows.append(row)
+    return rows

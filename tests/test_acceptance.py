@@ -18,8 +18,9 @@ from shapenas.controller import CallableSecondary
 from shapenas.dataset import train_holdout_split
 from shapenas.function_approx import MlpApprox
 from shapenas.harness import episodes_to_plateau
-from shapenas.oracle import SynthStatsModel, gen_synth_stats
+from shapenas.oracle import SynthStatsModel
 
+from corpus import synth_corpus
 from gradcheck import finite_difference_gradients
 
 
@@ -123,17 +124,17 @@ A3_CONTEXTS = [
 A3_TRUE_MODEL = SynthStatsModel(context_multipliers=(1.0, 0.6, 3.0))
 
 
-def a3_fit(seed=7):
-    data, _ = gen_synth_stats(A3_CATALOG, A3_CONTEXTS, A3_TRUE_MODEL,
-                              count=2000, seed=seed)
+def a3_fit(tmp_path, seed=7):
+    _, data = synth_corpus(tmp_path / "stats.csv", A3_CATALOG, A3_CONTEXTS,
+                           A3_TRUE_MODEL, count=2000, seed=seed)
     train, holdout = train_holdout_split(data, 0.25, seed=seed)
     model = learn_meta(train, BobConfig(), seed=seed)
     return data, model, score(model, holdout)
 
 
-def test_a3_predictor_fidelity():
+def test_a3_predictor_fidelity(tmp_path):
     t0 = time.perf_counter()
-    data, model, scores = a3_fit()
+    data, model, scores = a3_fit(tmp_path)
     elapsed = time.perf_counter() - t0
     infeasible = 1.0 - float(data.feasible.mean())
     r2s = {name: s["r2"] for name, s in scores["targets"].items()}
@@ -228,7 +229,7 @@ def test_a6_gradient_check():
 # training-loss sequence, and a save/load round trip must predict
 # identically on 100 random rows.
 def test_a7_boosting_and_serialization(tmp_path):
-    data, model, _ = a3_fit(seed=11)
+    data, model, _ = a3_fit(tmp_path, seed=11)
     fits = 0
     for member in model.members:
         for booster in member.values():

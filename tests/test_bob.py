@@ -63,6 +63,13 @@ def test_all_infeasible_raises(tmp_path):
         learn_meta(data, CFG, seed=0)
 
 
+def test_too_few_feasible_rows_raises(tmp_path):
+    data = toy_dataset(tmp_path, infeasible_every=4)  # 30 of 40 feasible
+    with pytest.raises(ValueError, match="need >= 31 feasible rows, got 30"):
+        learn_meta(data, BobConfig(bag_size=1, min_samples=31), seed=0)
+    learn_meta(data, BobConfig(bag_size=1, rounds=1, min_samples=30), seed=0)
+
+
 def test_registry_hit_short_circuits_gate(tmp_path):
     data = toy_dataset(tmp_path, infeasible_every=4)
     model = learn_meta(data, CFG, seed=0)

@@ -21,8 +21,9 @@ from shapenas.controller import (CallableSecondary, PredictorSecondary,
                                  load_checkpoint, potential_update, q_update,
                                  save_checkpoint, select_action, softmax)
 from shapenas.function_approx import TabularValues
-from shapenas.oracle import (SynthStatsModel, TabularOracle, encode_chain,
-                             gen_synth_stats)
+from shapenas.oracle import SynthStatsModel, TabularOracle, encode_chain
+
+from corpus import synth_corpus
 from test_pinned_traces import per_action, two_metrics
 
 
@@ -761,6 +762,13 @@ def test_shaping_config_validation():
         assert ShapingConfig(epsilon_cap=cap).epsilon_cap == cap
 
 
+def test_tau_may_be_infinite_but_not_nan():
+    with pytest.raises(ValueError, match="tau must not be NaN, got nan"):
+        ShapingConfig(tau=math.nan)
+    for tau in (math.inf, -math.inf):
+        assert ShapingConfig(tau=tau).tau == tau
+
+
 def test_per_secondary_delta_mode_runs(toy_space):
     cfg = config(episodes=10, delta_mode="per_secondary")
     trace = run_search(toy_space, make_oracle(), make_secondary([5, 40, 70]),
@@ -781,12 +789,13 @@ STARVED_CONTEXT = ContextSpec(2, 1, 15.0, 800, 6.4, "dsp", task=(0.25,))
 
 
 @pytest.fixture(scope="module")
-def starved_model():
+def starved_model(tmp_path_factory):
     """A predictor for a memory-starved context: its corpus marks the large
     layers infeasible, so it has a gate and registry rows."""
-    data, _ = gen_synth_stats(STARVED_CATALOG, [STARVED_CONTEXT],
-                              SynthStatsModel(context_multipliers=(3.0,)),
-                              count=300, seed=0)
+    _, data = synth_corpus(tmp_path_factory.mktemp("starved") / "stats.csv",
+                           STARVED_CATALOG, [STARVED_CONTEXT],
+                           SynthStatsModel(context_multipliers=(3.0,)),
+                           count=300, seed=0)
     model = learn_meta(data, BobConfig(bag_size=2, rounds=15, min_samples=5),
                        seed=0)
     assert model.gate is not None and model.infeasible_registry

@@ -59,6 +59,25 @@ def test_non_numeric_cell_reports_line(tmp_path):
     assert "Channels" in str(err.value)
 
 
+def test_short_row_names_line_and_cell_count(tmp_path):
+    path = make_csv(tmp_path, [vary(), vary(), vary()])
+    lines = path.read_text().splitlines()
+    lines[3] = lines[3].rsplit(",", 1)[0]  # drop the feasible cell
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(StatsParseError) as err:
+        ingest_stats(path)
+    assert err.value.line == 4
+    assert f"{path}:4: expected 19 cells, got 18" in str(err.value)
+
+
+def test_feasible_cell_must_be_0_or_1(tmp_path):
+    path = make_csv(tmp_path, [vary(), vary(feasible=2)])
+    with pytest.raises(StatsParseError) as err:
+        ingest_stats(path)
+    assert err.value.line == 3
+    assert f"{path}:3: feasible must be 0 or 1, got '2'" in str(err.value)
+
+
 def test_infeasible_row_with_targets_rejected(tmp_path):
     path = make_csv(tmp_path, [vary(), vary(feasible=0)])
     with pytest.raises(StatsParseError, match="empty"):

@@ -19,10 +19,12 @@ from shapenas import cli, harness
 from shapenas.bob import BobConfig
 from shapenas.config import ConfigError, load_config
 from shapenas.controller import ShapingConfig
-from shapenas.design_space import ContextSpec, LayerTemplate
+from shapenas.design_space import (ActionCatalog, CandidateNetwork,
+                                   ContextSpec, LayerTemplate, grow)
 from shapenas.harness import (HarnessError, cmd_compare, cmd_gen_synth,
                               cmd_search, cmd_train_predictor,
-                              episodes_to_plateau, normalize_curve, smooth)
+                              episodes_to_plateau, network_size,
+                              normalize_curve, smooth)
 from shapenas.oracle import SynthStatsModel, SyntheticTaskSpec
 
 BASE = {
@@ -706,6 +708,12 @@ def test_secondary_metric_count_checked(tmp_path, capsys, command, overrides,
      "false, got 'no'"),
     ("search", {"context": {"cores": True}},
      "config key 'context.cores' must be an integer, got True"),
+    ("search", {"oracle": {"kind": "lookup"}},
+     "config key 'oracle.kind' must be 'synthetic' or 'tabular', got "
+     "'lookup'"),
+    ("search", {"secondary": {"kind": "lookup"}},
+     "config key 'secondary.kind' must be 'predictor', 'per_action' or "
+     "'none', got 'lookup'"),
 ], ids=["reference_index_outside_catalog", "reference_not_a_list",
         "reference_action_does_not_fit", "weights_not_a_list",
         "weight_is_a_string", "no_weights", "metric_too_short",
@@ -720,7 +728,8 @@ def test_secondary_metric_count_checked(tmp_path, capsys, command, overrides,
         "tau_is_a_mapping", "cores_is_null", "memory_is_a_list",
         "budgets_is_null", "epsilon0_string_entry", "epsilon0_bool_entry",
         "budgets_bool_entry", "latency_coeffs_too_short",
-        "infeasibility_rule_is_a_string", "cores_is_a_bool"])
+        "infeasibility_rule_is_a_string", "cores_is_a_bool",
+        "unknown_oracle_kind", "unknown_secondary_kind"])
 def test_bad_raw_value_names_key(tmp_path, capsys, command, overrides,
                                  message):
     cfg = write_config(tmp_path, overrides)
@@ -767,12 +776,20 @@ def test_bad_raw_value_names_key(tmp_path, capsys, command, overrides,
      "diminishing must be a finite number, got nan"),
     ({"accuracy_cap": -1.0}, "config key 'oracle.accuracy_cap': "
      "accuracy_cap must be a number > 0, got -1.0"),
+    *(({"base_utility": [value, 0.1, 0.02]}, f"config key "
+       f"'oracle.base_utility': base_utility entries must be finite, got "
+       f"({value!r}, 0.1, 0.02)") for value in (float("nan"), float("inf"))),
+    *(({"interaction_bonus": [[0, 1, value]]}, f"config key "
+       f"'oracle.interaction_bonus': interaction_bonus values must be "
+       f"finite, got ((0, 1, {value!r}),)")
+      for value in (float("nan"), float("inf"))),
 ], ids=["utility_too_short", "utility_too_long", "utility_not_a_list",
         "bonus_names_action_7", "bonus_pair", "bonus_is_a_string",
         "bonus_not_a_list", "seed_fractional", "seed_negative",
         "seed_is_a_bool", "noise_negative", "noise_is_a_bool",
         "noise_infinite", "min_depth_fractional", "diminishing_nan",
-        "cap_negative"])
+        "cap_negative", "utility_nan", "utility_infinite", "bonus_nan",
+        "bonus_infinite"])
 def test_synthetic_oracle_checked_against_catalog(tmp_path, capsys, command,
                                                   oracle, message):
     cfg = write_config(tmp_path, {"oracle": oracle})
@@ -804,8 +821,11 @@ def test_tabular_oracle_ignores_synthetic_keys(tmp_path, capsys):
     ("oracle", {"kind": "tabular"}, "oracle.path"),
     ("catalog", {"max_depth": 4}, "catalog.actions"),
     ("catalog", {"actions": BASE["catalog"]["actions"]}, "catalog.max_depth"),
+    ("context", {k: v for k, v in BASE["context"].items() if k != "cores"},
+     "context.cores"),
 ], ids=["per_action_metric", "predictor_model_path", "oracle_kind",
-        "tabular_oracle_path", "catalog_actions", "catalog_max_depth"])
+        "tabular_oracle_path", "catalog_actions", "catalog_max_depth",
+        "context_cores"])
 def test_missing_key_names_its_section(tmp_path, capsys, section, value, key):
     path = tmp_path / "config.yaml"
     write_yaml(path, dict(BASE, **{section: value}))
@@ -843,6 +863,24 @@ def test_section_that_is_not_a_mapping_named(tmp_path, capsys):
     rc, err = run_cli(tmp_path, capsys, str(path))
     assert rc == 2
     assert "config section 'oracle' must be a mapping" in err
+
+
+def test_network_size_counts_the_weights_of_each_block_kind():
+    cat = ActionCatalog((LayerTemplate("conv", 3, 1, 1, channels=8),
+                         LayerTemplate("dwconv", 3, 1, 1, channels=12),
+                         LayerTemplate("pool", 2, 2),
+                         LayerTemplate("skip"),
+                         LayerTemplate("dense", channels=10)), max_depth=5)
+    net = CandidateNetwork((3, 16, 16))
+    sizes = []
+    for action in range(5):
+        net = grow(net, cat, action)
+        sizes.append(network_size(net))
+    # conv 3x3, 3 -> 8 channels; dwconv 3x3 on 8 channels, then 8 -> 12;
+    # pool and skip hold no weights; dense from 12x8x8 to 10
+    conv, dwconv, dense = 9 * 3 * 8, 9 * 8 + 8 * 12, 12 * 8 * 8 * 10
+    assert sizes == [conv, conv + dwconv, conv + dwconv, conv + dwconv,
+                     conv + dwconv + dense]
 
 
 def test_reference_network_built_once_per_search(tmp_path, monkeypatch):
@@ -1003,7 +1041,10 @@ def test_predictor_columns_checked_against_context(tmp_path, capsys, context,
     ({"bag_size": 0}, "'predictor.bag_size'"),
     ({"test_fraction": 1.0}, "'predictor.test_fraction'"),
     ({"oversample_factor": "1.5e0"}, "'predictor.oversample_factor'"),
-], ids=["empty_bag", "all_holdout", "factor_read_as_string"])
+    ({"min_samples": 5000}, "config key 'predictor.min_samples': need >= "
+     "5000 feasible rows, got "),
+], ids=["empty_bag", "all_holdout", "factor_read_as_string",
+        "min_samples_above_feasible_rows"])
 def test_bad_predictor_setting_names_key(tmp_path, capsys, setting, key):
     cfg = predictor_setup(tmp_path, count=100)
     train = write_config(tmp_path, {"predictor": dict(
@@ -1098,6 +1139,15 @@ POOL_STRIDE_0 = {"catalog": {"actions": [
        f">= 0, got {tuple(coeffs)!r}")
       for key, coeffs in (("latency_coeffs", [0.5, -0.02, 0.05, 0.001]),
                           ("memory_coeffs", [NAN, 0.004]))),
+    ({"shaping": {"tau": NAN}},
+     "config key 'shaping.tau': tau must not be NaN, got nan"),
+    *(({"context": {"task": [value]}}, f"config key 'context.task': task "
+       f"entries must be finite, got ({value!r},)")
+      for value in (NAN, float("inf"))),
+    (dict(SYNTH, contexts=[dict(SYNTH["contexts"][0], task=[0.5]),
+                           dict(SYNTH["contexts"][1], task=[NAN])]),
+     "config key 'contexts[1].task': task entries must be finite, got "
+     "(nan,)"),
 ], ids=["field_named", "second_of_two_fields", "template_field",
         "no_field_named", "no_steps", "no_episodes", "negative_episodes",
         "fractional_episodes", "negative_warmup",
@@ -1117,7 +1167,8 @@ POOL_STRIDE_0 = {"catalog": {"actions": [
         "nan_memory_bandwidth", "nan_expansion_ratio",
         "negative_context_multiplier", "nan_context_multiplier",
         "zero_context_multiplier", "negative_latency_coeff",
-        "nan_memory_coeff"])
+        "nan_memory_coeff", "nan_tau", "nan_task", "infinite_task",
+        "nan_gen_synth_task"])
 def test_dataclass_check_names_section_and_key(tmp_path, capsys, overrides,
                                                where):
     cfg = write_config(tmp_path, overrides)

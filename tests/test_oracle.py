@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from shapenas import (ActionCatalog, CandidateNetwork, ContextSpec,
-                      LayerTemplate, grow)
-from shapenas.dataset import ingest_stats, write_stats
+                      LayerTemplate, grow, parse_network)
+from shapenas.dataset import ingest_stats, stats_record, write_stats
+from shapenas.design_space import (BLOCK_KINDS, PROCESSOR_KINDS,
+                                   feature_columns)
 from shapenas.oracle import (TARGET_NAMES, SyntheticOracle, SyntheticTaskSpec,
                              SynthStatsModel, TabularLookupError,
                              TabularOracle, encode_chain, gen_synth_stats)
+
+from corpus import synth_corpus
 
 
 def oracle(**kw):
@@ -84,7 +88,7 @@ def test_gen_synth_latency_matches_hand_formula():
     vol = 8 * 16 * 16
     expected = 1.0 + 2.0 * 9 + 3.0 * 8 + 0.5 * vol
     assert model.layer_latency(layer, 1.0) == pytest.approx(expected)
-    data, rows = gen_synth_stats(CAT, [CTX], model, count=20, seed=0)
+    rows = gen_synth_stats(CAT, [CTX], model, count=20, seed=0)
     for row in rows:
         if row["Type"] == "conv" and row["feasible"]:
             got = row["Execution time"]
@@ -94,25 +98,29 @@ def test_gen_synth_latency_matches_hand_formula():
                                         + 0.5 * ov)
 
 
-def test_gen_synth_low_memory_context_all_infeasible():
+def test_gen_synth_low_memory_context_all_infeasible(tmp_path):
     ctx = ContextSpec(4, 2, 0.0, 2000, 12.8, "gpu")
     model = SynthStatsModel(context_multipliers=(1.0,))
-    data, _ = gen_synth_stats(CAT, [ctx], model, count=30, seed=0)
+    _, data = synth_corpus(tmp_path / "stats.csv", CAT, [ctx], model,
+                           count=30, seed=0)
     assert not data.feasible.any()
     assert len(data.infeasible_registry) > 0
 
 
-def test_gen_synth_deterministic():
+def test_gen_synth_deterministic(tmp_path):
     model = SynthStatsModel(context_multipliers=(1.0,))
-    a, rows_a = gen_synth_stats(CAT, [CTX], model, count=50, seed=9)
-    b, rows_b = gen_synth_stats(CAT, [CTX], model, count=50, seed=9)
+    rows_a, a = synth_corpus(tmp_path / "a.csv", CAT, [CTX], model,
+                             count=50, seed=9)
+    rows_b, b = synth_corpus(tmp_path / "b.csv", CAT, [CTX], model,
+                             count=50, seed=9)
     assert np.array_equal(a.X, b.X)
     assert rows_a == rows_b
 
 
-def test_gen_synth_count_and_validation():
+def test_gen_synth_count_and_validation(tmp_path):
     model = SynthStatsModel(context_multipliers=(1.0,))
-    data, rows = gen_synth_stats(CAT, [CTX], model, count=37, seed=1)
+    rows, data = synth_corpus(tmp_path / "stats.csv", CAT, [CTX], model,
+                              count=37, seed=1)
     assert len(data) == 37 and len(rows) == 37
     with pytest.raises(ValueError):
         gen_synth_stats(CAT, [CTX], model, count=0, seed=1)
@@ -120,21 +128,30 @@ def test_gen_synth_count_and_validation():
         gen_synth_stats(CAT, [CTX, CTX], model, count=5, seed=1)
 
 
-def test_gen_synth_dataset_matches_ingest_of_written_rows(tmp_path):
-    ctxs = [ContextSpec(4, 2, 2048, 2000, 12.8, "gpu", task=(1, 0.5)),
-            ContextSpec(2, 1, 15.5, 800, 6.4, "dsp", task=(0.25, 3))]
+def test_ingested_stats_row_equals_parse_network_row(tmp_path):
+    """The predictor trains on the rows ``ingest_stats`` reads from a stats
+    CSV and is asked about the rows ``parse_network`` builds: for a layer
+    of every block kind on a context of every processor kind, both are the
+    same row."""
     cat = ActionCatalog((LayerTemplate("conv", 3, 1, 1, 2.5, True, 8),
-                         LayerTemplate("dense", channels=4),
-                         LayerTemplate("pool", 2, 2)), max_depth=4)
-    model = SynthStatsModel(context_multipliers=(1.0, 3.0))
-    data, rows = gen_synth_stats(cat, ctxs, model, count=200, seed=3)
+                         LayerTemplate("dwconv", 3, 2, 1, 1.5, True, 12),
+                         LayerTemplate("pool", 2, 2),
+                         LayerTemplate("skip"),
+                         LayerTemplate("dense", channels=4)), max_depth=5)
+    net = CandidateNetwork((3, 16, 16))
+    for action in range(5):
+        net = grow(net, cat, action)
+    assert sorted(layer.block_kind for layer in net.layers) \
+        == sorted(BLOCK_KINDS)
+    contexts = [ContextSpec(2 + i, 1 + 3 * i, 15.5 * (i + 1), 800 + 300 * i,
+                            6.4 * (i + 1), kind, task=(0.25 * i, 3 - i))
+                for i, kind in enumerate(PROCESSOR_KINDS)]
+    rows = [dict(stats_record(layer, shape, ctx), feasible=1,
+                 **dict.fromkeys(TARGET_NAMES, 1.0))
+            for ctx in contexts for shape, layer in net.layer_inputs()]
     path = tmp_path / "stats.csv"
     write_stats(rows, TARGET_NAMES, path, task_arity=2)
     back = ingest_stats(path)
-    assert data.feasible.any() and not data.feasible.all()
-    assert data.columns == back.columns
-    assert data.target_names == back.target_names
-    assert np.array_equal(data.X, back.X)
-    assert np.array_equal(data.Y, back.Y, equal_nan=True)
-    assert np.array_equal(data.feasible, back.feasible)
-    assert data.infeasible_registry == back.infeasible_registry
+    assert back.columns == feature_columns(2)
+    assert np.array_equal(back.X, np.vstack([parse_network(net, ctx)
+                                             for ctx in contexts]))
