@@ -17,13 +17,14 @@ and reads back as floats.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
 from .dataset import MetaDataset
 from .design_space import row_signature
+from .rules import Range, check_fields
 from .trees import BoostedRegressor, Forest
 
 MODEL_FORMAT_VERSION = 1
@@ -39,23 +40,14 @@ class SchemaMismatchError(ValueError):
 
 @dataclass
 class BobConfig:
-    bag_size: int = 10
-    rounds: int = 50
-    max_depth: int = 4
-    shrinkage: float = 0.1
-    min_samples_leaf: int = 5
-    min_samples: int = 20  # minimum feasible rows required to train
+    bag_size: Annotated[int, Range(1)] = 10
+    rounds: Annotated[int, Range(0)] = 50
+    max_depth: Annotated[int, Range(0)] = 4
+    shrinkage: Annotated[float, Range(0, ends="()")] = 0.1
+    min_samples_leaf: Annotated[int, Range(0)] = 5
+    min_samples: Annotated[int, Range(0)] = 20  # feasible rows to train
 
-    def __post_init__(self):
-        for name, least in (("bag_size", 1), ("rounds", 0), ("max_depth", 0),
-                            ("min_samples_leaf", 0), ("min_samples", 0)):
-            value = getattr(self, name)
-            if value < least:
-                raise ValueError(f"{name} must be at least {least}, got "
-                                 f"{value!r}")
-        if not 0 < self.shrinkage < math.inf:  # NaN fails this too
-            raise ValueError(f"shrinkage must be a finite number > 0, got "
-                             f"{self.shrinkage!r}")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ import argparse
 import logging
 import sys
 
-from . import harness
+from . import harness, rules
 
 log = logging.getLogger("shapenas")
 LOG_LEVELS = ("debug", "info", "warning", "error")
@@ -21,6 +21,14 @@ def _add_common(sub):
                           "unexpected error")
 
 
+def _count(text: str) -> int:
+    """``--replicates`` or ``--jobs``: an integer of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer {rules.Range(1)}, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shapenas",
@@ -30,8 +38,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(name)
         _add_common(sub)
         if name in ("search", "compare"):
-            sub.add_argument("--replicates", type=int, default=1)
-            sub.add_argument("--jobs", type=int, default=1,
+            sub.add_argument("--replicates", type=_count, default=1)
+            sub.add_argument("--jobs", type=_count, default=1,
                              help="parallel replicate processes")
     return parser
 

@@ -2,14 +2,14 @@
 from __future__ import annotations
 
 import dataclasses
-import functools
-import math
 import re
 import types
 import typing
+from typing import Annotated
 
 import yaml
 
+from . import rules
 from .controller import SearchSpace, ShapingConfig
 from .bob import BobConfig
 from .design_space import (ActionCatalog, ContextSpec, LayerTemplate,
@@ -25,6 +25,9 @@ TOP_LEVEL_KEYS = frozenset((
 
 class ConfigError(ValueError):
     pass
+
+
+_COUNT = Annotated[int, rules.Range(1)]  # a row count or a tensor size
 
 
 # libyaml's parser when PyYAML was built with it; both loaders share one
@@ -82,12 +85,15 @@ _SCALARS = {
 
 def _fits(value, hint) -> bool:
     """Whether the YAML value ``value`` has the type annotation ``hint``:
-    a scalar of ``_SCALARS``, ``X | Y``, or ``tuple[X, ...]``, fixed
-    ``tuple[X, Y, ...]`` or bare ``tuple`` as a list."""
+    a scalar of ``_SCALARS``, ``X | Y``, ``Annotated[X, rule]``, or
+    ``tuple[X, ...]``, fixed ``tuple[X, Y, ...]`` or bare ``tuple`` as a
+    list."""
     if hint in _SCALARS:
         return type(value) in _SCALARS[hint][0]
-    args = typing.get_args(hint)
-    if type(hint) is types.UnionType:
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is Annotated:
+        return _fits(value, args[0])
+    if origin in (types.UnionType, typing.Union):  # X | Y, Annotated[X] | Y
         return any(_fits(value, arg) for arg in args)
     if not isinstance(value, list):  # a tuple annotation
         return False
@@ -102,8 +108,10 @@ def _kind(hint, plural=False) -> str:
     ``plural``, a list of them; the config's fixed tuples repeat one type."""
     if hint in _SCALARS:
         return _SCALARS[hint][2 if plural else 1]
-    args = typing.get_args(hint)
-    if type(hint) is types.UnionType:
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is Annotated:
+        return _kind(args[0], plural)
+    if origin in (types.UnionType, typing.Union):
         return " or ".join(_kind(arg, plural) for arg in args)
     if not args:  # a tuple annotation
         return "a list"
@@ -111,19 +119,20 @@ def _kind(hint, plural=False) -> str:
     return f"a list of {count}{_kind(args[0], plural=True)}"
 
 
-def _check_type(value, hint, key: str):
+def check(value, hint, key: str):
     """``value``, which must have the type annotation ``hint`` (see
-    ``_fits``); else a ConfigError naming ``key``."""
+    ``_fits``) and keep the value rules it declares (see ``rules.check``);
+    else a ConfigError naming ``key``."""
     if not _fits(value, hint):
         raise ConfigError(f"config key {key!r} must be {_kind(hint)}, "
                           f"got {value!r}")
-    return value
+    return rules.check(value, hint, f"config key {key!r}", ConfigError)
 
 
 def number_list(value, key: str) -> tuple:
     """``value`` as a tuple of numbers; anything but a list of numbers
     raises a ConfigError naming ``key``."""
-    return tuple(_check_type(value, tuple[float, ...], key))
+    return tuple(check(value, tuple[float, ...], key))
 
 
 def path_key(section_doc, key: str, section: str) -> str:
@@ -140,32 +149,27 @@ def _tuples(value):
     return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
-@functools.cache
-def _type_hints(cls) -> dict:
-    return typing.get_type_hints(cls)
-
-
 def build_section(cls, mapping, section: str, other_keys=()):
     """Build the dataclass ``cls`` from the config mapping at ``section``.
 
     Lists become tuples. Keys in ``other_keys`` belong to the section but
     not to ``cls`` and are skipped. These raise ConfigError naming the key:
-    an unknown key; a missing required key; and a value that does not have
-    its field's type annotation (see ``_fits``), such as ``1.0e9`` for a
-    ``float``, which PyYAML reads as a string when no sign follows the
-    ``e``. ``cls``'s own checks then decide the values; a ValueError from
-    them names the first field its message mentions (or the section, if it
+    an unknown key; a value that does not have its field's type annotation
+    (see ``_fits``), such as ``1.0e9`` for a ``float``, which PyYAML reads
+    as a string when no sign follows the ``e``, or breaks a value rule
+    that annotation declares (see ``rules``); and a missing required key.
+    ``cls``'s own checks then relate the fields; a ValueError from them
+    names the first field its message mentions (or the section, if it
     mentions none).
     """
     fields = {f.name: f for f in dataclasses.fields(cls)}
     check_keys(mapping, section, fields.keys() | set(other_keys))
-    hints = _type_hints(cls)
+    hints = rules.type_hints(cls)
     kwargs = {}
     for key, value in mapping.items():
         if key in other_keys:
             continue
-        kwargs[key] = _tuples(_check_type(value, hints[key],
-                                         f"{section}.{key}"))
+        kwargs[key] = _tuples(check(value, hints[key], f"{section}.{key}"))
     for name, f in fields.items():
         if name not in kwargs and f.default is dataclasses.MISSING \
                 and f.default_factory is dataclasses.MISSING:
@@ -187,10 +191,9 @@ def build_catalog(doc: dict) -> ActionCatalog:
     if not isinstance(actions, list) or not actions:
         raise ConfigError(f"config key 'catalog.actions' must be a non-empty "
                           f"list, got {actions!r}")
-    max_depth = require(cat, "max_depth", "catalog")
-    if not _fits(max_depth, int) or max_depth < 1:
-        raise ConfigError(f"config key 'catalog.max_depth' must be an "
-                          f"integer of at least 1, got {max_depth!r}")
+    max_depth = check(require(cat, "max_depth", "catalog"),
+                      rules.type_hints(ActionCatalog)["max_depth"],
+                      "catalog.max_depth")
     return ActionCatalog(
         tuple(build_section(LayerTemplate, a, f"catalog.actions[{i}]")
               for i, a in enumerate(actions)), max_depth=max_depth)
@@ -220,11 +223,8 @@ def build_contexts(doc: dict) -> list[ContextSpec]:
 
 def build_input_shape(doc: dict) -> tuple[int, int, int]:
     """The network input's (channels, height, width)."""
-    shape = doc.get("input_shape", [3, 16, 16])
-    if not (_fits(shape, tuple[int, int, int]) and min(shape) >= 1):
-        raise ConfigError(f"config key 'input_shape' must be three positive "
-                          f"integers (channels, height, width), got {shape!r}")
-    return tuple(shape)
+    return tuple(check(doc.get("input_shape", [3, 16, 16]),
+                       tuple[_COUNT, _COUNT, _COUNT], "input_shape"))
 
 
 def build_space(doc: dict) -> SearchSpace:
@@ -249,14 +249,12 @@ def build_predictor_cfg(doc: dict) -> tuple[BobConfig, str, float, float]:
                         other_keys=("stats_path", "test_fraction",
                                     "oversample_factor"))
     stats_path = path_key(section, "stats_path", "predictor")
-    fraction = section.get("test_fraction", 0.25)
-    if not _fits(fraction, float) or not 0 < fraction < 1:
-        raise ConfigError(f"config key 'predictor.test_fraction' must be "
-                          f"between 0 and 1 (exclusive), got {fraction!r}")
-    factor = section.get("oversample_factor", 1.0)
-    if not (_fits(factor, float) and 1 <= factor < math.inf):
-        raise ConfigError(f"config key 'predictor.oversample_factor' must "
-                          f"be a finite number >= 1, got {factor!r}")
+    fraction = check(section.get("test_fraction", 0.25),
+                     Annotated[float, rules.Range(0, 1, "()")],
+                     "predictor.test_fraction")
+    factor = check(section.get("oversample_factor", 1.0),
+                   Annotated[float, rules.Range(1, ends="[)")],
+                   "predictor.oversample_factor")
     return cfg, stats_path, fraction, factor
 
 
@@ -265,12 +263,13 @@ def build_oracle(doc: dict, catalog: ActionCatalog):
     utility per catalog action, and its interaction bonuses must name
     catalog actions."""
     spec = require(doc, "oracle")
-    kind = require(spec, "kind", "oracle")
-    if kind == "synthetic":
+    kinds = Annotated[str, rules.OneOf(("synthetic", "tabular"))]
+    if check(require(spec, "kind", "oracle"), kinds,
+             "oracle.kind") == "synthetic":
         n = len(catalog.actions)
         # checked before the spec is built: its own check unpacks each entry
-        for entry in _check_type(spec.get("interaction_bonus", []), tuple,
-                                 "oracle.interaction_bonus"):
+        for entry in check(spec.get("interaction_bonus", []), tuple,
+                           "oracle.interaction_bonus"):
             if not (_fits(entry, tuple[int, int, float])
                     and all(0 <= a < n for a in entry[:2])):
                 raise ConfigError(
@@ -284,12 +283,10 @@ def build_oracle(doc: dict, catalog: ActionCatalog):
                               f"{len(task.base_utility)} entries, but the "
                               f"catalog has {n} actions")
         return SyntheticOracle(task)
-    if kind == "tabular":  # the synthetic oracle's keys are ignored
-        check_keys(spec, "oracle", {"kind", "path"}
-                   | {f.name for f in dataclasses.fields(SyntheticTaskSpec)})
-        return TabularOracle(path_key(spec, "path", "oracle"))
-    raise ConfigError(f"config key 'oracle.kind' must be 'synthetic' or "
-                      f"'tabular', got {kind!r}")
+    # a tabular oracle ignores the synthetic oracle's keys
+    check_keys(spec, "oracle", {"kind", "path"}
+               | {f.name for f in dataclasses.fields(SyntheticTaskSpec)})
+    return TabularOracle(path_key(spec, "path", "oracle"))
 
 
 def build_synth_corpus(doc: dict
@@ -307,8 +304,5 @@ def build_synth_corpus(doc: dict
                           f"entries, but there are {len(contexts)} contexts")
     synth_stats = doc.get("synth_stats", {})
     check_keys(synth_stats, "synth_stats", ("count",))
-    count = synth_stats.get("count", 1000)
-    if not _fits(count, int) or count < 1:
-        raise ConfigError(f"config key 'synth_stats.count' must be an "
-                          f"integer of at least 1, got {count!r}")
+    count = check(synth_stats.get("count", 1000), _COUNT, "synth_stats.count")
     return contexts, model, count

@@ -24,7 +24,7 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import NamedTuple
+from typing import Annotated, NamedTuple
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .bob import (BobModel, MetaPrediction, network_prediction,
 from .design_space import (ActionCatalog, CandidateNetwork, ContextSpec,
                            embed_state, grow, legal_actions, parse_network)
 from .function_approx import (MlpValues, TabularValues, values_from_dict)
+from .rules import FINITE, POSITIVE, OneOf, Range, check_fields
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -45,65 +46,30 @@ class TerminalStateError(ValueError):
 
 @dataclass(frozen=True)
 class ShapingConfig:
-    gamma: float = 0.9
-    beta: float = 0.5
-    epsilon0: tuple[float, ...] = (1.0,)
-    epsilon_threshold: float = 0.01
-    tau: float = 1e-3
-    softmax_temperature: float = 1.0
-    max_steps: int = 8
-    episodes: int = 100
-    warmup: int = 3  # steps before the tau stopping rule can fire
-    budgets: tuple[float, ...] = (100.0,)  # metric budget per secondary
-    shaping_episodes: int | None = None  # finite shaping phase; None = always
-    epsilon_cap: float = math.inf
-    delta_mode: str = "primary"  # or "per_secondary"
-    backend: str = "tabular"  # or "mlp"
-    hidden: tuple[int, ...] = (32, 32)
-    q_step_size: float = 1e-2
+    gamma: Annotated[float, Range(0, 1, "()")] = 0.9
+    beta: Annotated[float, POSITIVE] = 0.5
+    epsilon0: tuple[Annotated[float, FINITE], ...] = (1.0,)
+    epsilon_threshold: Annotated[float, POSITIVE] = 0.01
+    tau: Annotated[float, Range()] = 1e-3  # +-inf stops every or no episode
+    softmax_temperature: Annotated[float, POSITIVE] = 1.0
+    max_steps: Annotated[int, Range(1)] = 8
+    episodes: Annotated[int, Range(1)] = 100
+    warmup: Annotated[int, Range(0)] = 3  # steps before tau may stop
+    budgets: tuple[Annotated[float, POSITIVE], ...] = (100.0,)  # per secondary
+    shaping_episodes: Annotated[int, Range(0)] | None = None  # None: no end
+    epsilon_cap: Annotated[float, Range(0)] = math.inf
+    delta_mode: Annotated[str, OneOf(("primary", "per_secondary"))] = "primary"
+    backend: Annotated[str, OneOf(("tabular", "mlp"))] = "tabular"
+    hidden: tuple[Annotated[int, Range(1)], ...] = (32, 32)  # layer widths
+    q_step_size: Annotated[float, Range(0, ends="()")] = 1e-2
 
     def __post_init__(self):
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must lie in (0, 1)")
-        if math.isnan(self.tau):  # +-inf stops every or no episode
-            raise ValueError(f"tau must not be NaN, got {self.tau!r}")
-        for name in ("beta", "softmax_temperature", "epsilon_threshold"):
-            value = getattr(self, name)
-            if not value > 0:  # NaN fails this too
-                raise ValueError(f"{name} must be positive, got {value!r}")
-        for name, least in (("max_steps", 1), ("episodes", 1), ("warmup", 0),
-                            ("shaping_episodes", 0)):
-            value = getattr(self, name)
-            if name == "shaping_episodes" and value is None:
-                continue
-            if value < least:
-                raise ValueError(f"{name} must be an integer of at least "
-                                 f"{least}, got {value!r}")
-        if not all(map(math.isfinite, self.epsilon0)):
-            raise ValueError(f"epsilon0 entries must be finite, got "
-                             f"{self.epsilon0!r}")
+        check_fields(self)
         for e0 in self.epsilon0:
             if e0 > 0 and self.epsilon_threshold >= e0:
                 raise ValueError("epsilon_threshold must be < epsilon0")
         if len(self.budgets) != len(self.epsilon0):
             raise ValueError("one budget per secondary required")
-        if not all(b > 0 for b in self.budgets):
-            raise ValueError(f"budgets must be positive, got "
-                             f"{self.budgets!r}")
-        if not self.epsilon_cap >= 0:  # NaN fails this too
-            raise ValueError(f"epsilon_cap must be >= 0, got "
-                             f"{self.epsilon_cap!r}")
-        if self.delta_mode not in ("primary", "per_secondary"):
-            raise ValueError("delta_mode must be 'primary' or 'per_secondary'")
-        if self.backend not in ("tabular", "mlp"):
-            raise ValueError("backend must be 'tabular' or 'mlp'")
-        if not all(h >= 1 for h in self.hidden):
-            raise ValueError(f"hidden must be a list of positive integers "
-                             f"(the hidden layer widths), got "
-                             f"{self.hidden!r}")
-        if not 0 < self.q_step_size < math.inf:  # NaN fails this too
-            raise ValueError(f"q_step_size must be a finite number > 0, got "
-                             f"{self.q_step_size!r}")
 
 
 @dataclass(frozen=True)

@@ -183,15 +183,16 @@ def stats_record(layer, in_shape, ctx) -> dict:
     return record
 
 
-def write_stats(rows: list[dict], target_names: list[str], path,
-                task_arity=0) -> None:
-    """Write raw (un-encoded) stats rows in the ingestion CSV schema."""
+def write_stats(rows: list[dict], target_names: list[str], path) -> None:
+    """Write raw (un-encoded) stats rows in the ingestion CSV schema, with a
+    ``Task i`` column for each such key of any row, in order of ``i``."""
     header = list(REQUIRED_COLUMNS)
     for extra in target_names:
         if extra not in header:
             header.append(extra)
     header.append("Processor Kind")
-    header += [f"Task {i}" for i in range(task_arity)]
+    header += sorted((key for key in set().union(*rows)
+                      if key.startswith("Task ")), key=lambda k: int(k[5:]))
     header.append("feasible")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -10,8 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter
+from typing import Annotated
 
 import numpy as np
+
+from .rules import FINITE, POSITIVE, OneOf, Range, check_fields
 
 # Categorical levels, sorted lexicographically; one-hot columns follow this order.
 BLOCK_KINDS = ("conv", "dense", "dwconv", "pool", "skip")
@@ -52,26 +55,15 @@ class LayerTemplate:
     (the only option for pool/skip blocks).
     """
 
-    block_kind: str
-    kernel_size: int = 1
-    stride: int = 1
-    padding: int = 0
-    expansion_ratio: float = 1.0
+    block_kind: Annotated[str, OneOf(BLOCK_KINDS)]
+    kernel_size: Annotated[int, Range(1)] = 1
+    stride: Annotated[int, Range(1)] = 1
+    padding: Annotated[int, Range(0)] = 0
+    expansion_ratio: Annotated[float, POSITIVE] = 1.0
     id_skip: bool = False
-    channels: int = 0
+    channels: Annotated[int, Range(0)] = 0
 
-    def __post_init__(self):
-        if self.block_kind not in BLOCK_KINDS:
-            raise ValueError(f"unknown block_kind {self.block_kind!r}")
-        for name, low in (("kernel_size", 1), ("stride", 1), ("padding", 0),
-                          ("channels", 0)):
-            value = getattr(self, name)
-            if value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got "
-                                 f"{value!r}")
-        if not self.expansion_ratio > 0:  # NaN fails this too
-            raise ValueError(f"expansion_ratio must be positive, got "
-                             f"{self.expansion_ratio!r}")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -119,7 +111,7 @@ class CandidateNetwork:
 @dataclass(frozen=True)
 class ActionCatalog:
     actions: tuple[LayerTemplate, ...]
-    max_depth: int
+    max_depth: Annotated[int, Range(1)]
     # output shape -> {action index: resolved layer} for the actions that
     # fit it; filled on first sight and never evicted, since a catalog
     # reaches finitely many shapes. Not part of ==, hash or repr.
@@ -129,8 +121,7 @@ class ActionCatalog:
     def __post_init__(self):
         if not self.actions:
             raise ValueError("catalog must contain at least one action")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
+        check_fields(self)
 
     def fitting(self, shape: tuple[int, int, int]) -> dict:
         """{action index: resolved layer}, in index order, of the actions
@@ -151,27 +142,15 @@ class ActionCatalog:
 class ContextSpec:
     """Hardware + task feature tuple conditioning behavior predictions."""
 
-    cores: int
-    compute_units: int
-    memory_mb: float
-    clock_freq_mhz: float
-    memory_bandwidth: float
-    processor_kind: str = "cpu"
-    task: tuple[float, ...] = ()
+    cores: Annotated[int, Range(0)]
+    compute_units: Annotated[int, Range(0)]
+    memory_mb: Annotated[float, Range(0)]
+    clock_freq_mhz: Annotated[float, Range(0)]
+    memory_bandwidth: Annotated[float, Range(0)]
+    processor_kind: Annotated[str, OneOf(PROCESSOR_KINDS)] = "cpu"
+    task: tuple[Annotated[float, FINITE], ...] = ()
 
-    def __post_init__(self):
-        for name in CONTEXT_NUMERIC:
-            value = getattr(self, name)
-            if not value >= 0:  # NaN fails this too
-                raise ValueError(f"{name} must be non-negative, got "
-                                 f"{value!r}")
-        if not all(map(math.isfinite, self.task)):
-            raise ValueError(f"task entries must be finite, got "
-                             f"{self.task!r}")
-        if self.processor_kind not in PROCESSOR_KINDS:
-            raise ValueError(f"unknown processor_kind "
-                             f"{self.processor_kind!r}; expected one of "
-                             f"{', '.join(PROCESSOR_KINDS)}")
+    __post_init__ = check_fields
 
 
 def one_hot(value: str, levels: tuple[str, ...], what: str) -> list[float]:
@@ -203,8 +182,6 @@ def instantiate(template: LayerTemplate,
             f"kernel {k} exceeds padded input {h + 2 * p}x{w + 2 * p}")
     out_h = (h + 2 * p - k) // s + 1
     out_w = (w + 2 * p - k) // s + 1
-    if out_h < 1 or out_w < 1:
-        raise ShapeError(f"output spatial dims collapse to {out_h}x{out_w}")
     if kind == "pool":
         channels = c
     else:

@@ -14,11 +14,13 @@ import logging
 import math
 import os
 import shutil
+from typing import Annotated
 
 import numpy as np
 
 from . import (bob, config as cfgmod, controller, dataset as ds,
                design_space, oracle as orc)
+from .rules import OneOf
 
 log = logging.getLogger(__name__)
 
@@ -156,8 +158,7 @@ def cmd_gen_synth(config_path, seed: int, out_dir) -> str:
     rows = orc.gen_synth_stats(catalog, contexts, model, count, seed,
                                cfgmod.build_input_shape(doc))
     path = os.path.join(out_dir, "stats.csv")
-    ds.write_stats(rows, orc.TARGET_NAMES, path,
-                   task_arity=len(contexts[0].task))
+    ds.write_stats(rows, orc.TARGET_NAMES, path)
     return path
 
 
@@ -202,7 +203,8 @@ def _build_secondary(doc, space):
     spec = doc.get("secondary", {"kind": "none"})
     # the keys of all kinds: a kind ignores the others' keys
     cfgmod.check_keys(spec, "secondary", ("kind", "model_path", "metric"))
-    kind = spec.get("kind", "none")
+    kinds = Annotated[str, OneOf(("predictor", "per_action", "none"))]
+    kind = cfgmod.check(spec.get("kind", "none"), kinds, "secondary.kind")
     if kind == "predictor":
         path = cfgmod.path_key(spec, "model_path", "secondary")
         model = bob.load_model(path)
@@ -217,11 +219,7 @@ def _build_secondary(doc, space):
                 f"but the catalog has {len(space.catalog.actions)} actions")
         return controller.CallableSecondary(
             functools.partial(_per_action_total, metric), 1)
-    if kind == "none":
-        return controller.CallableSecondary(_no_metrics, 0)
-    raise cfgmod.ConfigError(f"config key 'secondary.kind' must be "
-                             f"'predictor', 'per_action' or 'none', got "
-                             f"{kind!r}")
+    return controller.CallableSecondary(_no_metrics, 0)
 
 
 def _check_columns(model, path, context) -> None:

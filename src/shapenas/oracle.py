@@ -10,12 +10,14 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
 from . import dataset as ds
 from .design_space import (ActionCatalog, CandidateNetwork, ContextSpec,
                            grow, legal_actions)
+from .rules import FINITE, POSITIVE, Range, check_fields
 
 
 def encode_chain(actions) -> str:
@@ -33,35 +35,19 @@ class SyntheticTaskSpec:
     Deterministic when ``noise_sigma`` is 0.
     """
 
-    base_utility: tuple[float, ...]  # indexed by catalog action
-    diminishing: float = 0.9
+    base_utility: tuple[Annotated[float, FINITE], ...]  # per action
+    diminishing: Annotated[float, FINITE] = 0.9
     interaction_bonus: tuple = ()  # ((prev, curr, bonus), ...)
-    noise_sigma: float = 0.0
-    accuracy_cap: float = 1.0
-    min_depth: int = 0
-    seed: int = 0
+    noise_sigma: Annotated[float, Range(0, ends="[)")] = 0.0
+    accuracy_cap: Annotated[float, POSITIVE] = 1.0
+    min_depth: Annotated[int, Range(0)] = 0
+    seed: Annotated[int, Range(0)] = 0
 
     def __post_init__(self):
-        if not all(map(math.isfinite, self.base_utility)):
-            raise ValueError(f"base_utility entries must be finite, got "
-                             f"{self.base_utility!r}")
+        check_fields(self)
         if not all(math.isfinite(b) for *_, b in self.interaction_bonus):
             raise ValueError(f"interaction_bonus values must be finite, got "
                              f"{self.interaction_bonus!r}")
-        if not math.isfinite(self.diminishing):
-            raise ValueError(f"diminishing must be a finite number, got "
-                             f"{self.diminishing!r}")
-        if not 0 <= self.noise_sigma < math.inf:
-            raise ValueError(f"noise_sigma must be a finite number >= 0, got "
-                             f"{self.noise_sigma!r}")
-        if not self.accuracy_cap > 0:
-            raise ValueError(f"accuracy_cap must be a number > 0, got "
-                             f"{self.accuracy_cap!r}")
-        for name in ("min_depth", "seed"):
-            value = getattr(self, name)
-            if value < 0:
-                raise ValueError(f"{name} must be an integer >= 0, got "
-                                 f"{value!r}")
 
 
 class SyntheticOracle:
@@ -135,6 +121,8 @@ class TabularOracle:
 # Synthetic layerwise stats with known ground truth
 # ---------------------------------------------------------------------------
 
+_COEFF = Annotated[float, Range(0, ends="[)")]  # a cost coefficient
+
 
 @dataclass(frozen=True)
 class SynthStatsModel:
@@ -148,20 +136,14 @@ class SynthStatsModel:
     disabled.
     """
 
-    latency_coeffs: tuple[float, float, float, float] = (0.5, 0.02, 0.05, 0.001)
-    memory_coeffs: tuple[float, float] = (0.1, 0.004)
-    context_multipliers: tuple[float, ...] = (1.0,)
+    latency_coeffs: tuple[_COEFF, _COEFF, _COEFF, _COEFF] = (0.5, 0.02, 0.05,
+                                                             0.001)
+    memory_coeffs: tuple[_COEFF, _COEFF] = (0.1, 0.004)
+    context_multipliers: tuple[Annotated[float, Range(0, ends="()")],
+                               ...] = (1.0,)
     infeasibility_rule: bool = True
 
-    def __post_init__(self):
-        for name in ("latency_coeffs", "memory_coeffs"):
-            coeffs = getattr(self, name)
-            if not all(0 <= c < math.inf for c in coeffs):
-                raise ValueError(f"{name} must be finite and >= 0, got "
-                                 f"{coeffs!r}")
-        if not all(0 < m < math.inf for m in self.context_multipliers):
-            raise ValueError(f"context_multipliers must be finite and > 0, "
-                             f"got {self.context_multipliers!r}")
+    __post_init__ = check_fields
 
     def layer_latency(self, layer, multiplier: float) -> float:
         c0, c1, c2, c3 = self.latency_coeffs
@@ -206,6 +188,10 @@ def gen_synth_stats(catalog: ActionCatalog, contexts, true_model: SynthStatsMode
         raise ValueError("count must be >= 1")
     if len(true_model.context_multipliers) != len(contexts):
         raise ValueError("one context multiplier per context required")
+    for i, ctx in enumerate(contexts):
+        if len(ctx.task) != len(contexts[0].task):
+            raise ValueError(f"context {i} has {len(ctx.task)} task values, "
+                             f"but context 0 has {len(contexts[0].task)}")
     rng = np.random.default_rng(seed)
     rows = []
     while len(rows) < count:

@@ -8,5 +8,5 @@ def synth_corpus(path, catalog, contexts, model, count, seed):
     ``gen-synth`` writes them and read back with ``ingest_stats``: the
     records and the encoded dataset."""
     rows = gen_synth_stats(catalog, contexts, model, count, seed)
-    write_stats(rows, TARGET_NAMES, path, task_arity=len(contexts[0].task))
+    write_stats(rows, TARGET_NAMES, path)
     return rows, ingest_stats(path)

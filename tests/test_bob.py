@@ -53,7 +53,8 @@ def test_learn_meta_deterministic(tmp_path):
 
 def test_empty_bag_rejected(tmp_path):
     data = toy_dataset(tmp_path)
-    with pytest.raises(ValueError, match="bag_size must be at least 1"):
+    with pytest.raises(ValueError, match=r"bag_size must be in \[1, inf\], "
+                                         r"got 0"):
         learn_meta(data, BobConfig(bag_size=0, min_samples=5), seed=0)
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import logging
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -557,6 +558,29 @@ def test_epsilon_schedule_closed_form_on_traces(toy_space):
     check_epsilon_schedule(trace, cfg)
 
 
+def test_epsilon_schedule_check_follows_a_cutoff(toy_space):
+    # epsilon 0.5 dies once accuracy falls ln(0.9) below its first value
+    cfg = config(episodes=10, epsilon0=(0.5,), epsilon_threshold=0.45)
+    trace = run_search(toy_space, make_oracle(), make_secondary([5, 40, 70]),
+                       cfg, seed=2)
+    died = next(i for i, r in enumerate(trace.records)
+                if r.epsilons == (0.0,))
+    assert 0 < died < len(trace.records) - 1
+    assert all(r.epsilons == (0.0,) for r in trace.records[died:])
+    check_epsilon_schedule(trace, cfg)
+
+    def corrupted(index, epsilon):
+        records = list(trace.records)
+        records[index] = records[index]._replace(epsilons=(epsilon,))
+        return dataclasses.replace(trace, records=records)
+
+    with pytest.raises(AssertionError, match="epsilon_0 resurrected"):
+        check_epsilon_schedule(corrupted(died + 1, 0.1), cfg)
+    alive = trace.records[died - 1].epsilons[0]
+    with pytest.raises(AssertionError, match="epsilon_0 off closed form"):
+        check_epsilon_schedule(corrupted(died - 1, alive * (1 + 1e-6)), cfg)
+
+
 def test_scalarized_zero_weights_uniform_policy(toy_space):
     trace = run_search(toy_space, make_oracle(), make_secondary([5, 40, 70]),
                        config(episodes=10), seed=1, weights=(0.0, 0.0))
@@ -746,24 +770,28 @@ def test_shaping_config_validation():
     with pytest.raises(ValueError):
         ShapingConfig(budgets=(1.0, 2.0))
     for budget in (0.0, math.nan):
-        with pytest.raises(ValueError, match="budgets must be positive"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"budgets entries must be in (0, inf], got ({budget!r},)")):
             ShapingConfig(budgets=(budget,))
     for key in ("beta", "softmax_temperature", "epsilon_threshold"):
-        with pytest.raises(ValueError, match=f"{key} must be positive"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{key} must be in (0, inf], got nan")):
             ShapingConfig(**{key: math.nan})
     for e0 in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="epsilon0 entries must be "
-                                             "finite"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"epsilon0 entries must be in (-inf, inf), got ({e0!r},)")):
             ShapingConfig(epsilon0=(e0,))
     for cap in (-1.0, math.nan):
-        with pytest.raises(ValueError, match="epsilon_cap must be >= 0"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"epsilon_cap must be in [0, inf], got {cap!r}")):
             ShapingConfig(epsilon_cap=cap)
     for cap in (0.0, math.inf):
         assert ShapingConfig(epsilon_cap=cap).epsilon_cap == cap
 
 
 def test_tau_may_be_infinite_but_not_nan():
-    with pytest.raises(ValueError, match="tau must not be NaN, got nan"):
+    with pytest.raises(ValueError, match=re.escape(
+            "tau must be in [-inf, inf], got nan")):
         ShapingConfig(tau=math.nan)
     for tau in (math.inf, -math.inf):
         assert ShapingConfig(tau=tau).tau == tau

@@ -16,7 +16,7 @@ ROW = {
 
 def make_csv(tmp_path, rows, name="stats.csv", targets=("Execution time",)):
     path = tmp_path / name
-    write_stats(rows, list(targets), path, task_arity=0)
+    write_stats(rows, list(targets), path)
     return path
 
 
@@ -32,6 +32,22 @@ def test_ingest_three_rows(tmp_path):
     assert len(data) == 3
     assert data.target_names == ["Execution time"]
     assert data.feasible.all()
+
+
+def test_csv_without_feasible_column_reads_every_row_feasible(tmp_path):
+    path = make_csv(tmp_path, [vary(), vary(Channels=4)])
+    header, *body = path.read_text().splitlines()
+    names = header.split(",")
+    drop = names.index("feasible")
+    path.write_text("\n".join(",".join(cells[:drop] + cells[drop + 1:])
+                              for cells in (line.split(",")
+                                            for line in [header, *body]))
+                    + "\n")
+    assert "feasible" not in path.read_text()
+    data = ingest_stats(path)
+    assert data.feasible.tolist() == [True, True]
+    assert data.Y.tolist() == [[1.5], [1.5]]
+    assert not data.infeasible_registry
 
 
 def test_infeasible_row_enters_registry(tmp_path):
@@ -137,7 +153,7 @@ def task_csv(tmp_path, tasks, values=(0.5, 0.25)):
     hold ``values``."""
     path = tmp_path / "tasks.csv"
     write_stats([vary(**{"Task 0": values[0], "Task 1": values[1]})],
-                ["Execution time"], path, task_arity=2)
+                ["Execution time"], path)
     header, body = path.read_text().split("\n", 1)
     path.write_text(header.replace("Task 0,Task 1", ",".join(tasks)) + "\n"
                     + body)

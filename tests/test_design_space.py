@@ -149,7 +149,9 @@ def test_context_validation():
 
 def test_unknown_processor_kind_rejected():
     # mis-cased: the encoder would otherwise give all-zero processor columns
-    with pytest.raises(ValueError, match="cpu, dsp, gpu, npu"):
+    with pytest.raises(ValueError, match="processor_kind must be one of "
+                                         "'cpu', 'dsp', 'gpu', 'npu', got "
+                                         "'GPU'"):
         ContextSpec(8, 2, 4096, 2800, 25.6, "GPU")
 
 

@@ -558,6 +558,22 @@ def test_compare_names_each_failed_arm_once_per_seed(tmp_path, capsys):
 # --- CLI --------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("command", ["search", "compare"])
+@pytest.mark.parametrize("flag", ["--replicates", "--jobs"])
+@pytest.mark.parametrize("value", ["0", "-2", "1.5", "two"])
+def test_count_flag_below_one_exits_2_naming_it(tmp_path, capsys, command,
+                                                flag, value):
+    # --replicates 0 wrote NaN means; --jobs 0 ran serially
+    cfg = write_config(tmp_path, {"shaping": {"episodes": 3}})
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", cfg, "--out", str(tmp_path / "out"),
+                  flag, value])
+    assert exc.value.code == 2
+    assert (f"error: argument {flag}: must be an integer in [1, inf], got "
+            f"{value!r}") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_search_exit_zero(tmp_path, capsys):
     cfg = write_config(tmp_path)
     rc = cli.main(["search", "--config", cfg, "--seed", "0",
@@ -659,12 +675,14 @@ def test_secondary_metric_count_checked(tmp_path, capsys, command, overrides,
     ("search", {"secondary": {"metric": [5.0, 40.0, "70"]}},
      "config key 'secondary.metric' must be a list of numbers"),
     ("search", {"input_shape": [3, 16]},
-     "config key 'input_shape' must be three positive integers"),
+     "config key 'input_shape' must be a list of 3 integers, got [3, 16]"),
     ("gen-synth", dict(SYNTH, input_shape=[3, 16]),
-     "config key 'input_shape' must be three positive integers"),
+     "config key 'input_shape' must be a list of 3 integers, got [3, 16]"),
     *(("gen-synth", dict(SYNTH, synth_stats={"count": count}),
-       f"config key 'synth_stats.count' must be an integer of at least 1, "
-       f"got {count!r}") for count in ("abc", 2.5, True, 0)),
+       f"config key 'synth_stats.count' must be an integer, got {count!r}")
+      for count in ("abc", 2.5, True)),
+    ("gen-synth", dict(SYNTH, synth_stats={"count": 0}),
+     "config key 'synth_stats.count' must be in [1, inf], got 0"),
     ("gen-synth", dict(SYNTH, contexts=[]),
      "config key 'contexts' must be a non-empty list, got []"),
     ("gen-synth", dict(SYNTH, contexts=[
@@ -709,10 +727,10 @@ def test_secondary_metric_count_checked(tmp_path, capsys, command, overrides,
     ("search", {"context": {"cores": True}},
      "config key 'context.cores' must be an integer, got True"),
     ("search", {"oracle": {"kind": "lookup"}},
-     "config key 'oracle.kind' must be 'synthetic' or 'tabular', got "
+     "config key 'oracle.kind' must be one of 'synthetic', 'tabular', got "
      "'lookup'"),
     ("search", {"secondary": {"kind": "lookup"}},
-     "config key 'secondary.kind' must be 'predictor', 'per_action' or "
+     "config key 'secondary.kind' must be one of 'predictor', 'per_action', "
      "'none', got 'lookup'"),
 ], ids=["reference_index_outside_catalog", "reference_not_a_list",
         "reference_action_does_not_fit", "weights_not_a_list",
@@ -761,24 +779,23 @@ def test_bad_raw_value_names_key(tmp_path, capsys, command, overrides,
     ({"interaction_bonus": {"0": 1}},
      "config key 'oracle.interaction_bonus' must be a list"),
     ({"seed": 1.5}, "config key 'oracle.seed' must be an integer, got 1.5"),
-    ({"seed": -3}, "config key 'oracle.seed': seed must be an integer >= 0, "
-     "got -3"),
+    ({"seed": -3}, "config key 'oracle.seed' must be in [0, inf], got -3"),
     ({"seed": True}, "config key 'oracle.seed' must be an integer, got True"),
-    ({"noise_sigma": -1.0}, "config key 'oracle.noise_sigma': noise_sigma "
-     "must be a finite number >= 0, got -1.0"),
+    ({"noise_sigma": -1.0}, "config key 'oracle.noise_sigma' must be in "
+     "[0, inf), got -1.0"),
     ({"noise_sigma": True}, "config key 'oracle.noise_sigma' must be a "
      "number, got True"),
-    ({"noise_sigma": float("inf")}, "config key 'oracle.noise_sigma': "
-     "noise_sigma must be a finite number >= 0, got inf"),
+    ({"noise_sigma": float("inf")}, "config key 'oracle.noise_sigma' must "
+     "be in [0, inf), got inf"),
     ({"min_depth": 1.5}, "config key 'oracle.min_depth' must be an integer, "
      "got 1.5"),
-    ({"diminishing": float("nan")}, "config key 'oracle.diminishing': "
-     "diminishing must be a finite number, got nan"),
-    ({"accuracy_cap": -1.0}, "config key 'oracle.accuracy_cap': "
-     "accuracy_cap must be a number > 0, got -1.0"),
+    ({"diminishing": float("nan")}, "config key 'oracle.diminishing' must "
+     "be in (-inf, inf), got nan"),
+    ({"accuracy_cap": -1.0}, "config key 'oracle.accuracy_cap' must be in "
+     "(0, inf], got -1.0"),
     *(({"base_utility": [value, 0.1, 0.02]}, f"config key "
-       f"'oracle.base_utility': base_utility entries must be finite, got "
-       f"({value!r}, 0.1, 0.02)") for value in (float("nan"), float("inf"))),
+       f"'oracle.base_utility' entries must be in (-inf, inf), got "
+       f"[{value!r}, 0.1, 0.02]") for value in (float("nan"), float("inf"))),
     *(({"interaction_bonus": [[0, 1, value]]}, f"config key "
        f"'oracle.interaction_bonus': interaction_bonus values must be "
        f"finite, got ((0, 1, {value!r}),)")
@@ -835,14 +852,14 @@ def test_missing_key_names_its_section(tmp_path, capsys, section, value, key):
 
 
 @pytest.mark.parametrize("catalog, message", [
-    ({"max_depth": "4"}, "config key 'catalog.max_depth' must be an integer "
-     "of at least 1, got '4'"),
-    ({"max_depth": 0}, "config key 'catalog.max_depth' must be an integer "
-     "of at least 1, got 0"),
+    ({"max_depth": "4"}, "config key 'catalog.max_depth' must be an integer, "
+     "got '4'"),
+    ({"max_depth": 0}, "config key 'catalog.max_depth' must be in [1, inf], "
+     "got 0"),
     ({"max_depth": True}, "config key 'catalog.max_depth' must be an "
-     "integer of at least 1, got True"),
+     "integer, got True"),
     ({"max_depth": 2.0}, "config key 'catalog.max_depth' must be an "
-     "integer of at least 1, got 2.0"),
+     "integer, got 2.0"),
     ({"actions": []}, "config key 'catalog.actions' must be a non-empty "
      "list, got []"),
     ({"actions": {"block_kind": "skip"}}, "config key 'catalog.actions' "
@@ -1073,7 +1090,7 @@ POOL_STRIDE_0 = {"catalog": {"actions": [
 
 @pytest.mark.parametrize("overrides, where", [
     ({"shaping": {"gamma": 1.5}},
-     "config key 'shaping.gamma': gamma must lie in (0, 1)"),
+     "config key 'shaping.gamma' must be in (0, 1), got 1.5"),
     ({"shaping": {"softmax_temperature": 0.0}},
      "config key 'shaping.softmax_temperature'"),
     (POOL_STRIDE_0, "config key 'catalog.actions[1].stride'"),
@@ -1087,18 +1104,18 @@ POOL_STRIDE_0 = {"catalog": {"actions": [
     ({"shaping": {"shaping_episodes": -1}},
      "config key 'shaping.shaping_episodes'"),
     ({"shaping": {"epsilon_cap": -1.0}},
-     "config key 'shaping.epsilon_cap': epsilon_cap must be >= 0"),
+     "config key 'shaping.epsilon_cap' must be in [0, inf], got -1.0"),
     ({"shaping": {"epsilon_cap": float("nan")}},
-     "config key 'shaping.epsilon_cap': epsilon_cap must be >= 0"),
+     "config key 'shaping.epsilon_cap' must be in [0, inf], got nan"),
     *(({"shaping": {"backend": "mlp", "hidden": hidden}},
-       "config key 'shaping.hidden': hidden must be a list of positive "
-       "integers") for hidden in ([0], [-2])),
+       f"config key 'shaping.hidden' entries must be in [1, inf], got "
+       f"{hidden!r}") for hidden in ([0], [-2])),
     *(({"shaping": {"backend": "mlp", "hidden": hidden}},
        f"config key 'shaping.hidden' must be a list of integers, got "
        f"{hidden!r}") for hidden in ([3.5], 7)),
     *(({"shaping": {"backend": "mlp", "q_step_size": step}},
-       "config key 'shaping.q_step_size': q_step_size must be a finite "
-       "number > 0") for step in (-0.5, 0, float("nan"))),
+       f"config key 'shaping.q_step_size' must be in (0, inf), got "
+       f"{step!r}") for step in (-0.5, 0, float("nan"))),
     # train-predictor checks its section before it reads the stats file
     *(({"predictor": {"stats_path": "never_read.csv", key: value}},
        f"config key 'predictor.{key}'") for key, value in (
@@ -1115,39 +1132,38 @@ POOL_STRIDE_0 = {"catalog": {"actions": [
           (2, "stride", 2.5), (0, "channels", 8.5), (0, "padding", 0.5),
           (1, "kernel_size", True))),
     *(({"shaping": {key: NAN}},
-       f"config key 'shaping.{key}': {key} must be positive, got nan")
+       f"config key 'shaping.{key}' must be in (0, inf], got nan")
       for key in ("beta", "softmax_temperature", "epsilon_threshold")),
     ({"shaping": {"budgets": [NAN]}},
-     "config key 'shaping.budgets': budgets must be positive, got (nan,)"),
+     "config key 'shaping.budgets' entries must be in (0, inf], got [nan]"),
     *(({"shaping": {"epsilon0": [e0]}},
-       f"config key 'shaping.epsilon0': epsilon0 entries must be finite, got "
-       f"({e0!r},)") for e0 in (NAN, float("inf"))),
+       f"config key 'shaping.epsilon0' entries must be in (-inf, inf), got "
+       f"[{e0!r}]") for e0 in (NAN, float("inf"))),
     *(({"context": {key: NAN}},
-       f"config key 'context.{key}': {key} must be non-negative, got nan")
+       f"config key 'context.{key}' must be in [0, inf], got nan")
       for key in ("memory_mb", "memory_bandwidth")),
     (one_action_set(0, expansion_ratio=NAN),
-     "config key 'catalog.actions[0].expansion_ratio': expansion_ratio must "
-     "be positive, got nan"),
+     "config key 'catalog.actions[0].expansion_ratio' must be in (0, inf], "
+     "got nan"),
     *((dict(SYNTH, synth_stats_model={"context_multipliers": multipliers}),
-       f"config key 'synth_stats_model.context_multipliers': "
-       f"context_multipliers must be finite and > 0, got "
-       f"{tuple(multipliers)!r}")
+       f"config key 'synth_stats_model.context_multipliers' entries must be "
+       f"in (0, inf), got {multipliers!r}")
       for multipliers in ([1.0, -2.5], [1.0, NAN], [0.0, 1.0])),
     *((dict(SYNTH, synth_stats_model={"context_multipliers": [1.0, 2.5],
                                       key: coeffs}),
-       f"config key 'synth_stats_model.{key}': {key} must be finite and "
-       f">= 0, got {tuple(coeffs)!r}")
+       f"config key 'synth_stats_model.{key}' entries must be in [0, inf), "
+       f"got {coeffs!r}")
       for key, coeffs in (("latency_coeffs", [0.5, -0.02, 0.05, 0.001]),
                           ("memory_coeffs", [NAN, 0.004]))),
     ({"shaping": {"tau": NAN}},
-     "config key 'shaping.tau': tau must not be NaN, got nan"),
-    *(({"context": {"task": [value]}}, f"config key 'context.task': task "
-       f"entries must be finite, got ({value!r},)")
+     "config key 'shaping.tau' must be in [-inf, inf], got nan"),
+    *(({"context": {"task": [value]}}, f"config key 'context.task' entries "
+       f"must be in (-inf, inf), got [{value!r}]")
       for value in (NAN, float("inf"))),
     (dict(SYNTH, contexts=[dict(SYNTH["contexts"][0], task=[0.5]),
                            dict(SYNTH["contexts"][1], task=[NAN])]),
-     "config key 'contexts[1].task': task entries must be finite, got "
-     "(nan,)"),
+     "config key 'contexts[1].task' entries must be in (-inf, inf), got "
+     "[nan]"),
 ], ids=["field_named", "second_of_two_fields", "template_field",
         "no_field_named", "no_steps", "no_episodes", "negative_episodes",
         "fractional_episodes", "negative_warmup",
@@ -1220,6 +1236,26 @@ def test_wrong_type_of_every_field_names_key(tmp_path, capsys):
                 assert err.startswith(f"error: config key "
                                       f"'{section}.{field.name}' must be "), err
                 assert err.endswith(f", got {value!r}\n"), err
+
+
+# a value of each type an ``X | None`` field may hold
+VALID = {int: 2, float: 0.5, str: "primary"}
+
+
+def test_every_optional_field_loads_a_value_and_null(tmp_path, capsys):
+    optional = []
+    for cls, command, section, overrides in FIELD_SECTIONS:
+        for field in dataclasses.fields(cls):
+            args = typing.get_args(typing.get_type_hints(cls)[field.name])
+            if type(None) not in args:
+                continue
+            assert command == "search", (section, field.name)
+            optional.append(field.name)
+            for value in (VALID[args[0]], None):
+                cfg = write_config(tmp_path, overrides(field.name, value))
+                rc, err = run_cli(tmp_path, capsys, cfg, command=command)
+                assert rc == 0, (section, field.name, value, err)
+    assert "shaping_episodes" in optional
 
 
 @pytest.mark.parametrize("level", ["debug", "warning"])

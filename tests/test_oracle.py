@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 from shapenas import (ActionCatalog, CandidateNetwork, ContextSpec,
                       LayerTemplate, grow, parse_network)
-from shapenas.dataset import ingest_stats, stats_record, write_stats
+from shapenas.dataset import (StatsParseError, ingest_stats, stats_record,
+                              write_stats)
 from shapenas.design_space import (BLOCK_KINDS, PROCESSOR_KINDS,
                                    feature_columns)
 from shapenas.oracle import (TARGET_NAMES, SyntheticOracle, SyntheticTaskSpec,
@@ -128,6 +130,34 @@ def test_gen_synth_count_and_validation(tmp_path):
         gen_synth_stats(CAT, [CTX, CTX], model, count=5, seed=1)
 
 
+ONE_TASK, TWO_TASKS = (dataclasses.replace(CTX, task=task)
+                       for task in ((0.5,), (0.5, 0.25)))
+
+
+def test_gen_synth_rejects_contexts_of_mixed_task_lengths():
+    model = SynthStatsModel(context_multipliers=(1.0, 1.0))
+    with pytest.raises(ValueError, match="context 1 has 2 task values, but "
+                                         "context 0 has 1"):
+        gen_synth_stats(CAT, [ONE_TASK, TWO_TASKS], model, count=20, seed=0)
+
+
+def test_write_stats_takes_task_columns_from_records(tmp_path):
+    # a record's task values all get a column, so mixed lengths leave an
+    # empty cell that ingest names rather than a lost column
+    net = grow(CandidateNetwork((3, 16, 16)), CAT, 0)
+    (shape, layer), = net.layer_inputs()
+    rows = [dict(stats_record(layer, shape, ctx), feasible=1,
+                 **dict.fromkeys(TARGET_NAMES, 1.0))
+            for ctx in (TWO_TASKS, ONE_TASK)]
+    path = tmp_path / "stats.csv"
+    write_stats(rows[:1], TARGET_NAMES, path)
+    assert ingest_stats(path).columns[-2:] == ["task_0", "task_1"]
+    write_stats(rows, TARGET_NAMES, path)
+    with pytest.raises(StatsParseError, match="stats.csv:3: non-numeric "
+                                              "value '' in column 'Task 1'"):
+        ingest_stats(path)
+
+
 def test_ingested_stats_row_equals_parse_network_row(tmp_path):
     """The predictor trains on the rows ``ingest_stats`` reads from a stats
     CSV and is asked about the rows ``parse_network`` builds: for a layer
@@ -150,7 +180,7 @@ def test_ingested_stats_row_equals_parse_network_row(tmp_path):
                  **dict.fromkeys(TARGET_NAMES, 1.0))
             for ctx in contexts for shape, layer in net.layer_inputs()]
     path = tmp_path / "stats.csv"
-    write_stats(rows, TARGET_NAMES, path, task_arity=2)
+    write_stats(rows, TARGET_NAMES, path)
     back = ingest_stats(path)
     assert back.columns == feature_columns(2)
     assert np.array_equal(back.X, np.vstack([parse_network(net, ctx)
