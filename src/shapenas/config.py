@@ -2,9 +2,6 @@
 from __future__ import annotations
 
 import dataclasses
-import re
-import types
-import typing
 from typing import Annotated
 
 import yaml
@@ -71,68 +68,10 @@ def check_keys(mapping, section: str, known) -> None:
             raise ConfigError(f"unknown config key '{section}.{key}'")
 
 
-# each scalar annotation a config field may carry: the types of the YAML
-# values it takes, and how a message names one such value and a list of
-# them. A bool is not a number.
-_SCALARS = {
-    bool: ((bool,), "true or false", "true or false values"),
-    int: ((int,), "an integer", "integers"),
-    float: ((int, float), "a number", "numbers"),
-    str: ((str,), "a string", "strings"),
-    type(None): ((type(None),), "null", "nulls"),
-}
-
-
-def _fits(value, hint) -> bool:
-    """Whether the YAML value ``value`` has the type annotation ``hint``:
-    a scalar of ``_SCALARS``, ``X | Y``, ``Annotated[X, rule]``, or
-    ``tuple[X, ...]``, fixed ``tuple[X, Y, ...]`` or bare ``tuple`` as a
-    list."""
-    if hint in _SCALARS:
-        return type(value) in _SCALARS[hint][0]
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin is Annotated:
-        return _fits(value, args[0])
-    if origin in (types.UnionType, typing.Union):  # X | Y, Annotated[X] | Y
-        return any(_fits(value, arg) for arg in args)
-    if not isinstance(value, list):  # a tuple annotation
-        return False
-    if args[1:] == (...,):
-        return all(_fits(v, args[0]) for v in value)
-    return not args or (len(value) == len(args)
-                        and all(map(_fits, value, args)))
-
-
-def _kind(hint, plural=False) -> str:
-    """How a message names a value of the annotation ``hint``, or, with
-    ``plural``, a list of them; the config's fixed tuples repeat one type."""
-    if hint in _SCALARS:
-        return _SCALARS[hint][2 if plural else 1]
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin is Annotated:
-        return _kind(args[0], plural)
-    if origin in (types.UnionType, typing.Union):
-        return " or ".join(_kind(arg, plural) for arg in args)
-    if not args:  # a tuple annotation
-        return "a list"
-    count = "" if args[1:] == (...,) else f"{len(args)} "
-    return f"a list of {count}{_kind(args[0], plural=True)}"
-
-
 def check(value, hint, key: str):
-    """``value``, which must have the type annotation ``hint`` (see
-    ``_fits``) and keep the value rules it declares (see ``rules.check``);
-    else a ConfigError naming ``key``."""
-    if not _fits(value, hint):
-        raise ConfigError(f"config key {key!r} must be {_kind(hint)}, "
-                          f"got {value!r}")
-    return rules.check(value, hint, f"config key {key!r}", ConfigError)
-
-
-def number_list(value, key: str) -> tuple:
-    """``value`` as a tuple of numbers; anything but a list of numbers
-    raises a ConfigError naming ``key``."""
-    return tuple(check(value, tuple[float, ...], key))
+    """``value``, which must keep the rule of the annotation ``hint``; else
+    a ConfigError naming ``key``. For the keys no dataclass field holds."""
+    return _named(rules.check, {}, "", value, hint, key)
 
 
 def path_key(section_doc, key: str, section: str) -> str:
@@ -149,39 +88,33 @@ def _tuples(value):
     return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
-def build_section(cls, mapping, section: str, other_keys=()):
-    """Build the dataclass ``cls`` from the config mapping at ``section``.
+def _named(make, mapping, prefix: str, *args, **kwargs):
+    """``make(*args, **kwargs)``, whose FieldError becomes a ConfigError
+    naming the key ``<prefix><field>`` and the value ``mapping`` holds
+    there, or the field's own if the config leaves it at its default."""
+    try:
+        return make(*args, **kwargs)
+    except rules.FieldError as exc:
+        value = mapping.get(exc.name, exc.value)
+        raise ConfigError(f"config key '{prefix}{exc.name}' {exc.rule}, "
+                          f"got {value!r}") from exc
 
-    Lists become tuples. Keys in ``other_keys`` belong to the section but
-    not to ``cls`` and are skipped. These raise ConfigError naming the key:
-    an unknown key; a value that does not have its field's type annotation
-    (see ``_fits``), such as ``1.0e9`` for a ``float``, which PyYAML reads
-    as a string when no sign follows the ``e``, or breaks a value rule
-    that annotation declares (see ``rules``); and a missing required key.
-    ``cls``'s own checks then relate the fields; a ValueError from them
-    names the first field its message mentions (or the section, if it
-    mentions none).
-    """
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    check_keys(mapping, section, fields.keys() | set(other_keys))
-    hints = rules.type_hints(cls)
-    kwargs = {}
-    for key, value in mapping.items():
-        if key in other_keys:
-            continue
-        kwargs[key] = _tuples(check(value, hints[key], f"{section}.{key}"))
-    for name, f in fields.items():
-        if name not in kwargs and f.default is dataclasses.MISSING \
+
+def build_section(cls, mapping, section: str, other_keys=()):
+    """Build the dataclass ``cls`` from the config mapping at ``section``,
+    lists as tuples, skipping the section's ``other_keys``. An unknown or
+    missing required key raises a ConfigError naming it; ``cls`` checks
+    each value and relates the fields, and ``_named`` names the key."""
+    fields = dataclasses.fields(cls)
+    check_keys(mapping, section, {f.name for f in fields} | set(other_keys))
+    for f in fields:
+        if f.name not in mapping and f.default is dataclasses.MISSING \
                 and f.default_factory is dataclasses.MISSING:
             raise ConfigError(f"missing required config key "
-                              f"'{section}.{name}'")
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        key = next((word for word in re.findall(r"\w+", str(exc))
-                    if word in fields), None)
-        where = f"key '{section}.{key}'" if key else f"section '{section}'"
-        raise ConfigError(f"config {where}: {exc}") from exc
+                              f"'{section}.{f.name}'")
+    return _named(cls, mapping, f"{section}.", **{
+        key: _tuples(value) for key, value in mapping.items()
+        if key not in other_keys})
 
 
 def build_catalog(doc: dict) -> ActionCatalog:
@@ -191,12 +124,10 @@ def build_catalog(doc: dict) -> ActionCatalog:
     if not isinstance(actions, list) or not actions:
         raise ConfigError(f"config key 'catalog.actions' must be a non-empty "
                           f"list, got {actions!r}")
-    max_depth = check(require(cat, "max_depth", "catalog"),
-                      rules.type_hints(ActionCatalog)["max_depth"],
-                      "catalog.max_depth")
-    return ActionCatalog(
-        tuple(build_section(LayerTemplate, a, f"catalog.actions[{i}]")
-              for i, a in enumerate(actions)), max_depth=max_depth)
+    max_depth = require(cat, "max_depth", "catalog")
+    return _named(ActionCatalog, cat, "catalog.", tuple(
+        build_section(LayerTemplate, a, f"catalog.actions[{i}]")
+        for i, a in enumerate(actions)), max_depth=max_depth)
 
 
 def build_context(doc: dict) -> ContextSpec:
@@ -267,11 +198,12 @@ def build_oracle(doc: dict, catalog: ActionCatalog):
     if check(require(spec, "kind", "oracle"), kinds,
              "oracle.kind") == "synthetic":
         n = len(catalog.actions)
-        # checked before the spec is built: its own check unpacks each entry
-        for entry in check(spec.get("interaction_bonus", []), tuple,
-                           "oracle.interaction_bonus"):
-            if not (_fits(entry, tuple[int, int, float])
-                    and all(0 <= a < n for a in entry[:2])):
+        bonus = spec.get("interaction_bonus", [])
+        # checked before the spec is built: its own check unpacks each
+        # entry, after it rejects a value that is not a list
+        for entry in bonus if isinstance(bonus, list) else ():
+            if rules.broken(entry, tuple[int, int, float]) \
+                    or not all(0 <= a < n for a in entry[:2]):
                 raise ConfigError(
                     f"config key 'oracle.interaction_bonus': entry "
                     f"{entry!r} is not [previous action, action, bonus] "

@@ -33,7 +33,7 @@ from .bob import (BobModel, MetaPrediction, network_prediction,
 from .design_space import (ActionCatalog, CandidateNetwork, ContextSpec,
                            embed_state, grow, legal_actions, parse_network)
 from .function_approx import (MlpValues, TabularValues, values_from_dict)
-from .rules import FINITE, POSITIVE, OneOf, Range, check_fields
+from .rules import FINITE, POSITIVE, FieldError, OneOf, Range, check_fields
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -65,11 +65,12 @@ class ShapingConfig:
 
     def __post_init__(self):
         check_fields(self)
-        for e0 in self.epsilon0:
-            if e0 > 0 and self.epsilon_threshold >= e0:
-                raise ValueError("epsilon_threshold must be < epsilon0")
+        if any(0 < e0 <= self.epsilon_threshold for e0 in self.epsilon0):
+            raise FieldError("epsilon_threshold", "must be below each "
+                             "positive epsilon0", self.epsilon_threshold)
         if len(self.budgets) != len(self.epsilon0):
-            raise ValueError("one budget per secondary required")
+            raise FieldError("budgets", f"must have as many entries as "
+                             f"epsilon0 ({len(self.epsilon0)})", self.budgets)
 
 
 @dataclass(frozen=True)
@@ -610,15 +611,17 @@ def check_epsilon_schedule(trace: SearchTrace, cfg: ShapingConfig,
         for i in range(n_sec):
             got = rec.epsilons[i]
             if phase_over or not alive[i]:
-                assert got == 0.0, (
-                    f"epsilon_{i} resurrected at ep {rec.episode} "
-                    f"step {rec.step}: {got}")
+                if got != 0.0:
+                    raise AssertionError(
+                        f"epsilon_{i} resurrected at ep {rec.episode} "
+                        f"step {rec.step}: {got}")
                 continue
             expected = eps0[i] * math.exp(rec.r_p - first_rp)
             err = abs(got - expected) / max(abs(expected), 1e-300)
-            assert err <= rel_tol, (
-                f"epsilon_{i} off closed form at ep {rec.episode} "
-                f"step {rec.step}: {got} vs {expected}")
+            if not err <= rel_tol:
+                raise AssertionError(
+                    f"epsilon_{i} off closed form at ep {rec.episode} "
+                    f"step {rec.step}: {got} vs {expected}")
             if expected <= cfg.epsilon_threshold:
                 alive[i] = False  # next update drops it to exactly zero
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import (bob, config as cfgmod, controller, dataset as ds,
                design_space, oracle as orc)
-from .rules import OneOf
+from .rules import OneOf, Range, check
 
 log = logging.getLogger(__name__)
 
@@ -211,8 +211,8 @@ def _build_secondary(doc, space):
         _check_columns(model, path, space.context)
         return controller.PredictorSecondary(model, space.context)
     if kind == "per_action":
-        metric = cfgmod.number_list(
-            cfgmod.require(spec, "metric", "secondary"), "secondary.metric")
+        metric = cfgmod.check(cfgmod.require(spec, "metric", "secondary"),
+                              tuple[float, ...], "secondary.metric")
         if len(metric) != len(space.catalog.actions):
             raise cfgmod.ConfigError(
                 f"config key 'secondary.metric' has {len(metric)} entries, "
@@ -301,12 +301,18 @@ def _aggregate(rows, keys) -> dict:
     return agg
 
 
+def _check_counts(**counts) -> None:
+    for name, count in counts.items():  # below 1: an empty or NaN report
+        check(count, Annotated[int, Range(1)], name)
+
+
 _AGG_KEYS = ("final_accuracy", "depth", "size_ratio", "episodes_to_95")
 
 
 def cmd_search(config_path, seed: int, replicates: int, jobs: int,
                out_dir) -> dict:
     """R replicate searches; writes per-replicate traces, curves, a report."""
+    _check_counts(replicates=replicates, jobs=jobs)
     doc = cfgmod.load_config(config_path)
     _ensure_out(out_dir, config_path)
     space = cfgmod.build_space(doc)
@@ -350,6 +356,7 @@ def cmd_compare(config_path, seed: int, replicates: int, jobs: int,
     arm's curves are ``curve_<name>_replicate_<seed>.csv``, and its report
     keys are ``<name>_episodes_to_95`` and ``mean_<name>``.
     """
+    _check_counts(replicates=replicates, jobs=jobs)
     doc = cfgmod.load_config(config_path)
     _ensure_out(out_dir, config_path)
     space = cfgmod.build_space(doc)
@@ -357,8 +364,8 @@ def cmd_compare(config_path, seed: int, replicates: int, jobs: int,
     shaping = cfgmod.build_shaping(doc)
     n_sec = len(shaping.epsilon0)
     seeds = [seed + i for i in range(replicates)]
-    weights = cfgmod.number_list(cfgmod.require(doc, "scalarized_weights"),
-                                 "scalarized_weights")
+    weights = tuple(cfgmod.check(cfgmod.require(doc, "scalarized_weights"),
+                                 tuple[float, ...], "scalarized_weights"))
     if not weights:
         raise cfgmod.ConfigError("config key 'scalarized_weights' must start "
                                  "with the primary's weight, got []")

@@ -17,7 +17,7 @@ import numpy as np
 from . import dataset as ds
 from .design_space import (ActionCatalog, CandidateNetwork, ContextSpec,
                            grow, legal_actions)
-from .rules import FINITE, POSITIVE, Range, check_fields
+from .rules import FINITE, POSITIVE, FieldError, Range, check_fields
 
 
 def encode_chain(actions) -> str:
@@ -46,8 +46,8 @@ class SyntheticTaskSpec:
     def __post_init__(self):
         check_fields(self)
         if not all(math.isfinite(b) for *_, b in self.interaction_bonus):
-            raise ValueError(f"interaction_bonus values must be finite, got "
-                             f"{self.interaction_bonus!r}")
+            raise FieldError("interaction_bonus", "values must be finite",
+                             self.interaction_bonus)
 
 
 class SyntheticOracle:

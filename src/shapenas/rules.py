@@ -1,11 +1,12 @@
-"""Value rules a field declares as ``Annotated`` metadata on its type or
-its entries' (``budgets: tuple[Annotated[float, POSITIVE], ...]``), which
-``check`` enforces in ``__post_init__`` and in the config reader alike."""
+"""The one rule of a config field, read from its annotation: its type and
+the value rules it declares as ``Annotated`` metadata on the type or its
+entries' (``budgets: tuple[Annotated[float, POSITIVE], ...]``), which each
+config dataclass's ``__post_init__`` enforces with ``check_fields``."""
 from __future__ import annotations
 
 import functools
-import itertools
 import math
+import types
 import typing
 from dataclasses import dataclass
 
@@ -42,27 +43,83 @@ class OneOf:
 POSITIVE = Range(0, ends="(]")
 FINITE = Range(ends="()")
 
+# each scalar annotation a config field may carry: the types of the values
+# it takes, and how a message names one such value and a list of them. A
+# bool is not a number.
+_SCALARS = {
+    bool: ((bool,), "true or false", "true or false values"),
+    int: ((int,), "an integer", "integers"),
+    float: ((int, float), "a number", "numbers"),
+    str: ((str,), "a string", "strings"),
+    type(None): ((type(None),), "null", "nulls"),
+}
 
-def _broken(value, hint):
-    """How ``value`` breaks a rule of ``hint`` (``must be <rule>``), or
-    None."""
+
+class FieldError(ValueError):
+    """The field ``name`` holds ``value``, which breaks ``rule``."""
+
+    def __init__(self, name: str, rule: str, value):
+        super().__init__(f"{name} {rule}, got {value!r}")
+        self.name, self.rule, self.value = name, rule, value
+
+
+def _walk(value, hint):
+    """False if ``value`` does not have the type ``hint``, else the rule of
+    ``hint`` it breaks (``must be <rule>``), else None. A tuple annotation
+    takes a list or a tuple, and one not named here takes any value."""
+    if hint in _SCALARS:
+        return None if type(value) in _SCALARS[hint][0] else False
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is typing.Annotated:
-        return None if args[1].holds(value) else f"must be {args[1]}"
-    if origin is typing.Union:  # ``Annotated[X, rule] | None``
-        return None if value is None else _broken(value, args[0])
-    if origin is tuple:
-        hints = itertools.repeat(args[0]) if args[1:] == (...,) else args
-        broken = next(filter(None, map(_broken, value, hints)), None)
-        return broken and f"entries {broken}"
+        found = _walk(value, args[0])
+        return (f"must be {args[1]}" if found is None
+                and not args[1].holds(value) else found)
+    if origin in (types.UnionType, typing.Union):  # X | Y, Annotated[X] | Y
+        found = [_walk(value, arg) for arg in args]
+        return None if None in found else next(filter(None, found), False)
+    if hint is not tuple and origin is not tuple:
+        return None
+    if not isinstance(value, (list, tuple)):
+        return False
+    # tuple[X, ...] repeats X, and a bare tuple takes any entries
+    hints = (args[:1] * len(value) if args[1:] == (...,)
+             else args or (object,) * len(value))
+    if len(hints) != len(value):
+        return False
+    found = list(map(_walk, value, hints))
+    rule = False if False in found else next(filter(None, found), None)
+    return rule and f"entries {rule}"
 
 
-def check(value, hint, name: str, error=ValueError):
-    """``value`` if it keeps every rule of ``hint``, else ``error("<name>
-    must be <rule>, got <value>")``, or ``<name> entries must be ...``."""
-    broken = _broken(value, hint)
-    if broken:
-        raise error(f"{name} {broken}, got {value!r}")
+def _kind(hint, plural=False) -> str:
+    """How a message names a value of the annotation ``hint``, or, with
+    ``plural``, a list of them; the config's fixed tuples repeat one type."""
+    if hint in _SCALARS:
+        return _SCALARS[hint][2 if plural else 1]
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Annotated:
+        return _kind(args[0], plural)
+    if origin in (types.UnionType, typing.Union):
+        return " or ".join(_kind(arg, plural) for arg in args)
+    if origin is not tuple:  # bare tuple, or an entry class: LayerTemplate
+        return "a list" if hint is tuple else f"{hint.__name__} values"
+    count = "" if args[1:] == (...,) else f"{len(args)} "
+    return f"a list of {count}{_kind(args[0], plural=True)}"
+
+
+def broken(value, hint) -> str | None:
+    """How ``value`` breaks the rule of the annotation ``hint``: ``must be
+    <kind>`` or ``must be <rule>`` or ``entries must be <rule>``; or None."""
+    found = _walk(value, hint)
+    return f"must be {_kind(hint)}" if found is False else found
+
+
+def check(value, hint, name: str):
+    """``value`` if it keeps the rule of ``hint``, else a FieldError naming
+    ``name``."""
+    rule = broken(value, hint)
+    if rule:
+        raise FieldError(name, rule, value)
     return value
 
 

@@ -2,7 +2,10 @@ import dataclasses
 import json
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -23,6 +26,7 @@ from shapenas.controller import (CallableSecondary, PredictorSecondary,
                                  save_checkpoint, select_action, softmax)
 from shapenas.function_approx import TabularValues
 from shapenas.oracle import SynthStatsModel, TabularOracle, encode_chain
+from shapenas.rules import FieldError
 
 from corpus import synth_corpus
 from test_pinned_traces import per_action, two_metrics
@@ -581,6 +585,19 @@ def test_epsilon_schedule_check_follows_a_cutoff(toy_space):
         check_epsilon_schedule(corrupted(died - 1, alive * (1 + 1e-6)), cfg)
 
 
+def test_epsilon_schedule_check_rejects_under_python_O():
+    # -O strips assert statements: the check raises AssertionError itself,
+    # so the cutoff test's pytest.raises still sees each bad trace rejected
+    test = f"{__file__}::test_epsilon_schedule_check_follows_a_cutoff"
+    src = os.path.dirname(os.path.dirname(controller.__file__))
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         test], env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "1 passed" in done.stdout
+
+
 def test_scalarized_zero_weights_uniform_policy(toy_space):
     trace = run_search(toy_space, make_oracle(), make_secondary([5, 40, 70]),
                        config(episodes=10), seed=1, weights=(0.0, 0.0))
@@ -787,6 +804,10 @@ def test_shaping_config_validation():
             ShapingConfig(epsilon_cap=cap)
     for cap in (0.0, math.inf):
         assert ShapingConfig(epsilon_cap=cap).epsilon_cap == cap
+    # once built, and run_search then died on a bare TypeError
+    with pytest.raises(FieldError, match=re.escape(
+            "episodes must be an integer, got 2.5")):
+        ShapingConfig(episodes=2.5)
 
 
 def test_tau_may_be_infinite_but_not_nan():

@@ -1,4 +1,5 @@
 import pickle
+import re
 from collections import Counter
 
 import numpy as np
@@ -14,6 +15,7 @@ from shapenas.design_space import (IllegalActionError, ShapeError,
                                    validate_network)
 from shapenas.controller import CallableSecondary, ShapingConfig
 from shapenas.oracle import random_network
+from shapenas.rules import FieldError
 
 
 def empty_net():
@@ -153,6 +155,17 @@ def test_unknown_processor_kind_rejected():
                                          "'cpu', 'dsp', 'gpu', 'npu', got "
                                          "'GPU'"):
         ContextSpec(8, 2, 4096, 2800, 25.6, "GPU")
+
+
+def test_float_sized_template_rejected():
+    # a 2.5 kernel once built a legal action whose layer was 16.0 x 16.0
+    with pytest.raises(FieldError, match=re.escape(
+            "kernel_size must be an integer, got 2.5")) as exc:
+        LayerTemplate("conv", kernel_size=2.5, padding=1, channels=4)
+    assert (exc.value.name, exc.value.value) == ("kernel_size", 2.5)
+    for size in ("stride", "padding", "channels"):
+        with pytest.raises(FieldError, match=f"{size} must be an integer"):
+            LayerTemplate("conv", **{size: 1.0})
 
 
 def test_unknown_block_kind_rejected():

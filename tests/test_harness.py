@@ -26,6 +26,7 @@ from shapenas.harness import (HarnessError, cmd_compare, cmd_gen_synth,
                               episodes_to_plateau, network_size,
                               normalize_curve, smooth)
 from shapenas.oracle import SynthStatsModel, SyntheticTaskSpec
+from shapenas.rules import FieldError
 
 BASE = {
     "schema_version": 1,
@@ -574,6 +575,21 @@ def test_count_flag_below_one_exits_2_naming_it(tmp_path, capsys, command,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", [cmd_search, cmd_compare])
+@pytest.mark.parametrize("name", ["replicates", "jobs"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_count_below_one_rejected_before_writing(tmp_path, command, name,
+                                                 value):
+    # a Python caller passes the counts past the CLI's parser
+    cfg = write_config(tmp_path, {"shaping": {"episodes": 3}})
+    counts = {"replicates": 1, "jobs": 1, name: value}
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} must be in [1, inf], got {value}")):
+        command(cfg, 0, counts["replicates"], counts["jobs"],
+                str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_search_exit_zero(tmp_path, capsys):
     cfg = write_config(tmp_path)
     rc = cli.main(["search", "--config", cfg, "--seed", "0",
@@ -797,8 +813,8 @@ def test_bad_raw_value_names_key(tmp_path, capsys, command, overrides,
        f"'oracle.base_utility' entries must be in (-inf, inf), got "
        f"[{value!r}, 0.1, 0.02]") for value in (float("nan"), float("inf"))),
     *(({"interaction_bonus": [[0, 1, value]]}, f"config key "
-       f"'oracle.interaction_bonus': interaction_bonus values must be "
-       f"finite, got ((0, 1, {value!r}),)")
+       f"'oracle.interaction_bonus' values must be finite, got "
+       f"[[0, 1, {value!r}]]")
       for value in (float("nan"), float("inf"))),
 ], ids=["utility_too_short", "utility_too_long", "utility_not_a_list",
         "bonus_names_action_7", "bonus_pair", "bonus_is_a_string",
@@ -1095,7 +1111,19 @@ POOL_STRIDE_0 = {"catalog": {"actions": [
      "config key 'shaping.softmax_temperature'"),
     (POOL_STRIDE_0, "config key 'catalog.actions[1].stride'"),
     ({"shaping": {"budgets": [1.0, 2.0]}},
-     "config section 'shaping': one budget per secondary required"),
+     "config key 'shaping.budgets' must have as many entries as epsilon0 "
+     "(1), got [1.0, 2.0]"),
+    # each relation blames one field, and prints its value as the config
+    # has it, or the field's own when the config leaves it at its default
+    ({"shaping": {"epsilon0": [1.0, 1.0]}},
+     "config key 'shaping.budgets' must have as many entries as epsilon0 "
+     "(2), got [200.0]"),
+    ({"shaping": {"epsilon0": [0.5], "epsilon_threshold": 0.6}},
+     "config key 'shaping.epsilon_threshold' must be below each positive "
+     "epsilon0, got 0.6"),
+    ({"shaping": {"epsilon0": [0.005]}},
+     "config key 'shaping.epsilon_threshold' must be below each positive "
+     "epsilon0, got 0.01"),
     ({"shaping": {"max_steps": 0}}, "config key 'shaping.max_steps'"),
     ({"shaping": {"episodes": 0}}, "config key 'shaping.episodes'"),
     ({"shaping": {"episodes": -1}}, "config key 'shaping.episodes'"),
@@ -1165,7 +1193,9 @@ POOL_STRIDE_0 = {"catalog": {"actions": [
      "config key 'contexts[1].task' entries must be in (-inf, inf), got "
      "[nan]"),
 ], ids=["field_named", "second_of_two_fields", "template_field",
-        "no_field_named", "no_steps", "no_episodes", "negative_episodes",
+        "no_field_named", "epsilon0_longer_than_budgets",
+        "threshold_above_epsilon0", "default_threshold_above_epsilon0",
+        "no_steps", "no_episodes", "negative_episodes",
         "fractional_episodes", "negative_warmup",
         "negative_shaping_episodes", "negative_epsilon_cap",
         "nan_epsilon_cap", "zero_width_layer", "negative_width_layer",
@@ -1225,6 +1255,20 @@ FIELD_SECTIONS = [
 ]
 
 
+# the values of each class's required fields
+REQUIRED = {
+    LayerTemplate: {"block_kind": "conv"},
+    ContextSpec: {"cores": 1, "compute_units": 1, "memory_mb": 1.0,
+                  "clock_freq_mhz": 1.0, "memory_bandwidth": 1.0},
+    SyntheticTaskSpec: {"base_utility": (0.1,)},
+}
+
+
+def as_tuples(value):
+    """``value`` as a Python caller writes it: lists are tuples."""
+    return tuple(map(as_tuples, value)) if isinstance(value, list) else value
+
+
 def test_wrong_type_of_every_field_names_key(tmp_path, capsys):
     for cls, command, section, overrides in FIELD_SECTIONS:
         for field in dataclasses.fields(cls):
@@ -1233,9 +1277,17 @@ def test_wrong_type_of_every_field_names_key(tmp_path, capsys):
                 cfg = write_config(tmp_path, overrides(field.name, value))
                 rc, err = run_cli(tmp_path, capsys, cfg, command=command)
                 assert rc == 2, (section, field.name, value)
-                assert err.startswith(f"error: config key "
-                                      f"'{section}.{field.name}' must be "), err
-                assert err.endswith(f", got {value!r}\n"), err
+                head = f"error: config key '{section}.{field.name}' "
+                tail = f", got {value!r}\n"
+                assert err.startswith(head + "must be "), err
+                assert err.endswith(tail), err
+                # the constructor keeps the same rule for a Python caller
+                kwargs = dict(REQUIRED.get(cls, {}),
+                              **{field.name: as_tuples(value)})
+                with pytest.raises(FieldError) as exc:
+                    cls(**kwargs)
+                assert exc.value.name == field.name
+                assert exc.value.rule == err[len(head):-len(tail)]
 
 
 # a value of each type an ``X | None`` field may hold

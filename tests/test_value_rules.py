@@ -8,6 +8,7 @@ import typing
 
 import pytest
 
+from shapenas import rules
 from shapenas.bob import BobConfig
 from shapenas.config import (ConfigError, build_catalog, build_input_shape,
                              build_predictor_cfg, build_section,
@@ -202,3 +203,19 @@ def test_count_and_input_shape_boundaries():
                             ([1, 0, 1], False), ([1, 1, 0], False)):
         doc = {"input_shape": shape}
         assert config_accepts(build_input_shape, doc) == expected
+
+
+def test_build_section_checks_each_field_once(monkeypatch):
+    # the class checks each value; the reader only names the key
+    calls = []
+    walk = rules.broken
+    monkeypatch.setattr(rules, "broken",
+                        lambda value, hint: calls.append(hint)
+                        or walk(value, hint))
+    for cls, (section, required) in SECTIONS.items():
+        fields = dataclasses.fields(cls)
+        obj = cls(**required)
+        calls.clear()
+        build_section(cls, {f.name: as_yaml(getattr(obj, f.name))
+                            for f in fields}, section)
+        assert len(calls) == len(fields), cls
