@@ -199,8 +199,7 @@ def build_oracle(doc: dict, catalog: ActionCatalog):
              "oracle.kind") == "synthetic":
         n = len(catalog.actions)
         bonus = spec.get("interaction_bonus", [])
-        # checked before the spec is built: its own check unpacks each
-        # entry, after it rejects a value that is not a list
+        # before the spec's own check, so a bad entry names the actions
         for entry in bonus if isinstance(bonus, list) else ():
             if rules.broken(entry, tuple[int, int, float]) \
                     or not all(0 <= a < n for a in entry[:2]):

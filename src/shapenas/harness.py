@@ -7,6 +7,7 @@ separate file so the deterministic artifacts stay reproducible.
 from __future__ import annotations
 
 import concurrent.futures
+import copy
 import functools
 import itertools
 import json
@@ -127,21 +128,16 @@ def episodes_to_plateau(returns, fraction: float = 0.95,
 def write_curve(path, trace, n_secondary: int) -> None:
     """Per-episode curve rows: episode,return_normalized,epsilon_1..k,delta."""
     norm = normalize_curve(trace.episode_returns)
-    last_by_ep = {}
-    for rec in trace.records:
-        last_by_ep[rec.episode] = rec
-    header = ["episode", "return_normalized"]
-    header += [f"epsilon_{i + 1}" for i in range(n_secondary)]
-    header.append("delta")
+    last_by_ep = {rec.episode: rec for rec in trace.records}
+    header = ["episode", "return_normalized",
+              *(f"epsilon_{i + 1}" for i in range(n_secondary)), "delta"]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for ep, value in enumerate(norm):
             rec = last_by_ep[ep]
             eps = list(rec.epsilons) + [0.0] * (n_secondary - len(rec.epsilons))
-            row = [ep, repr(float(value))]
-            row += [repr(float(e)) for e in eps]
-            row.append(repr(float(rec.delta)))
-            fh.write(",".join(str(v) for v in row) + "\n")
+            row = [repr(float(v)) for v in (value, *eps, rec.delta)]
+            fh.write(",".join([str(ep), *row]) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -246,29 +242,11 @@ def _check_metric_count(secondary, key: str, count: int) -> None:
             f"secondary supplies {secondary.n_metrics}")
 
 
-def _log_layer_memo(secondary) -> None:
-    """Log how many layers the predictor secondary has memoized in this
-    process; the memos of worker processes (``jobs > 1``) are not counted."""
-    if isinstance(secondary, controller.PredictorSecondary):
-        log.debug("predictor layer memo: %d layers", len(secondary.memo))
-
-
-def _run_one(doc, space, secondary, shaping, run):
+def _run_one(space, oracle, secondary, shaping, run):
     seed, weights = run
-    # a fresh oracle per replicate: a noisy one restarts its noise stream
-    oracle = cfgmod.build_oracle(doc, space.catalog)
-    return controller.run_search(space, oracle, secondary, shaping, seed,
-                                 weights=weights)
-
-
-def _run_replicates(doc, space, secondary, shaping, jobs, runs):
-    """One trace per ``(seed, weights)`` run, in order, on up to ``jobs``
-    worker processes; ``weights`` is the arm, as in ``run_search``."""
-    run = functools.partial(_run_one, doc, space, secondary, shaping)
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run, runs))
-    return list(map(run, runs))
+    # a fresh copy per replicate: a noisy oracle restarts its noise stream
+    return controller.run_search(space, copy.deepcopy(oracle), secondary,
+                                 shaping, seed, weights=weights)
 
 
 def _replicate_summary(oracle, secondary, trace, ref_size: float) -> dict:
@@ -277,7 +255,7 @@ def _replicate_summary(oracle, secondary, trace, ref_size: float) -> dict:
                  if final_net is not None and final_net.depth else 0.0)
     raw = secondary.metrics(final_net, trace.final_actions) \
         if final_net is not None and secondary.n_metrics else None
-    summary = {
+    return {
         "seed": trace.seed,
         "final_accuracy": final_acc,
         "final_metrics": None if raw is None else [float(v) for v in raw],
@@ -288,7 +266,6 @@ def _replicate_summary(oracle, secondary, trace, ref_size: float) -> dict:
         "episodes": len(trace.episode_returns),
         "error": trace.error,
     }
-    return summary
 
 
 def _aggregate(rows, keys) -> dict:
@@ -301,9 +278,59 @@ def _aggregate(rows, keys) -> dict:
     return agg
 
 
-def _check_counts(**counts) -> None:
-    for name, count in counts.items():  # below 1: an empty or NaN report
-        check(count, Annotated[int, Range(1)], name)
+class _Command:
+    """What ``search`` and ``compare`` share, their one run path: the config
+    read and the search's parts built once per command, and ``run``."""
+
+    def __init__(self, config_path, seed, replicates, jobs, out_dir):
+        for name, count in (("replicates", replicates), ("jobs", jobs)):
+            # below 1: an empty or NaN report
+            check(count, Annotated[int, Range(1)], name)
+        self.doc = doc = cfgmod.load_config(config_path)
+        _ensure_out(out_dir, config_path)
+        self.seeds = [seed + i for i in range(replicates)]
+        self.jobs, self.out_dir = jobs, out_dir
+        self.space = space = cfgmod.build_space(doc)
+        self.oracle = cfgmod.build_oracle(doc, space.catalog)
+        self.secondary = _build_secondary(doc, space)
+        self.shaping = cfgmod.build_shaping(doc)
+        _check_metric_count(self.secondary, "shaping.epsilon0",
+                            len(self.shaping.epsilon0))
+
+    def run(self, arms, report) -> dict:
+        """Runs each ``(name, weights)`` arm at each of ``seeds`` in one
+        fan-out; writes its ``curve_<name>_replicate_<seed>.csv``
+        (unnamed: ``curve_replicate_<seed>.csv``), returns ``report(traces
+        by arm, failed seeds)``, and then raises if a replicate failed."""
+        runs = [(s, weights) for _, weights in arms for s in self.seeds]
+        run = functools.partial(_run_one, self.space, self.oracle,
+                                self.secondary, self.shaping)
+        if self.jobs > 1:
+            with concurrent.futures.ProcessPoolExecutor(self.jobs) as pool:
+                results = iter(list(pool.map(run, runs)))
+        else:
+            results = map(run, runs)
+        traces, errors = {}, {s: [] for s in self.seeds}
+        for name, _ in arms:
+            traces[name] = list(itertools.islice(results, len(self.seeds)))
+            for trace in traces[name]:
+                write_curve(os.path.join(self.out_dir, "_".join(filter(None, (
+                    "curve", name, f"replicate_{trace.seed}.csv")))), trace,
+                    len(self.shaping.epsilon0))
+                if trace.error is not None:  # lstrip: an unnamed arm
+                    errors[trace.seed].append(
+                        f"{name} seed {trace.seed}: {trace.error}".lstrip())
+        failed = [s for s in self.seeds if errors[s]]
+        result = report(traces, failed)
+        if isinstance(self.secondary, controller.PredictorSecondary):
+            # the memos of worker processes (jobs > 1) are not counted
+            log.debug("predictor layer memo: %d layers",
+                      len(self.secondary.memo))
+        if failed:
+            raise HarnessError(f"replicates failed for seeds {failed}: "
+                               + "; ".join(e for s in failed
+                                           for e in errors[s]))
+        return result
 
 
 _AGG_KEYS = ("final_accuracy", "depth", "size_ratio", "episodes_to_95")
@@ -311,40 +338,28 @@ _AGG_KEYS = ("final_accuracy", "depth", "size_ratio", "episodes_to_95")
 
 def cmd_search(config_path, seed: int, replicates: int, jobs: int,
                out_dir) -> dict:
-    """R replicate searches; writes per-replicate traces, curves, a report."""
-    _check_counts(replicates=replicates, jobs=jobs)
-    doc = cfgmod.load_config(config_path)
-    _ensure_out(out_dir, config_path)
-    space = cfgmod.build_space(doc)
-    oracle = cfgmod.build_oracle(doc, space.catalog)
-    secondary = _build_secondary(doc, space)
-    shaping = cfgmod.build_shaping(doc)
-    n_sec = len(shaping.epsilon0)
-    _check_metric_count(secondary, "shaping.epsilon0", n_sec)
-    ref_size = network_size(reference_network(space,
-                                              doc.get("reference_chain")))
-    traces = _run_replicates(doc, space, secondary, shaping, jobs,
-                             [(seed + i, None) for i in range(replicates)])
+    """R replicate searches, ``compare``'s shaped arm alone; writes
+    per-replicate traces, curves and a report."""
+    cmd = _Command(config_path, seed, replicates, jobs, out_dir)
+    ref_size = network_size(reference_network(
+        cmd.space, cmd.doc.get("reference_chain")))
 
-    rows, timings, failed, errors = [], [], [], []
-    for trace in traces:
-        tag = f"replicate_{trace.seed}"
-        trace.export_csv(os.path.join(out_dir, f"trace_{tag}.csv"))
-        write_curve(os.path.join(out_dir, f"curve_{tag}.csv"), trace, n_sec)
-        rows.append(_replicate_summary(oracle, secondary, trace, ref_size))
-        timings.append({"seed": trace.seed, "wall_time_s": trace.wall_time})
-        if trace.error is not None:
-            failed.append(trace.seed)
-            errors.append(f"seed {trace.seed}: {trace.error}")
-    report = {"replicates": rows, "aggregate": _aggregate(rows, _AGG_KEYS),
-              "failed_seeds": failed}
-    _write_json(os.path.join(out_dir, "report.json"), report)
-    _write_json(os.path.join(out_dir, "timings.json"), timings)
-    _log_layer_memo(secondary)
-    if failed:
-        raise HarnessError(f"replicates failed for seeds {failed}: "
-                           + "; ".join(errors))
-    return report
+    def report(traces, failed):
+        rows, timings = [], []
+        for trace in traces[""]:
+            trace.export_csv(os.path.join(
+                out_dir, f"trace_replicate_{trace.seed}.csv"))
+            rows.append(_replicate_summary(cmd.oracle, cmd.secondary, trace,
+                                           ref_size))
+            timings.append({"seed": trace.seed,
+                            "wall_time_s": trace.wall_time})
+        doc = {"replicates": rows, "aggregate": _aggregate(rows, _AGG_KEYS),
+               "failed_seeds": failed}
+        _write_json(os.path.join(out_dir, "report.json"), doc)
+        _write_json(os.path.join(out_dir, "timings.json"), timings)
+        return doc
+
+    return cmd.run([("", None)], report)
 
 
 def cmd_compare(config_path, seed: int, replicates: int, jobs: int,
@@ -356,46 +371,25 @@ def cmd_compare(config_path, seed: int, replicates: int, jobs: int,
     arm's curves are ``curve_<name>_replicate_<seed>.csv``, and its report
     keys are ``<name>_episodes_to_95`` and ``mean_<name>``.
     """
-    _check_counts(replicates=replicates, jobs=jobs)
-    doc = cfgmod.load_config(config_path)
-    _ensure_out(out_dir, config_path)
-    space = cfgmod.build_space(doc)
-    cfgmod.build_oracle(doc, space.catalog)  # fail before any replicate
-    shaping = cfgmod.build_shaping(doc)
-    n_sec = len(shaping.epsilon0)
-    seeds = [seed + i for i in range(replicates)]
-    weights = tuple(cfgmod.check(cfgmod.require(doc, "scalarized_weights"),
+    cmd = _Command(config_path, seed, replicates, jobs, out_dir)
+    weights = tuple(cfgmod.check(cfgmod.require(cmd.doc, "scalarized_weights"),
                                  tuple[float, ...], "scalarized_weights"))
     if not weights:
         raise cfgmod.ConfigError("config key 'scalarized_weights' must start "
                                  "with the primary's weight, got []")
-    secondary = _build_secondary(doc, space)
-    _check_metric_count(secondary, "shaping.epsilon0", n_sec)
-    _check_metric_count(secondary, "scalarized_weights", len(weights) - 1)
+    _check_metric_count(cmd.secondary, "scalarized_weights", len(weights) - 1)
     arms = [("shaped", None), ("scalarized", weights)]
-    traces = iter(_run_replicates(doc, space, secondary, shaping, jobs,
-                                  [(s, w) for _, w in arms for s in seeds]))
-    _log_layer_memo(secondary)
 
-    report = {"seeds": seeds}
-    errors = {s: [] for s in seeds}
-    for name, _ in arms:
-        plateaus = []
-        for trace in itertools.islice(traces, replicates):
-            write_curve(os.path.join(
-                out_dir, f"curve_{name}_replicate_{trace.seed}.csv"), trace,
-                n_sec)
-            plateaus.append(episodes_to_plateau(trace.episode_returns))
-            if trace.error is not None:
-                errors[trace.seed].append(
-                    f"{name} seed {trace.seed}: {trace.error}")
-        report[f"{name}_episodes_to_95"] = plateaus
-        report[f"mean_{name}"] = float(np.mean(plateaus))
-    shaped, scalar = report["mean_shaped"], report["mean_scalarized"]
-    report["speedup_ratio"] = scalar / shaped if shaped else None
-    failed = report["failed_seeds"] = [s for s in seeds if errors[s]]
-    _write_json(os.path.join(out_dir, "compare_report.json"), report)
-    if failed:
-        raise HarnessError(f"replicates failed for seeds {failed}: "
-                           + "; ".join(e for s in failed for e in errors[s]))
-    return report
+    def report(traces, failed):
+        doc = {"seeds": cmd.seeds, "failed_seeds": failed}
+        for name, _ in arms:
+            plateaus = [episodes_to_plateau(trace.episode_returns)
+                        for trace in traces[name]]
+            doc[f"{name}_episodes_to_95"] = plateaus
+            doc[f"mean_{name}"] = float(np.mean(plateaus))
+        shaped, scalar = doc["mean_shaped"], doc["mean_scalarized"]
+        doc["speedup_ratio"] = scalar / shaped if shaped else None
+        _write_json(os.path.join(out_dir, "compare_report.json"), doc)
+        return doc
+
+    return cmd.run(arms, report)

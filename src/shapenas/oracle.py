@@ -7,6 +7,7 @@ truth, which doubles as the brute-force oracle for predictor fidelity tests.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ import numpy as np
 from . import dataset as ds
 from .design_space import (ActionCatalog, CandidateNetwork, ContextSpec,
                            grow, legal_actions)
-from .rules import FINITE, POSITIVE, FieldError, Range, check_fields
+from .rules import FINITE, POSITIVE, Range, check, check_fields
 
 
 def encode_chain(actions) -> str:
@@ -37,17 +38,14 @@ class SyntheticTaskSpec:
 
     base_utility: tuple[Annotated[float, FINITE], ...]  # per action
     diminishing: Annotated[float, FINITE] = 0.9
-    interaction_bonus: tuple = ()  # ((prev, curr, bonus), ...)
+    interaction_bonus: tuple[tuple[int, int, Annotated[float, FINITE]],
+                             ...] = ()  # ((prev, curr, bonus), ...)
     noise_sigma: Annotated[float, Range(0, ends="[)")] = 0.0
     accuracy_cap: Annotated[float, POSITIVE] = 1.0
     min_depth: Annotated[int, Range(0)] = 0
     seed: Annotated[int, Range(0)] = 0
 
-    def __post_init__(self):
-        check_fields(self)
-        if not all(math.isfinite(b) for *_, b in self.interaction_bonus):
-            raise FieldError("interaction_bonus", "values must be finite",
-                             self.interaction_bonus)
+    __post_init__ = check_fields
 
 
 class SyntheticOracle:
@@ -104,11 +102,17 @@ class TabularOracle:
         self.table = {}
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
-            if reader.fieldnames is None or "chain" not in reader.fieldnames \
-                    or "accuracy" not in reader.fieldnames:
+            if not {"chain", "accuracy"} <= set(reader.fieldnames or ()):
                 raise ValueError(f"{path}: expected 'chain,accuracy,...' header")
             for row in reader:
-                self.table[row["chain"]] = float(row["accuracy"])
+                chain, raw = row["chain"], row["accuracy"]
+                at = f"{path}:{reader.line_num}"
+                if chain in self.table:
+                    raise ValueError(f"{at}: chain {chain!r} is listed twice")
+                with contextlib.suppress(TypeError, ValueError):
+                    raw = float(raw)  # else check names it; None: no cell
+                self.table[chain] = check(raw, Annotated[float, FINITE],
+                                          f"{at}: column 'accuracy'")
 
     def accuracy(self, net: CandidateNetwork, actions) -> float:
         key = encode_chain(actions)

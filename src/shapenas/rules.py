@@ -77,23 +77,21 @@ def _walk(value, hint):
     if origin in (types.UnionType, typing.Union):  # X | Y, Annotated[X] | Y
         found = [_walk(value, arg) for arg in args]
         return None if None in found else next(filter(None, found), False)
-    if hint is not tuple and origin is not tuple:
+    if origin is not tuple:
         return None
     if not isinstance(value, (list, tuple)):
         return False
-    # tuple[X, ...] repeats X, and a bare tuple takes any entries
-    hints = (args[:1] * len(value) if args[1:] == (...,)
-             else args or (object,) * len(value))
+    hints = args[:1] * len(value) if args[1:] == (...,) else args
     if len(hints) != len(value):
         return False
     found = list(map(_walk, value, hints))
     rule = False if False in found else next(filter(None, found), None)
-    return rule and f"entries {rule}"
+    return rule and "entries " + rule.removeprefix("entries ")
 
 
 def _kind(hint, plural=False) -> str:
     """How a message names a value of the annotation ``hint``, or, with
-    ``plural``, a list of them; the config's fixed tuples repeat one type."""
+    ``plural``, a list of them."""
     if hint in _SCALARS:
         return _SCALARS[hint][2 if plural else 1]
     origin, args = typing.get_origin(hint), typing.get_args(hint)
@@ -101,10 +99,14 @@ def _kind(hint, plural=False) -> str:
         return _kind(args[0], plural)
     if origin in (types.UnionType, typing.Union):
         return " or ".join(_kind(arg, plural) for arg in args)
-    if origin is not tuple:  # bare tuple, or an entry class: LayerTemplate
-        return "a list" if hint is tuple else f"{hint.__name__} values"
+    if origin is not tuple:  # an entry class: LayerTemplate
+        return f"{hint.__name__} values"
+    head = "lists of " if plural else "a list of "
+    if args[1:] != (...,) and len(set(map(_kind, args))) > 1:
+        *init, last = map(_kind, args)  # mixed types: each named
+        return f"{head}{', '.join(init)} and {last}"
     count = "" if args[1:] == (...,) else f"{len(args)} "
-    return f"a list of {count}{_kind(args[0], plural=True)}"
+    return f"{head}{count}{_kind(args[0], plural=True)}"
 
 
 def broken(value, hint) -> str | None:

@@ -15,17 +15,19 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from shapenas import cli, harness
+from shapenas import cli, config, harness
 from shapenas.bob import BobConfig
 from shapenas.config import ConfigError, load_config
 from shapenas.controller import ShapingConfig
 from shapenas.design_space import (ActionCatalog, CandidateNetwork,
-                                   ContextSpec, LayerTemplate, grow)
+                                   ContextSpec, LayerTemplate, grow,
+                                   legal_actions)
 from shapenas.harness import (HarnessError, cmd_compare, cmd_gen_synth,
                               cmd_search, cmd_train_predictor,
                               episodes_to_plateau, network_size,
                               normalize_curve, smooth)
-from shapenas.oracle import SynthStatsModel, SyntheticTaskSpec
+from shapenas.oracle import (SynthStatsModel, SyntheticTaskSpec,
+                             TabularOracle, encode_chain)
 from shapenas.rules import FieldError
 
 BASE = {
@@ -366,6 +368,13 @@ def test_predictor_secondary_parallel_matches_serial(tmp_path):
         assert digests[0] == digests[1]
         assert sum(name.startswith("curve_") for name in digests[0]) == \
             (2 if command is cmd_search else 4)
+    # search is compare's shaped arm: the same curves, at either job count
+    for jobs in (1, 2):
+        for seed in (0, 1):
+            assert sha(tmp_path / f"cmd_search_{jobs}" /
+                       f"curve_replicate_{seed}.csv") == \
+                sha(tmp_path / f"cmd_compare_{jobs}" /
+                    f"curve_shaped_replicate_{seed}.csv")
     traces = [(tmp_path / "cmd_search_1" / f"trace_replicate_{seed}.csv")
               .read_text() for seed in (0, 1)]
     assert any(line.endswith(",1") for text in traces
@@ -398,6 +407,54 @@ def test_search_reads_config_and_model_once(tmp_path, monkeypatch):
     cmd_search(search_cfg, seed=0, replicates=2, jobs=1,
                out_dir=str(tmp_path / "run"))
     assert calls == {"load_config": 1, "load_model": 1}
+
+
+def every_chain_table(path):
+    """A tabular oracle file with a row for every chain of BASE's catalog."""
+    space = config.build_space(BASE)
+    rows, stack = [], [(space.empty_network(), ())]
+    while stack:
+        net, chain = stack.pop()
+        for a in legal_actions(net, space.catalog):
+            stack.append((grow(net, space.catalog, a), chain + (a,)))
+            rows.append(f"{encode_chain(chain + (a,))},{0.1 + 0.01 * a}\n")
+    path.write_text("chain,accuracy\n" + "".join(rows))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [cmd_search, cmd_compare])
+def test_tabular_oracle_built_once_per_command(tmp_path, monkeypatch,
+                                               command):
+    # each replicate runs on a copy of the one oracle the command built
+    built = []
+
+    class Counted(TabularOracle):
+        def __init__(self, path):
+            built.append(path)
+            super().__init__(path)
+
+    monkeypatch.setattr(config, "TabularOracle", Counted)
+    table = every_chain_table(tmp_path / "oracle.csv")
+    cfg = write_config(tmp_path, {"oracle": {"kind": "tabular",
+                                             "path": table},
+                                  "shaping": {"episodes": 3}})
+    command(cfg, seed=0, replicates=3, jobs=1, out_dir=str(tmp_path / "out"))
+    assert built == [table]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_noisy_replicate_equals_its_own_single_run(tmp_path, jobs):
+    # a noisy oracle restarts its noise stream in every replicate
+    cfg = write_config(tmp_path, {"oracle": {"noise_sigma": 0.05}})
+    cmd_search(cfg, seed=0, replicates=2, jobs=jobs,
+               out_dir=str(tmp_path / "both"))
+    for seed in (0, 1):
+        cmd_search(cfg, seed=seed, replicates=1, jobs=1,
+                   out_dir=str(tmp_path / f"alone_{seed}"))
+        for name in (f"trace_replicate_{seed}.csv",
+                     f"curve_replicate_{seed}.csv"):
+            assert sha(tmp_path / "both" / name) == \
+                sha(tmp_path / f"alone_{seed}" / name), name
 
 
 # --- compare ----------------------------------------------------------------
@@ -813,7 +870,7 @@ def test_bad_raw_value_names_key(tmp_path, capsys, command, overrides,
        f"'oracle.base_utility' entries must be in (-inf, inf), got "
        f"[{value!r}, 0.1, 0.02]") for value in (float("nan"), float("inf"))),
     *(({"interaction_bonus": [[0, 1, value]]}, f"config key "
-       f"'oracle.interaction_bonus' values must be finite, got "
+       f"'oracle.interaction_bonus' entries must be in (-inf, inf), got "
        f"[[0, 1, {value!r}]]")
       for value in (float("nan"), float("inf"))),
 ], ids=["utility_too_short", "utility_too_long", "utility_not_a_list",
@@ -1234,6 +1291,8 @@ WRONG_TYPE = {
     tuple[int, ...]: ([3.5], 7), tuple[float, ...]: (0.5, [True]),
     tuple[float, float]: (["a", 1], [1.0]),
     tuple[float, float, float, float]: ([1, 2], [1, 2, 3, "4"]),
+    # not lists: build_oracle names a bad entry of a list by itself
+    tuple[tuple[int, int, float], ...]: (0.5, "0,1,0.1"),
 }
 # each section build_section builds: its class, a command that reads it,
 # and the overrides that set ``key`` to ``value`` there

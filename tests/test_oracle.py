@@ -13,6 +13,7 @@ from shapenas.design_space import (BLOCK_KINDS, PROCESSOR_KINDS,
 from shapenas.oracle import (TARGET_NAMES, SyntheticOracle, SyntheticTaskSpec,
                              SynthStatsModel, TabularLookupError,
                              TabularOracle, encode_chain, gen_synth_stats)
+from shapenas.rules import FieldError
 
 from corpus import synth_corpus
 
@@ -69,6 +70,38 @@ def test_tabular_oracle_lookup(tmp_path):
     assert o.accuracy(None, [0, 1]) == 0.75
     with pytest.raises(TabularLookupError, match="1-0"):
         o.accuracy(None, [1, 0])
+
+
+@pytest.mark.parametrize("text, message", [
+    ("chain,accuracy\n0,abc\n",
+     ":2: column 'accuracy' must be a number, got 'abc'"),
+    ("chain,accuracy\n0,0.5\n1\n",
+     ":3: column 'accuracy' must be a number, got None"),
+    ("chain,accuracy\n0,nan\n",
+     ":2: column 'accuracy' must be in (-inf, inf), got nan"),
+    ("chain,accuracy\n0,-inf\n",
+     ":2: column 'accuracy' must be in (-inf, inf), got -inf"),
+    ("chain,accuracy\n1,0.5\n1,0.7\n", ":3: chain '1' is listed twice"),
+], ids=["not_a_number", "no_cell", "nan", "infinite", "chain_twice"])
+def test_malformed_tabular_row_names_file_and_line(tmp_path, text, message):
+    path = tmp_path / "bench.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        TabularOracle(path)
+    assert str(exc.value) == f"{path}{message}"
+
+
+@pytest.mark.parametrize("bonus, rule", [
+    ((5,), "must be a list of lists of an integer, an integer and a number"),
+    (((0, 1, "x"),), "must be a list of lists of an integer, an integer "
+                     "and a number"),
+    (((),), "must be a list of lists of an integer, an integer and a number"),
+    (((0, 1, math.nan),), "entries must be in (-inf, inf)"),
+], ids=["not_an_entry", "string_bonus", "empty_entry", "nan_bonus"])
+def test_interaction_bonus_checked_from_python(bonus, rule):
+    with pytest.raises(FieldError) as exc:
+        SyntheticTaskSpec((0.3, 0.1), interaction_bonus=bonus)
+    assert (exc.value.name, exc.value.rule) == ("interaction_bonus", rule)
 
 
 def test_encode_chain():

@@ -219,3 +219,16 @@ def test_build_section_checks_each_field_once(monkeypatch):
         build_section(cls, {f.name: as_yaml(getattr(obj, f.name))
                             for f in fields}, section)
         assert len(calls) == len(fields), cls
+
+
+@pytest.mark.parametrize("value, hint, rule", [
+    ((1, 2), tuple[int, str], "must be a list of an integer and a string"),
+    ((1,), tuple[int, int, int], "must be a list of 3 integers"),
+    ([[1, "a"]], tuple[tuple[int, float], ...],
+     "must be a list of lists of an integer and a number"),
+    ([[1, 2, 3]], tuple[tuple[int, ...], ...], None),
+    ([[1, NAN]], tuple[tuple[int, typing.Annotated[float, rules.FINITE]],
+                       ...], "entries must be in (-inf, inf)"),
+], ids=["mixed", "repeated", "nested_mixed", "nested_ok", "nested_rule"])
+def test_fixed_and_nested_tuples_named_once(value, hint, rule):
+    assert rules.broken(value, hint) == rule
