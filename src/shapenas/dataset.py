@@ -226,35 +226,42 @@ def oversample(data: MetaDataset, factor: float, seed: int) -> MetaDataset:
                            data.feasible.copy())
     rng = np.random.default_rng(seed)
     numeric = _numeric_column_mask(data.columns)
+    X_num = data.X[:, numeric]
+    feas = np.nonzero(data.feasible)[0]
+    infeas = np.nonzero(~data.feasible)[0]
+    p_infeas = len(infeas) / len(data)
     k_neighbors = 5
 
-    X_new, Y_new, feas_new = [], [], []
+    # the draws, in the order a row at a time takes them; a parent's
+    # neighbors depend on the parent alone
+    near_of, draws = {}, []
     for _ in range(n_new):
         # draw a parent among classes that have a same-class partner
-        candidates = np.nonzero(data.feasible)[0]
-        infeas = np.nonzero(~data.feasible)[0]
-        if len(infeas) >= 2 and rng.uniform() < len(infeas) / len(data):
+        candidates = feas
+        if len(infeas) >= 2 and rng.uniform() < p_infeas:
             candidates = infeas
-        i = int(rng.choice(candidates))
-        same = candidates[candidates != i]
-        dist = np.linalg.norm(data.X[same][:, numeric] -
-                              data.X[i, numeric], axis=1)
-        near = same[np.argsort(dist, kind="stable")[:k_neighbors]]
-        j = int(rng.choice(near))
-        u = float(rng.uniform())
-        row = data.X[j].copy() if u > 0.5 else data.X[i].copy()
-        row[numeric] = (1 - u) * data.X[i, numeric] + u * data.X[j, numeric]
-        X_new.append(row)
-        if data.feasible[i]:
-            Y_new.append((1 - u) * data.Y[i] + u * data.Y[j])
-            feas_new.append(True)
-        else:
-            Y_new.append(np.full(len(data.target_names), np.nan))
-            feas_new.append(False)
+        # rng.choice(a) draws a[rng.integers(len(a))], without its checks
+        i = int(candidates[rng.integers(len(candidates))])
+        near = near_of.get(i)
+        if near is None:
+            same = candidates[candidates != i]
+            dist = np.linalg.norm(X_num[same] - X_num[i], axis=1)
+            near = near_of[i] = same[np.argsort(dist, kind="stable")
+                                     [:k_neighbors]]
+        draws.append((i, int(near[rng.integers(len(near))]),
+                      rng.uniform()))
+    i, j, u = map(np.array, zip(*draws))
+    u = u[:, None]
+    # categorical blocks from the nearer parent, numeric ones interpolated
+    X_new = np.where(u > 0.5, data.X[j], data.X[i])
+    X_new[:, numeric] = (1 - u) * X_num[i] + u * X_num[j]
+    feas_new = data.feasible[i]
+    Y_new = np.where(feas_new[:, None], (1 - u) * data.Y[i] + u * data.Y[j],
+                     np.nan)
 
-    X = np.vstack([data.X, np.asarray(X_new)])
-    Y = np.vstack([data.Y, np.asarray(Y_new)])
-    feasible = np.concatenate([data.feasible, np.asarray(feas_new)])
+    X = np.vstack([data.X, X_new])
+    Y = np.vstack([data.Y, Y_new])
+    feasible = np.concatenate([data.feasible, feas_new])
     return MetaDataset(list(data.columns), list(data.target_names), X, Y,
                        feasible)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +33,39 @@ def split_columns(X: np.ndarray, order: np.ndarray) -> np.ndarray:
     return np.array(keep, dtype=np.intp)
 
 
+class _Node:
+    """One row set of a fit, with what scoring it needs that does not
+    depend on ``y``: ``rows`` ascending; where the node has split
+    candidates, ``block[c]`` lists its rows by ascending
+    ``X[:, columns[c]]``, ``(c, i)`` are the candidates, ``index`` holds
+    the flat indices of each candidate's left and whole-column prefix sums
+    in the stacked ``(ys, ys * ys)`` cumsum, and ``sizes`` the two sides'
+    row counts as floats. ``children`` maps ``(c, i, scored)`` to the
+    split's ``(feature, threshold, left, right)``."""
+
+    __slots__ = ("rows", "block", "c", "i", "index", "sizes", "children",
+                 "__weakref__")
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.block = None
+        self.c = ()
+        self.children = {}
+
+
+class _Root(NamedTuple):
+    """What every fit on one ``X`` shares: the columns that can win a
+    split, ``X.T``'s rows of them (contiguous), the root node, the node
+    cache (a row set's bytes to its scored ``_Node``) and a buffer for the
+    largest node's stacked prefix sums."""
+
+    columns: np.ndarray
+    xt: np.ndarray
+    node: _Node
+    nodes: dict
+    scratch: np.ndarray
+
+
 class RegressionTree:
     """Binary CART regressor with variance-reduction splits.
 
@@ -47,11 +81,23 @@ class RegressionTree:
     Chen & Guestrin, KDD 2016) and no node sorts again. Only the columns
     that can win a split (``split_columns``) are scored; nodes store their
     original indices. A node holds those columns' rows in sorted order and
-    the sorted values, scores every column in one pass, and a split takes
-    both apart at the same flat indices. The tree is bit-identical to one
-    grown by a stable argsort of every feature at every node: the prefix
-    sums run in the same order, the gains use the same arithmetic, node
-    means sum their rows in row order, and ties go to the first feature.
+    scores every column in one pass, and a split takes the rows apart at
+    the same flat indices. The tree is bit-identical to one grown by a
+    stable argsort of every feature at every node: the prefix sums run in
+    the same order, the gains use the same arithmetic, node means sum their
+    rows in row order, and ties go to the first feature.
+
+    The root that ``presort`` returns also carries a node cache, keyed by
+    a node's row set, so that each distinct node is partitioned and indexed
+    once per fit, not once per boosting round: its sorted row block, split
+    candidates, gather indices and divisors do not depend on ``y``, and a
+    round that reaches the node again only gathers ``y`` and scores. Boosted
+    rounds mostly reach row sets an earlier round reached. A node also keeps
+    its children per split, keyed as well by whether they will be scored
+    (``depth + 1 < max_depth``): one row set can be reached at different
+    depths, and a child at ``max_depth`` is a leaf that needs no block, so
+    children built for one depth class do not serve the other. The cache
+    lives as long as the root, which boosting drops when its fit returns.
     """
 
     def __init__(self, max_depth=4, min_samples_leaf=5):
@@ -70,28 +116,25 @@ class RegressionTree:
         not depend on ``y``, so boosting presorts once and hands it to
         every round. A fit makes new node lists, so the ``to_dict`` of an
         earlier fit stays as it was."""
-        columns, XT, block, xs, candidates = (self.presort(X) if root is None
-                                              else root)
+        if root is None:
+            root = self.presort(X)
         self.feature, self.threshold = [], []
         self.left, self.right, self.value = [], [], []
         self.fitted = np.empty(len(y))
-        self._grow(columns, XT, y, np.arange(len(y)), block, xs, 0,
-                   candidates)
+        self._grow(root, y, root.node, 0)
         return self
 
-    def presort(self, X: np.ndarray):
-        """The root of a fit on ``X``, as ``(columns, X.T, block, xs,
-        candidates)``: the columns that can win a split, ``X.T``
-        contiguous, those columns' rows and values in sorted order, and the
-        root's split candidates under this tree's ``min_samples_leaf``."""
+    def presort(self, X: np.ndarray) -> _Root:
+        """The root of a fit on ``X``, its node scored under this tree's
+        ``min_samples_leaf``, and an empty cache but for that node."""
         order = np.argsort(X, axis=0, kind="stable")
         columns = split_columns(X, order)
-        XT = np.ascontiguousarray(X.T)
+        xt = np.ascontiguousarray(X.T[columns])
         # block[c] lists the rows by ascending X[:, columns[c]], ties in
         # row order: what a stable argsort of a node's own rows would give
-        block = order.T[columns]
-        xs = np.take_along_axis(XT[columns], block, axis=1)
-        return columns, XT, block, xs, self._candidates(xs)
+        node = self._node(xt, np.arange(len(X)), order.T[columns])
+        return _Root(columns, xt, node, {node.rows.tobytes(): node},
+                     np.empty(2 * xt.size))
 
     def _new_node(self) -> int:
         self.feature.append(-1)
@@ -101,79 +144,103 @@ class RegressionTree:
         self.value.append(0.0)
         return len(self.feature) - 1
 
-    def _grow(self, columns, XT, y, rows, block, xs, depth,
-              candidates=None) -> int:
-        """Grow the subtree of ``rows`` (ascending); ``block[c]`` lists
-        them by ascending ``X[:, columns[c]]`` and ``xs[c]`` holds those
-        values. Both are None where the subtree is a leaf by depth.
-        ``candidates`` are the node's split candidates, found here when not
-        given. A leaf writes its mean to its rows of ``fitted``."""
-        node = self._new_node()
-        node_y = y[rows]
-        # node_y.mean()'s bits; an empty fit makes one NaN leaf
-        mean = self.value[node] = float(np.add.reduce(node_y) / len(rows))
-        split = (None if depth >= self.max_depth else
-                 self._best_split(y, node_y, mean, block, xs, candidates))
-        if split is None:
-            self.fitted[rows] = mean
-            return node
-        c, i = split
-        f = self.feature[node] = int(columns[c])
-        t = self.threshold[node] = float((xs[c, i] + xs[c, i + 1]) / 2.0)
-        go_left = XT[f] <= t
-        left = right = (None, None)
-        if depth + 1 < self.max_depth:
-            # each sorted column keeps its order on both sides; flat
-            # indices and take are faster than boolean masks here
-            in_left = go_left[block]
-            left, right = ((block.ravel()[side].reshape(len(block), -1),
-                            xs.ravel()[side].reshape(len(block), -1))
-                           for side in (in_left.ravel().nonzero()[0],
-                                        (~in_left).ravel().nonzero()[0]))
-        row_left = go_left[rows]
-        self.left[node] = self._grow(columns, XT, y, rows[row_left], *left,
-                                     depth + 1)
-        self.right[node] = self._grow(columns, XT, y, rows[~row_left],
-                                      *right, depth + 1)
+    def _node(self, xt, rows, block) -> _Node:
+        """The scored ``_Node`` of ``rows`` (ascending), whose ``block[c]``
+        lists them by ascending ``xt[c]``. Its candidates are the
+        boundaries between sorted positions i and i + 1 of a column, in
+        (column, position) order, that leave at least
+        ``min_samples_leaf`` rows, and one, on each side."""
+        node = _Node(rows)
+        xs = np.take_along_axis(xt, block, axis=1)
+        m = max(self.min_samples_leaf, 1)  # 0 allows what 1 allows
+        n = len(rows)
+        lo, hi = m - 1, n - m  # lo <= i < hi; none if hi <= lo
+        c, i = (xs[:, lo:hi] < xs[:, lo + 1:hi + 1]).nonzero()
+        if len(c):
+            i += lo
+            # prefix sums read at (c, i) and at the column's last entry,
+            # in the ys half and in the ys * ys half
+            at, end = c * n + i, c * n + n - 1
+            node.block, node.c, node.i = block, c, i
+            node.index = np.stack([at, end, at + block.size,
+                                   end + block.size]).reshape(2, 2, -1)
+            node.sizes = np.stack([i + 1, n - 1 - i]).astype(float)
         return node
 
-    def _candidates(self, xs):
-        """``(c, i)``, in (column, position) order: the boundaries between
-        sorted positions i and i + 1 of ``xs[c]`` that leave at least
-        ``min_samples_leaf`` rows, and one, on each side."""
-        m = max(self.min_samples_leaf, 1)  # 0 allows what 1 allows
-        lo, hi = m - 1, xs.shape[1] - m  # lo <= i < hi; none if hi <= lo
-        c, i = (xs[:, lo:hi] < xs[:, lo + 1:hi + 1]).nonzero()
-        return c, i + lo
+    def _grow(self, root, y, node, depth) -> int:
+        """Grow the subtree of ``node`` at ``depth``. A leaf writes its
+        mean to its rows of ``fitted``."""
+        index = self._new_node()
+        rows = node.rows
+        node_y = y[rows]
+        # node_y.mean()'s bits; an empty fit makes one NaN leaf
+        mean = self.value[index] = float(np.add.reduce(node_y) / len(rows))
+        split = (None if depth >= self.max_depth else
+                 self._best_split(root.scratch, y, node, node_y, mean))
+        if split is None:
+            self.fitted[rows] = mean
+            return index
+        key = (*split, depth + 1 < self.max_depth)
+        children = node.children.get(key)
+        if children is None:
+            children = node.children[key] = self._split(root, node, *key)
+        (self.feature[index], self.threshold[index], left,
+         right) = children
+        self.left[index] = self._grow(root, y, left, depth + 1)
+        self.right[index] = self._grow(root, y, right, depth + 1)
+        return index
 
-    def _best_split(self, y, node_y, mean, block, xs, candidates):
+    def _split(self, root, node, c, i, scored):
+        """``(feature, threshold, left, right)`` of ``node``'s split at
+        candidate ``(c, i)``; the children are scored ``_Node``s from the
+        cache if ``scored``, else bare ones."""
+        x, block = root.xt[c], node.block
+        t = float((x[block[c, i]] + x[block[c, i + 1]]) / 2.0)
+        go_left = x <= t
+        row_left = go_left[node.rows]
+        sides = node.rows[row_left], node.rows[~row_left]
+        if not scored:
+            return int(root.columns[c]), t, *map(_Node, sides)
+        # each sorted column keeps its order on both sides; flat indices
+        # and take are faster than boolean masks here
+        in_left = go_left[block].ravel()
+        children = []
+        for rows, side in zip(sides, (in_left, ~in_left)):
+            key = rows.tobytes()
+            child = root.nodes.get(key)
+            if child is None:
+                child = root.nodes[key] = self._node(
+                    root.xt, rows, block.ravel()[side.nonzero()[0]].reshape(
+                        len(block), -1))
+            children.append(child)
+        return int(root.columns[c]), t, *children
+
+    def _best_split(self, scratch, y, node, node_y, mean):
         """The split of highest gain above 1e-12 as ``(c, i)``, column c
-        of ``xs`` between sorted positions i and i + 1, or None; ``mean``
-        is ``node_y``'s. Ties go to the first column, then to the first
-        boundary in ascending value order."""
-        c, i = self._candidates(xs) if candidates is None else candidates
-        if not len(c):
+        of ``node.block`` between sorted positions i and i + 1, or None;
+        ``mean`` is ``node_y``'s. Ties go to the first column, then to the
+        first boundary in ascending value order. ``scratch`` takes the
+        stacked prefix sums."""
+        if not len(node.c):
             return None
-        # prefix sums, sequential along each sorted column, read at flat
-        # indices: at (c, i) and at the column's last entry
-        n = len(node_y)
-        ys = y[block]
-        csum = ys.cumsum(axis=1).ravel()
-        csq = (ys * ys).cumsum(axis=1).ravel()
-        total_ss = float(((node_y - mean) ** 2).sum())
-        sizes = i + 1
-        right_sizes = n - sizes
-        at = c * n + i
-        end = at + right_sizes
-        left_sum, left_sq = csum[at], csq[at]
-        left_ss = left_sq - left_sum ** 2 / sizes
-        rsum = csum[end] - left_sum
-        right_ss = (csq[end] - left_sq) - rsum ** 2 / right_sizes
-        gain = total_ss - left_ss - right_ss
+        # prefix sums, sequential along each sorted column
+        block = node.block
+        sums = scratch[:2 * block.size].reshape(2, *block.shape)
+        y.take(block, out=sums[0], mode="clip")
+        np.multiply(sums[0], sums[0], out=sums[1])
+        sums.cumsum(axis=2, out=sums)
+        # (sum, sum of squares) of the left side and of the whole column,
+        # then of the right side in place of the whole column
+        parts = sums.ravel()[node.index]
+        parts[:, 1] -= parts[:, 0]
+        ss = parts[1] - parts[0] ** 2 / node.sizes
+        d = node_y - mean
+        total_ss = float(np.add.reduce(d * d))
+        gain = total_ss - ss[0] - ss[1]
         k = int(gain.argmax())  # the first maximum in (c, i) order
         if not gain[k] > 1e-12:
             return None
-        return int(c[k]), int(i[k])
+        return int(node.c[k]), int(node.i[k])
 
     def to_dict(self) -> dict:
         return {

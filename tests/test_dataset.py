@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
-from shapenas.dataset import (SchemaError, StatsParseError, ingest_stats,
-                              oversample, write_stats)
+from shapenas import ActionCatalog, ContextSpec, LayerTemplate
+from shapenas.dataset import (MetaDataset, SchemaError, StatsParseError,
+                              _numeric_column_mask, ingest_stats, oversample,
+                              write_stats)
+from shapenas.oracle import SynthStatsModel
+
+from corpus import synth_corpus
 
 ROW = {
     "Type": "conv", "Kernel Size": 3, "Stride": 1, "Padding": 1,
@@ -219,3 +224,76 @@ def test_oversample_deterministic(tmp_path):
     a = oversample(data, 2.0, seed=42)
     b = oversample(data, 2.0, seed=42)
     assert np.array_equal(a.X, b.X)
+
+
+def reference_oversample(data, factor, seed):
+    """The row-at-a-time loop that ``oversample`` replaces: each new row's
+    draws, neighbors and interpolation in turn."""
+    n_new = int(round((factor - 1) * len(data)))
+    rng = np.random.default_rng(seed)
+    numeric = _numeric_column_mask(data.columns)
+    X_new, Y_new, feas_new = [], [], []
+    for _ in range(n_new):
+        candidates = np.nonzero(data.feasible)[0]
+        infeas = np.nonzero(~data.feasible)[0]
+        if len(infeas) >= 2 and rng.uniform() < len(infeas) / len(data):
+            candidates = infeas
+        i = int(rng.choice(candidates))
+        same = candidates[candidates != i]
+        dist = np.linalg.norm(data.X[same][:, numeric] -
+                              data.X[i, numeric], axis=1)
+        near = same[np.argsort(dist, kind="stable")[:5]]
+        j = int(rng.choice(near))
+        u = float(rng.uniform())
+        row = data.X[j].copy() if u > 0.5 else data.X[i].copy()
+        row[numeric] = (1 - u) * data.X[i, numeric] + u * data.X[j, numeric]
+        X_new.append(row)
+        if data.feasible[i]:
+            Y_new.append((1 - u) * data.Y[i] + u * data.Y[j])
+            feas_new.append(True)
+        else:
+            Y_new.append(np.full(len(data.target_names), np.nan))
+            feas_new.append(False)
+    return MetaDataset(list(data.columns), list(data.target_names),
+                       np.vstack([data.X, np.asarray(X_new)]),
+                       np.vstack([data.Y, np.asarray(Y_new)]),
+                       np.concatenate([data.feasible, np.asarray(feas_new)]))
+
+
+OVERSAMPLE_CATALOG = ActionCatalog((
+    LayerTemplate("conv", kernel_size=3, stride=1, padding=1, channels=8),
+    LayerTemplate("conv", kernel_size=5, stride=1, padding=2, channels=16),
+    LayerTemplate("pool", kernel_size=2, stride=2),
+    LayerTemplate("dense", channels=32),
+), max_depth=5)
+# the memory-starved context marks the large layers infeasible
+OVERSAMPLE_CONTEXTS = {
+    "both": [ContextSpec(8, 2, 4096, 2800, 25.6, "cpu"),
+             ContextSpec(2, 1, 15.0, 800, 6.4, "dsp")],
+    "feasible": [ContextSpec(8, 2, 4096, 2800, 25.6, "cpu")],
+}
+
+
+@pytest.mark.parametrize("factor", [1.5, 3.0])
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("contexts", ["both", "feasible", "one_infeasible"])
+def test_oversample_equals_row_at_a_time_loop(tmp_path, contexts, seed,
+                                              factor):
+    name = "feasible" if contexts == "one_infeasible" else contexts
+    ctxs = OVERSAMPLE_CONTEXTS[name]
+    model = SynthStatsModel(context_multipliers=(1.0, 3.0)[:len(ctxs)])
+    _, data = synth_corpus(tmp_path / "stats.csv", OVERSAMPLE_CATALOG, ctxs,
+                           model, count=80, seed=seed)
+    if contexts == "one_infeasible":
+        # one infeasible row has no partner: parents are all feasible
+        data.feasible[0] = False
+        data.Y[0] = np.nan
+    infeasible = int((~data.feasible).sum())
+    assert (infeasible >= 2) == (contexts == "both")
+    out = oversample(data, factor, seed)
+    ref = reference_oversample(data, factor, seed)
+    for name in ("X", "Y", "feasible"):
+        assert getattr(out, name).tobytes() == getattr(ref, name).tobytes()
+    assert len(out) == len(ref) > len(data)
+    if contexts == "both":  # new rows of both classes
+        assert 0 < int((~out.feasible[len(data):]).sum()) < len(out) - len(data)

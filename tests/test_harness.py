@@ -457,6 +457,16 @@ def test_noisy_replicate_equals_its_own_single_run(tmp_path, jobs):
                 sha(tmp_path / f"alone_{seed}" / name), name
 
 
+def test_noisy_report_row_equals_its_own_single_run(tmp_path):
+    # each replicate's final network is scored on a fresh oracle
+    cfg = write_config(tmp_path, {"oracle": {"noise_sigma": 0.05}})
+    both = cmd_search(cfg, seed=3, replicates=2, jobs=1,
+                      out_dir=str(tmp_path / "both"))
+    alone = cmd_search(cfg, seed=4, replicates=1, jobs=1,
+                       out_dir=str(tmp_path / "alone"))
+    assert both["replicates"][1] == alone["replicates"][0]
+
+
 # --- compare ----------------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import re
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -290,7 +291,7 @@ def test_presorted_fit_equals_per_node_sort(data, max_depth,
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=fit_data(), rounds=st.integers(0, 5),
+@given(data=fit_data(), rounds=st.integers(0, 12),
        max_depth=st.integers(0, 4), min_samples_leaf=st.integers(0, 6))
 def test_presorted_boosting_equals_per_node_sort(data, rounds, max_depth,
                                                  min_samples_leaf):
@@ -377,3 +378,92 @@ def test_boosting_presorts_once_per_fit(rounds):
         model.fit(X[:20], y[:20])
         assert spy.call_count == 2
     assert len(model.trees) == rounds
+
+
+# --- node cache ---------------------------------------------------------------
+
+# boosting 3 rounds at max_depth 3 reaches a row set at two depths both ways:
+# one scored in a round is a leaf by depth in a later one, and a split of
+# another is taken first where its children are leaves by depth, then where
+# they are scored
+TWO_DEPTHS_X = np.array([[2, 2], [0, 2], [2, 0], [0, 1], [0, 2], [0, 0],
+                         [1, 2], [1, 2], [0, 1]], dtype=float)
+TWO_DEPTHS_Y = np.array([2, 2, 2, 3, 2, 0, 0, 3, 0], dtype=float)
+
+
+def test_row_set_reached_at_two_depths_equals_reference():
+    params = (3, 0.3, 3, 1)
+    roots, visits = [], []
+    presort, grow = RegressionTree.presort, RegressionTree._grow
+
+    def keep_root(self, X):
+        roots.append(presort(self, X))
+        return roots[-1]
+
+    def note_visit(self, root, y, node, depth):
+        visits.append((node.rows.tobytes(), depth))
+        return grow(self, root, y, node, depth)
+
+    with mock.patch.object(RegressionTree, "presort", keep_root), \
+            mock.patch.object(RegressionTree, "_grow", note_visit):
+        fitted = BoostedRegressor(*params).fit(TWO_DEPTHS_X,
+                                               TWO_DEPTHS_Y).to_dict()
+    with mock.patch("shapenas.trees.RegressionTree", ReferenceTree):
+        reference = BoostedRegressor(*params).fit(TWO_DEPTHS_X,
+                                                  TWO_DEPTHS_Y).to_dict()
+    assert fitted == reference
+    # the data reaches both cases: a row set scored first, then reached at
+    # max_depth
+    first_scored = {}
+    for k, (rows, depth) in enumerate(visits):
+        if depth < 3:
+            first_scored.setdefault(rows, k)
+    assert any(depth == 3 and first_scored.get(rows, k) < k
+               for k, (rows, depth) in enumerate(visits))
+    # and a split whose leaf children were built before its scored ones
+    assert any(list(node.children).index((c, i, False))
+               < list(node.children).index((c, i, True))
+               for node in roots[0].nodes.values()
+               for c, i, scored in node.children
+               if not scored and (c, i, True) in node.children)
+
+
+def test_each_row_set_is_built_once_per_fit():
+    X = random_rows(6, 80)
+    y = np.sin(3 * X[:, 0]) + X[:, 1] * X[:, 2]
+    node, best_split = RegressionTree._node, RegressionTree._best_split
+    built, scored = [], []
+
+    def note_build(self, xt, rows, block):
+        built.append(rows.tobytes())
+        return node(self, xt, rows, block)
+
+    def note_score(self, scratch, y, node, node_y, mean):
+        scored.append(node.rows.tobytes())
+        return best_split(self, scratch, y, node, node_y, mean)
+
+    with mock.patch.object(RegressionTree, "_node", note_build), \
+            mock.patch.object(RegressionTree, "_best_split", note_score):
+        model = BoostedRegressor(20, 0.3, 3, 2).fit(X, y)
+        assert len(set(built)) == len(built)
+        # scored nodes reuse row sets that earlier rounds built
+        assert set(scored) == set(built) and len(built) < len(scored)
+        first = list(built)
+        model.fit(X, y)  # a new fit builds its own cache
+    assert built[len(first):] == first
+
+
+def test_node_cache_is_gone_once_boosting_returns():
+    X = random_rows(7, 60)
+    y = X[:, 0] - 2 * X[:, 1]
+    node = RegressionTree._node
+    refs = []
+
+    def keep_ref(self, xt, rows, block):
+        built = node(self, xt, rows, block)
+        refs.append(weakref.ref(built))
+        return built
+
+    with mock.patch.object(RegressionTree, "_node", keep_ref):
+        BoostedRegressor(10, 0.3, 3, 2).fit(X, y)
+    assert len(refs) > 1 and all(ref() is None for ref in refs)
