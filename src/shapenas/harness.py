@@ -251,10 +251,9 @@ def _run_one(space, oracle, secondary, shaping, run):
 
 def _replicate_summary(oracle, secondary, trace, ref_size: float) -> dict:
     final_net = trace.final_network
-    # a noisy oracle scores on a fresh copy, as in _run_one: the score must
-    # not depend on the replicates scored before this one
-    if getattr(oracle, "deterministic", False) is not True:
-        oracle = copy.deepcopy(oracle)
+    # a fresh copy, as in _run_one: a noisy oracle's score must not depend
+    # on the replicates scored before this one
+    oracle = copy.deepcopy(oracle)
     final_acc = (float(oracle.accuracy(final_net, trace.final_actions))
                  if final_net is not None and final_net.depth else 0.0)
     raw = secondary.metrics(final_net, trace.final_actions) \

@@ -4,9 +4,13 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from typing import NamedTuple
 
 import numpy as np
+
+# a fit empties the node cache first when the cached nodes hold more than
+# this many times the root's bytes, so its memory does not grow with the
+# boosting rounds
+_CACHE_ROOTS = 16
 
 
 def split_columns(X: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -40,30 +44,40 @@ class _Node:
     ``X[:, columns[c]]``, ``(c, i)`` are the candidates, ``index`` holds
     the flat indices of each candidate's left and whole-column prefix sums
     in the stacked ``(ys, ys * ys)`` cumsum, and ``sizes`` the two sides'
-    row counts as floats. ``children`` maps ``(c, i, scored)`` to the
-    split's ``(feature, threshold, left, right)``."""
+    row counts as floats; ``nbytes`` counts all of these arrays.
+    ``children`` maps ``(c, i, scored)`` to the split's ``(feature,
+    threshold, left, right)``."""
 
-    __slots__ = ("rows", "block", "c", "i", "index", "sizes", "children",
-                 "__weakref__")
+    __slots__ = ("rows", "block", "c", "i", "index", "sizes", "nbytes",
+                 "children", "__weakref__")
 
     def __init__(self, rows):
         self.rows = rows
         self.block = None
         self.c = ()
+        self.nbytes = rows.nbytes
         self.children = {}
 
 
-class _Root(NamedTuple):
+class _Root:
     """What every fit on one ``X`` shares: the columns that can win a
     split, ``X.T``'s rows of them (contiguous), the root node, the node
-    cache (a row set's bytes to its scored ``_Node``) and a buffer for the
-    largest node's stacked prefix sums."""
+    cache (a row set's bytes to its scored ``_Node``), ``size``, the bytes
+    of the nodes built below the root, and a buffer for the largest node's
+    stacked prefix sums."""
 
-    columns: np.ndarray
-    xt: np.ndarray
-    node: _Node
-    nodes: dict
-    scratch: np.ndarray
+    __slots__ = ("columns", "xt", "node", "nodes", "size", "scratch")
+
+    def __init__(self, columns, xt, node):
+        self.columns, self.xt, self.node = columns, xt, node
+        self.scratch = np.empty(2 * xt.size)
+        self.empty()
+
+    def empty(self):
+        """Drop every node below the root."""
+        self.node.children = {}
+        self.nodes = {self.node.rows.tobytes(): self.node}
+        self.size = 0
 
 
 class RegressionTree:
@@ -96,8 +110,11 @@ class RegressionTree:
     its children per split, keyed as well by whether they will be scored
     (``depth + 1 < max_depth``): one row set can be reached at different
     depths, and a child at ``max_depth`` is a leaf that needs no block, so
-    children built for one depth class do not serve the other. The cache
-    lives as long as the root, which boosting drops when its fit returns.
+    children built for one depth class do not serve the other. A fit
+    empties the cache first once its nodes hold more than ``_CACHE_ROOTS``
+    times the root's bytes, so that its memory is bounded by the size of
+    ``X``, not by the number of rounds. The cache lives as long as the
+    root, which boosting drops when its fit returns.
     """
 
     def __init__(self, max_depth=4, min_samples_leaf=5):
@@ -118,6 +135,9 @@ class RegressionTree:
         earlier fit stays as it was."""
         if root is None:
             root = self.presort(X)
+        elif root.size > _CACHE_ROOTS * root.node.nbytes:
+            root.empty()
+        y = np.asarray(y, dtype=float)  # the scratch buffer takes floats
         self.feature, self.threshold = [], []
         self.left, self.right, self.value = [], [], []
         self.fitted = np.empty(len(y))
@@ -132,9 +152,8 @@ class RegressionTree:
         xt = np.ascontiguousarray(X.T[columns])
         # block[c] lists the rows by ascending X[:, columns[c]], ties in
         # row order: what a stable argsort of a node's own rows would give
-        node = self._node(xt, np.arange(len(X)), order.T[columns])
-        return _Root(columns, xt, node, {node.rows.tobytes(): node},
-                     np.empty(2 * xt.size))
+        return _Root(columns, xt,
+                     self._node(xt, np.arange(len(X)), order.T[columns]))
 
     def _new_node(self) -> int:
         self.feature.append(-1)
@@ -165,6 +184,8 @@ class RegressionTree:
             node.index = np.stack([at, end, at + block.size,
                                    end + block.size]).reshape(2, 2, -1)
             node.sizes = np.stack([i + 1, n - 1 - i]).astype(float)
+            node.nbytes += sum(a.nbytes for a in (block, c, i, node.index,
+                                                  node.sizes))
         return node
 
     def _grow(self, root, y, node, depth) -> int:
@@ -200,6 +221,7 @@ class RegressionTree:
         row_left = go_left[node.rows]
         sides = node.rows[row_left], node.rows[~row_left]
         if not scored:
+            root.size += node.rows.nbytes
             return int(root.columns[c]), t, *map(_Node, sides)
         # each sorted column keeps its order on both sides; flat indices
         # and take are faster than boolean masks here
@@ -212,6 +234,7 @@ class RegressionTree:
                 child = root.nodes[key] = self._node(
                     root.xt, rows, block.ravel()[side.nonzero()[0]].reshape(
                         len(block), -1))
+                root.size += child.nbytes
             children.append(child)
         return int(root.columns[c]), t, *children
 

@@ -1,3 +1,4 @@
+import math
 import re
 import weakref
 from unittest import mock
@@ -429,6 +430,7 @@ def test_row_set_reached_at_two_depths_equals_reference():
 
 
 def test_each_row_set_is_built_once_per_fit():
+    # with no limit on the cache; test_node_cache_is_bounded has the limit
     X = random_rows(6, 80)
     y = np.sin(3 * X[:, 0]) + X[:, 1] * X[:, 2]
     node, best_split = RegressionTree._node, RegressionTree._best_split
@@ -443,7 +445,8 @@ def test_each_row_set_is_built_once_per_fit():
         return best_split(self, scratch, y, node, node_y, mean)
 
     with mock.patch.object(RegressionTree, "_node", note_build), \
-            mock.patch.object(RegressionTree, "_best_split", note_score):
+            mock.patch.object(RegressionTree, "_best_split", note_score), \
+            mock.patch("shapenas.trees._CACHE_ROOTS", math.inf):
         model = BoostedRegressor(20, 0.3, 3, 2).fit(X, y)
         assert len(set(built)) == len(built)
         # scored nodes reuse row sets that earlier rounds built
@@ -467,3 +470,34 @@ def test_node_cache_is_gone_once_boosting_returns():
     with mock.patch.object(RegressionTree, "_node", keep_ref):
         BoostedRegressor(10, 0.3, 3, 2).fit(X, y)
     assert len(refs) > 1 and all(ref() is None for ref in refs)
+
+
+@pytest.mark.parametrize("limit", [2, 16])
+def test_node_cache_is_bounded(limit):
+    # a noisy target reaches new row sets round after round, so an unbounded
+    # cache would grow with the rounds
+    X = random_rows(8, 120)
+    y = X[:, 0] + np.random.default_rng(8).normal(size=120)
+    grow = RegressionTree._grow
+    starts = []  # (cache bytes, root bytes) as each round starts to grow
+
+    def note_start(self, root, y, node, depth):
+        if depth == 0:
+            starts.append((root.size, root.node.nbytes))
+        return grow(self, root, y, node, depth)
+
+    with mock.patch.object(RegressionTree, "_grow", note_start), \
+            mock.patch("shapenas.trees._CACHE_ROOTS", limit):
+        bounded = BoostedRegressor(150, 0.3, 4, 2).fit(X, y).to_dict()
+    assert all(size <= limit * root for size, root in starts)
+    assert [size for size, _ in starts[1:]].count(0) >= 1  # it was emptied
+    with mock.patch("shapenas.trees._CACHE_ROOTS", math.inf):
+        assert BoostedRegressor(150, 0.3, 4, 2).fit(X, y).to_dict() \
+            == bounded
+
+
+def test_tree_fit_takes_integer_targets():
+    X = random_rows(9, 40)
+    y = (X[:, 0] > 0).astype(int) * 3 - X[:, 1].astype(int)
+    assert RegressionTree(3, 2).fit(X, y).to_dict() == RegressionTree(
+        3, 2).fit(X, y.astype(float)).to_dict()
