@@ -4,7 +4,10 @@ The execution-behavior function over (architecture, context) features is
 piecewise: pairs in the known-infeasible set have no finite response at all,
 everything else is regressed. The case split is reproduced with a learned
 binary gate (boosted trees thresholded at 0.5) rather than a sentinel value;
-exact hits on the infeasible registry short-circuit the gate.
+exact hits on the infeasible registry short-circuit the gate. This module
+holds the whole rule: ``learn_meta`` derives the registry from the training
+rows, ``row_signature`` is its key, and ``predict_network`` applies the rule
+to a network's rows.
 
 ``load_model`` decodes ``model.json`` with orjson: ``json``'s decoder
 spends ~145 ns on each of the file's numbers, which made decoding the
@@ -23,7 +26,7 @@ from typing import Annotated
 import numpy as np
 
 from .dataset import MetaDataset
-from .design_space import row_signature
+from .design_space import arch_columns
 from .rules import Range, check_fields
 from .trees import BoostedRegressor, Forest
 
@@ -65,16 +68,22 @@ class MetaPrediction:
 INFEASIBLE = MetaPrediction(feasible=False)
 
 
+def row_signature(row) -> tuple:
+    """(arch features, context features) identity of one encoded row, the
+    key of the infeasible registry."""
+    n_arch = len(arch_columns())
+    return (tuple(row[:n_arch]), tuple(row[n_arch:]))
+
+
 class BobModel:
     """Bootstrap bag of boosted regressors, one regressor per target.
 
     A model is read-only once built. Building it compiles every member's
-    regressors, member after member and target after target, once into one
-    ``Forest``, so that ``predict_matrix`` walks all their trees for all
-    rows in one pass; the gate is compiled into a forest of its own. A
-    malformed tree raises ValueError naming its member and target (or the
-    gate). It caches no prediction; ``controller.PredictorSecondary``
-    memoizes the layers a search predicts.
+    regressors, member after member and target after target, and then the
+    gate, once into one ``Forest``, so that ``predict_rows`` walks all their
+    trees for all rows in one pass. A malformed tree raises ValueError
+    naming its member and target (or the gate). It caches no prediction;
+    ``controller.PredictorSecondary`` memoizes the layers a search predicts.
     """
 
     def __init__(self, columns, target_names, members, gate,
@@ -89,70 +98,70 @@ class BobModel:
         names = [f"member {i}, target {name!r}"
                  for i in range(len(self.members))
                  for name in self.target_names]
+        if gate is not None:  # last; the forest sums each regressor alone
+            regressors.append(gate)
+            names.append("gate")
         self.forest = Forest(regressors, len(self.columns), names)
-        self.gate_forest = (Forest([gate], len(self.columns), ["gate"])
-                            if gate is not None else None)
 
     @property
     def schema_fingerprint(self) -> str:
         return "|".join(self.columns)
 
-    def _check_schema(self, X: np.ndarray) -> None:
+    def predict_rows(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(gate verdicts, bag means)`` of the rows of ``X`` from one walk
+        of the forest: whether the gate (if any) accepts each row, and each
+        row's per-target ensemble means, floored at zero; the registry is
+        not consulted. Rows of the wrong width raise SchemaMismatchError."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[-1] != len(self.columns):
             raise SchemaMismatchError(
                 f"expected {len(self.columns)} features "
                 f"({self.schema_fingerprint}), got {X.shape[-1]}")
-
-    def gate_feasible(self, X: np.ndarray) -> np.ndarray:
-        if self.gate_forest is None:
-            return np.ones(len(np.atleast_2d(X)), dtype=bool)
-        return self.gate_forest.predict(X)[0] >= 0.5
-
-    def predict_matrix(self, X: np.ndarray) -> np.ndarray:
-        """Per-target ensemble means for feasible rows; no gate applied."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        self._check_schema(X)
-        n_targets = len(self.target_names)
         sums = self.forest.predict(X)
-        out = np.zeros((len(X), n_targets))
-        for member in sums.reshape(len(self.members), n_targets, len(X)):
-            out += member.T  # members summed in order, as a loop sums them
-        out /= len(self.members)
-        return np.clip(out, 0.0, None)  # responses are physical, never < 0
+        feasible = (sums[-1] >= 0.5 if self.gate is not None
+                    else np.ones(len(X), dtype=bool))
+        n_members, n_targets = len(self.members), len(self.target_names)
+        means = np.zeros((len(X), n_targets))
+        for member in sums[:n_members * n_targets].reshape(
+                n_members, n_targets, len(X)):
+            means += member.T  # members summed in order, as a loop sums them
+        means /= n_members
+        return feasible, np.clip(means, 0.0, None)  # responses are physical
+
+
+def predict_network(model: BobModel, feature_matrix: np.ndarray) -> MetaPrediction:
+    """Whole-network behavior from its per-layer rows, the one row rule: a
+    matrix of the wrong width raises SchemaMismatchError; a row in the
+    infeasible registry, or one the gate rejects, makes the network
+    infeasible; otherwise its responses are the sums over the rows of their
+    bag-mean regression values, zeros for an empty matrix."""
+    X = np.atleast_2d(np.asarray(feature_matrix, dtype=float))
+    if any(row_signature(row) in model.infeasible_registry
+           for row in X.tolist()):
+        return INFEASIBLE
+    feasible, values = model.predict_rows(X)
+    if not feasible.all():
+        return INFEASIBLE
+    return MetaPrediction(True, tuple(float(v) for v in values.sum(axis=0)))
 
 
 def predict(model: BobModel, features: np.ndarray) -> MetaPrediction:
-    """Piecewise prediction for one feature row, the one row rule: a row
-    whose width is not the model's raises SchemaMismatchError; a row in the
-    infeasible registry, or one the gate rejects, is infeasible; any other
-    row gets the bag-mean regression values."""
-    row = np.asarray(features, dtype=float).reshape(1, -1)
-    model._check_schema(row)
-    if (row_signature(row[0]) in model.infeasible_registry
-            or not model.gate_feasible(row)[0]):
-        return INFEASIBLE
-    return MetaPrediction(True, tuple(float(v)
-                                      for v in model.predict_matrix(row)[0]))
+    """One feature row's prediction: ``predict_network`` of the one-layer
+    network."""
+    return predict_network(model,
+                           np.asarray(features, dtype=float).reshape(1, -1))
 
 
 def network_prediction(per_layer, n_targets: int) -> MetaPrediction:
     """Whole-network behavior from its layers' predictions, additive over
-    layers: infeasible if any layer is; an empty network is feasible with
-    ``n_targets`` zero responses."""
+    layers as ``predict_network`` sums rows: infeasible if any layer is; an
+    empty network is feasible with ``n_targets`` zero responses."""
     if not per_layer:
         return MetaPrediction(True, (0.0,) * n_targets)
     if any(not p.feasible for p in per_layer):
         return INFEASIBLE
     total = np.sum([p.values for p in per_layer], axis=0)
     return MetaPrediction(True, tuple(float(v) for v in total))
-
-
-def predict_network(model: BobModel, feature_matrix: np.ndarray) -> MetaPrediction:
-    """Whole-network behavior: ``network_prediction`` over ``predict`` of
-    each per-layer row; an empty matrix is the empty network."""
-    X = np.atleast_2d(np.asarray(feature_matrix, dtype=float))
-    per_layer = [predict(model, row) for row in X] if X.size else []
-    return network_prediction(per_layer, len(model.target_names))
 
 
 def _stratified_bootstrap(rng, feasible: np.ndarray) -> np.ndarray:
@@ -171,8 +180,9 @@ def learn_meta(data: MetaDataset, cfg: BobConfig, seed: int) -> BobModel:
     Each bag member trains on its own bootstrap sample from its own RNG
     stream, seed+member_index, so a member does not depend on the members
     before it (the bag is fitted serially). Regressors see
-    feasible rows only; the gate's bootstrap is stratified over both classes
-    so the infeasible registry informs sample selection.
+    feasible rows only; the gate's bootstrap is stratified over both classes,
+    so it draws as many infeasible rows as the data holds. The infeasible
+    registry is the set of the infeasible rows' ``row_signature``.
     """
     n_feasible = int(np.sum(data.feasible))
     if n_feasible == 0:
@@ -185,7 +195,7 @@ def learn_meta(data: MetaDataset, cfg: BobConfig, seed: int) -> BobModel:
     X_feas, Y_feas = data.X[feas_idx], data.Y[feas_idx]
     need_gate = bool(np.any(~data.feasible))
 
-    members, gates = [], []
+    members, gate = [], None
     for m in range(cfg.bag_size):
         rng = np.random.default_rng(seed + m)
         boot = rng.choice(len(feas_idx), size=len(feas_idx), replace=True)
@@ -198,12 +208,11 @@ def learn_meta(data: MetaDataset, cfg: BobConfig, seed: int) -> BobModel:
         if need_gate and m == 0:
             gate_boot = _stratified_bootstrap(rng, data.feasible)
             gate = BoostedRegressor(cfg.rounds, cfg.shrinkage, cfg.max_depth,
-                                    cfg.min_samples_leaf)
-            gates.append(gate.fit(data.X[gate_boot],
-                                  data.feasible[gate_boot].astype(float)))
+                                    cfg.min_samples_leaf).fit(
+                data.X[gate_boot], data.feasible[gate_boot].astype(float))
 
-    return BobModel(data.columns, data.target_names, members,
-                    gates[0] if gates else None, data.infeasible_registry)
+    return BobModel(data.columns, data.target_names, members, gate,
+                    {row_signature(x) for x in data.X[~data.feasible]})
 
 
 def score(model: BobModel, holdout: MetaDataset) -> dict:
@@ -213,10 +222,10 @@ def score(model: BobModel, holdout: MetaDataset) -> dict:
     if holdout.columns != model.columns:
         raise SchemaMismatchError("holdout schema differs from model schema")
     feas = holdout.feasible
+    gate_pred, pred = model.predict_rows(holdout.X)
     report = {"targets": {}, "gate_accuracy": None}
     if feas.any():
-        X, Y = holdout.X[feas], holdout.Y[feas]
-        pred = model.predict_matrix(X)
+        Y, pred = holdout.Y[feas], pred[feas]
         for t, name in enumerate(model.target_names):
             err = Y[:, t] - pred[:, t]
             rmse = float(np.sqrt(np.mean(err ** 2)))
@@ -226,7 +235,6 @@ def score(model: BobModel, holdout: MetaDataset) -> dict:
             else:
                 r2 = float(1.0 - np.sum(err ** 2) / ss_tot)
             report["targets"][name] = {"r2": r2, "rmse": rmse}
-    gate_pred = model.gate_feasible(holdout.X)
     report["gate_accuracy"] = float(np.mean(gate_pred == feas))
     return report
 
@@ -275,12 +283,14 @@ def _names(path, doc, key) -> list:
     return names
 
 
-def _registry(path, entries) -> set:
-    """The infeasible registry from its ``[arch, context]`` number lists;
-    anything else raises ModelFormatError naming the entry."""
+def _registry(path, entries, n_columns: int) -> set:
+    """The infeasible registry from its ``[arch, context]`` number lists,
+    ``row_signature``s of ``n_columns``-wide rows; anything else raises
+    ModelFormatError naming the entry."""
     if type(entries) is not list:
         raise ModelFormatError(f"{path}: infeasible_registry must be a "
                                f"list, got {entries!r}")
+    n_arch = len(arch_columns())
     registry = set()
     for k, entry in enumerate(entries):
         if not (type(entry) is list and len(entry) == 2 and all(
@@ -290,6 +300,12 @@ def _registry(path, entries) -> set:
             raise ModelFormatError(
                 f"{path}: infeasible_registry entry {k}: {entry!r} is not "
                 f"a pair of number lists")
+        sizes = [len(part) for part in entry]
+        if sizes != [n_arch, n_columns - n_arch]:
+            raise ModelFormatError(
+                f"{path}: infeasible_registry entry {k}: parts of "
+                f"{sizes[0]} and {sizes[1]} numbers, not {n_arch} and "
+                f"{n_columns - n_arch}")
         registry.add((tuple(entry[0]), tuple(entry[1])))
     return registry
 
@@ -325,7 +341,7 @@ def load_model(path) -> BobModel:
                    for i, member in enumerate(doc["members"])]
         gate = (_regressor(path, "gate", doc, "gate")
                 if doc["gate"] is not None else None)
-        registry = _registry(path, doc["infeasible_registry"])
+        registry = _registry(path, doc["infeasible_registry"], len(columns))
     except KeyError as exc:
         raise ModelFormatError(f"{path}: model file lacks key {exc}") from exc
     try:

@@ -16,8 +16,8 @@ from .oracle import SyntheticOracle, SyntheticTaskSpec, SynthStatsModel, Tabular
 CONFIG_SCHEMA_VERSION = 1
 TOP_LEVEL_KEYS = frozenset((
     "schema_version", "input_shape", "catalog", "context", "contexts",
-    "oracle", "shaping", "secondary", "scalarized_weights", "reference_chain",
-    "predictor", "synth_stats", "synth_stats_model"))
+    "oracle", "shaping", "secondary", "scalarized_weights", "predictor",
+    "synth_stats", "synth_stats_model"))
 
 
 class ConfigError(ValueError):

@@ -3,32 +3,33 @@
 The on-disk format is comma-separated UTF-8 with a header. Required columns
 (the layerwise stats schema) are ``Type``, the stats-CSV columns of
 ``design_space.ARCH_NUMERIC``, ``Execution time`` and those of
-``design_space.CONTEXT_NUMERIC``, in that order (``REQUIRED_COLUMNS``).
+``design_space.CONTEXT_NUMERIC``, in that order (``REQUIRED_COLUMNS``, which
+lead ``write_stats``'s header), and ``Processor Kind`` (categorical hardware
+feature), so that every corpus encodes to ``feature_columns``, the columns
+``parse_network`` gives a search.
 
-Optional columns: ``Processor Kind`` (categorical hardware feature),
-``Task 0`` to ``Task k-1`` (numeric task features, each once), ``feasible``
-(0/1, default 1) and any number of extra *target* columns (e.g. ``Memory
-Usage``). ``Execution time`` and the extras are response variables;
-everything else is a feature. Rows with feasible=0 must leave all target
-cells empty: non-executable (architecture, context) pairs carry no
-measurements. ``Type`` and ``Processor Kind`` take the levels of
+Optional columns: ``Task 0`` to ``Task k-1`` (numeric task features, each
+once), ``feasible`` (0/1, default 1) and any number of extra *target*
+columns (e.g. ``Memory Usage``). ``Execution time`` and the extras are
+response variables; everything else is a feature. Rows with feasible=0 must
+leave all target cells empty: non-executable (architecture, context) pairs
+carry no measurements. ``Type`` and ``Processor Kind`` take the levels of
 ``BLOCK_KINDS`` and ``PROCESSOR_KINDS``. No column name appears twice.
 """
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .design_space import (ARCH_NUMERIC, BLOCK_KINDS, CONTEXT_NUMERIC,
                            PROCESSOR_KINDS, feature_columns, layer_values,
-                           one_hot, row_signature)
+                           one_hot)
 
 REQUIRED_COLUMNS = ("Type", *ARCH_NUMERIC.values(), "Execution time",
                     *CONTEXT_NUMERIC.values())
 _NUMERIC_COLUMNS = (*ARCH_NUMERIC.values(), *CONTEXT_NUMERIC.values())
-_OPTIONAL_FEATURES = ("Processor Kind",)
 
 
 class SchemaError(ValueError):
@@ -45,10 +46,9 @@ class StatsParseError(ValueError):
 
 @dataclass
 class MetaDataset:
-    """Encoded stats corpus plus the registry of known-infeasible rows.
+    """Encoded stats corpus: features, targets and the feasibility flags.
 
-    ``X``, ``Y`` and ``feasible`` may be given as nested lists; the registry
-    is always derived from ``X`` and ``feasible``.
+    ``X``, ``Y`` and ``feasible`` may be given as nested lists.
     """
 
     columns: list[str]
@@ -56,7 +56,6 @@ class MetaDataset:
     X: np.ndarray  # (n, d) encoded features
     Y: np.ndarray  # (n, w); NaN on infeasible rows
     feasible: np.ndarray  # (n,) bool
-    infeasible_registry: set = field(init=False)
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float).reshape(
@@ -64,8 +63,6 @@ class MetaDataset:
         self.Y = np.asarray(self.Y, dtype=float).reshape(
             -1, len(self.target_names))
         self.feasible = np.asarray(self.feasible, dtype=bool)
-        self.infeasible_registry = {row_signature(x)
-                                    for x in self.X[~self.feasible]}
 
     def __len__(self) -> int:
         return len(self.X)
@@ -80,10 +77,9 @@ def ingest_stats(path) -> MetaDataset:
         except StopIteration:
             raise SchemaError(f"{path}: empty file, no header")
         header = [h.strip() for h in header]
-        for col in REQUIRED_COLUMNS:
+        for col in (*REQUIRED_COLUMNS, "Processor Kind"):
             if col not in header:
                 raise SchemaError(f"{path}: missing required column {col!r}")
-        has_processor = "Processor Kind" in header
         n_tasks = sum(h.startswith("Task ") for h in header)
         task_cols = [f"Task {i}" for i in range(n_tasks)]
         for col, h in enumerate(header, start=1):
@@ -99,13 +95,9 @@ def ingest_stats(path) -> MetaDataset:
                     f"{path}:1: column {col + 1} {h!r} repeats column "
                     f"{col_of[h] + 1}")
             col_of[h] = col
-        known = set(REQUIRED_COLUMNS) | set(_OPTIONAL_FEATURES) | set(task_cols)
-        extra_targets = [h for h in header
-                         if h not in known and h != "feasible"]
-        target_names = ["Execution time"] + extra_targets
-        # parse_network's columns, less the processor's if it has none
-        columns = [c for c in feature_columns(len(task_cols))
-                   if has_processor or not c.startswith("processor=")]
+        known = {*REQUIRED_COLUMNS, "Processor Kind", *task_cols, "feasible"}
+        target_names = ["Execution time"] + [h for h in header
+                                             if h not in known]
 
         def cell(row, name):
             return row[col_of[name]].strip()
@@ -143,9 +135,8 @@ def ingest_stats(path) -> MetaDataset:
                                 f"got {len(row)}")
             vec = category(row, "Type", BLOCK_KINDS, "block", line)
             vec += [numeric(row, name, line) for name in _NUMERIC_COLUMNS]
-            if has_processor:
-                vec += category(row, "Processor Kind", PROCESSOR_KINDS,
-                                "processor", line)
+            vec += category(row, "Processor Kind", PROCESSOR_KINDS,
+                            "processor", line)
             for tc in task_cols:
                 vec.append(numeric(row, tc, line))
 
@@ -168,7 +159,8 @@ def ingest_stats(path) -> MetaDataset:
             Y_rows.append(targets)
             feas.append(ok)
 
-    return MetaDataset(columns, target_names, X_rows, Y_rows, feas)
+    return MetaDataset(feature_columns(n_tasks), target_names, X_rows,
+                       Y_rows, feas)
 
 
 def stats_record(layer, in_shape, ctx) -> dict:

@@ -240,13 +240,6 @@ def arch_columns() -> list[str]:
     return [f"type={k}" for k in BLOCK_KINDS] + list(ARCH_NUMERIC)
 
 
-def row_signature(row) -> tuple:
-    """(arch features, context features) identity of one encoded row, the
-    key of the infeasible registry."""
-    n_arch = len(arch_columns())
-    return (tuple(row[:n_arch]), tuple(row[n_arch:]))
-
-
 def feature_columns(task_arity: int) -> list[str]:
     """Column schema of parse_network; fixed given the context arity."""
     return (arch_columns() + list(CONTEXT_NUMERIC)

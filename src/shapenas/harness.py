@@ -55,29 +55,10 @@ def network_size(net) -> float:
     return size
 
 
-def reference_network(space, reference_chain=None):
-    """Reference for size ratios: a configured chain, or the greedy-largest
-    one. A chain that is not a list of fitting catalog indices raises a
-    ConfigError naming ``reference_chain``."""
+def reference_network(space):
+    """Reference for size ratios: the greedy-largest chain, grown by the
+    legal action that gives the largest network at each step."""
     net = space.empty_network()
-    if reference_chain is not None:
-        n = len(space.catalog.actions)
-        if not isinstance(reference_chain, list):
-            raise cfgmod.ConfigError(
-                f"config key 'reference_chain' must be a list of catalog "
-                f"indices, got {reference_chain!r}")
-        for a in reference_chain:
-            if type(a) is not int or not 0 <= a < n:  # bools are not indices
-                raise cfgmod.ConfigError(
-                    f"config key 'reference_chain': {a!r} is not a catalog "
-                    f"index (0 to {n - 1})")
-            try:
-                net = design_space.grow(net, space.catalog, a)
-            except design_space.IllegalActionError as exc:
-                raise cfgmod.ConfigError(
-                    f"config key 'reference_chain': action {a} does not fit "
-                    f"after {net.depth} layers: {exc}") from exc
-        return net
     while True:
         legal = design_space.legal_actions(net, space.catalog)
         if not legal:
@@ -344,8 +325,7 @@ def cmd_search(config_path, seed: int, replicates: int, jobs: int,
     """R replicate searches, ``compare``'s shaped arm alone; writes
     per-replicate traces, curves and a report."""
     cmd = _Command(config_path, seed, replicates, jobs, out_dir)
-    ref_size = network_size(reference_network(
-        cmd.space, cmd.doc.get("reference_chain")))
+    ref_size = network_size(reference_network(cmd.space))
 
     def report(traces, failed):
         rows, timings = [], []

@@ -1,4 +1,7 @@
-"""A synthetic corpus read the way ``train-predictor`` reads one."""
+"""A synthetic corpus read the way ``train-predictor`` reads one, and a
+stats CSV with a column cut out."""
+import csv
+
 from shapenas.dataset import ingest_stats, write_stats
 from shapenas.oracle import TARGET_NAMES, gen_synth_stats
 
@@ -10,3 +13,12 @@ def synth_corpus(path, catalog, contexts, model, count, seed):
     rows = gen_synth_stats(catalog, contexts, model, count, seed)
     write_stats(rows, TARGET_NAMES, path)
     return rows, ingest_stats(path)
+
+
+def drop_column(path, name):
+    """Rewrite the CSV ``path`` without its column ``name``."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    j = rows[0].index(name)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(row[:j] + row[j + 1:] for row in rows)

@@ -8,15 +8,15 @@ from hypothesis import given, settings, strategies as st
 from shapenas.bob import (INFEASIBLE, MODEL_FORMAT_VERSION, BobConfig,
                           BobModel, MetaPrediction, ModelFormatError,
                           SchemaMismatchError, learn_meta, load_model,
-                          predict, predict_network, save_model, score)
-from shapenas.dataset import MetaDataset
-from shapenas.design_space import row_signature
+                          predict, predict_network, row_signature,
+                          save_model, score)
+from shapenas.dataset import MetaDataset, ingest_stats, oversample
+from shapenas.design_space import arch_columns
+from shapenas.trees import BoostedRegressor
 
 from test_dataset import make_csv, vary
 from test_trees import N_FEATURES, random_rows
 from test_trees import reference_predict as reference_regressor
-from shapenas.dataset import ingest_stats
-from shapenas.trees import BoostedRegressor
 
 CFG = BobConfig(bag_size=3, rounds=15, min_samples=5)
 
@@ -48,7 +48,7 @@ def test_learn_meta_deterministic(tmp_path):
     a = learn_meta(data, CFG, seed=3)
     b = learn_meta(data, CFG, seed=3)
     X = data.X[:10]
-    assert np.array_equal(a.predict_matrix(X), b.predict_matrix(X))
+    assert np.array_equal(a.forest.predict(X), b.forest.predict(X))
 
 
 def test_empty_bag_rejected(tmp_path):
@@ -78,6 +78,19 @@ def test_registry_hit_short_circuits_gate(tmp_path):
     assert not predict(model, data.X[i]).feasible
 
 
+def test_registry_is_the_infeasible_training_rows(tmp_path):
+    assert not learn_meta(toy_dataset(tmp_path), CFG,
+                          seed=0).infeasible_registry
+    # oversampling interpolates new infeasible rows, and they enter too
+    data = oversample(toy_dataset(tmp_path, infeasible_every=4), 2.0, seed=0)
+    assert not data.feasible[40:].all()
+    n_arch = len(arch_columns())
+    expected = {(tuple(x[:n_arch]), tuple(x[n_arch:]))
+                for x, ok in zip(data.X.tolist(), data.feasible) if not ok}
+    assert len(expected) > 10
+    assert learn_meta(data, CFG, seed=0).infeasible_registry == expected
+
+
 def test_gate_learns_separable_rule(tmp_path):
     # infeasible iff channels above a cutoff: perfectly separable
     rows = []
@@ -104,7 +117,7 @@ def test_bag_of_identical_members_equals_single(tmp_path):
                        model.members * 3, model.gate,
                        model.infeasible_registry)
     X = data.X[:8]
-    assert np.allclose(model.predict_matrix(X), tripled.predict_matrix(X))
+    assert np.allclose(model.predict_rows(X)[1], tripled.predict_rows(X)[1])
 
 
 def reference_matrix(model, X):
@@ -142,12 +155,13 @@ def test_forest_equals_per_regressor_loop(n_members, n_targets, gated,
     model = BobModel([f"x{j}" for j in range(N_FEATURES)], targets, members,
                      gate, set())
     rows = random_rows(seed + 1, n_rows)
-    got, expected = model.predict_matrix(rows), reference_matrix(model, rows)
-    assert np.array_equal(got, expected)
-    assert np.array_equal(np.signbit(got), np.signbit(expected))
+    verdicts, means = model.predict_rows(rows)
+    expected = reference_matrix(model, rows)
+    assert np.array_equal(means, expected)
+    assert np.array_equal(np.signbit(means), np.signbit(expected))
     expected_gate = (reference_regressor(gate, rows) >= 0.5 if gated
                      else np.ones(n_rows, dtype=bool))
-    assert np.array_equal(model.gate_feasible(rows), expected_gate)
+    assert np.array_equal(verdicts, expected_gate)
 
 
 def test_predictions_clamped_non_negative(tmp_path):
@@ -155,7 +169,7 @@ def test_predictions_clamped_non_negative(tmp_path):
     model = learn_meta(data, CFG, seed=0)
     rng = np.random.default_rng(1)
     X = rng.uniform(-100, 100, size=(50, data.X.shape[1]))
-    assert (model.predict_matrix(X) >= 0).all()
+    assert (model.predict_rows(X)[1] >= 0).all()
 
 
 def test_schema_mismatch_rejected(tmp_path):
@@ -172,13 +186,13 @@ def test_per_target_models_independent(tmp_path):
     data = ingest_stats(make_csv(
         tmp_path, rows, targets=("Execution time", "Memory Usage")))
     model = learn_meta(data, CFG, seed=0)
-    full = model.predict_matrix(data.X[:5])
+    full = model.predict_rows(data.X[:5])[1]
     # a model is read-only once built: build a second one without the target
     reduced = BobModel(model.columns, ["Execution time"],
                        [{"Execution time": member["Execution time"]}
                         for member in model.members],
                        model.gate, model.infeasible_registry)
-    assert np.array_equal(reduced.predict_matrix(data.X[:5]), full[:, :1])
+    assert np.array_equal(reduced.predict_rows(data.X[:5])[1], full[:, :1])
 
 
 def test_score_mean_predictor_r2_zero(tmp_path):
@@ -219,8 +233,7 @@ def test_save_load_roundtrip_identical(tmp_path):
     clone = load_model(path)
     rng = np.random.default_rng(2)
     X = rng.uniform(0, 50, size=(100, data.X.shape[1]))
-    assert np.array_equal(model.predict_matrix(X), clone.predict_matrix(X))
-    assert np.array_equal(model.gate_feasible(X), clone.gate_feasible(X))
+    assert np.array_equal(model.forest.predict(X), clone.forest.predict(X))
     assert clone.infeasible_registry == model.infeasible_registry
 
 
@@ -323,6 +336,21 @@ def number_in_registry(doc):
     return "infeasible_registry entry 1: 1 is not a pair of number lists"
 
 
+def registry_parts_split_wrong(doc):
+    arch, context = doc["infeasible_registry"][1]
+    context.insert(0, arch.pop())
+    n_arch, n = len(arch_columns()), len(doc["columns"])
+    return (f"infeasible_registry entry 1: parts of {n_arch - 1} and "
+            f"{n - n_arch + 1} numbers, not {n_arch} and {n - n_arch}")
+
+
+def short_registry_entry(doc):
+    doc["infeasible_registry"][1][1].pop()
+    n_arch, n = len(arch_columns()), len(doc["columns"])
+    return (f"infeasible_registry entry 1: parts of {n_arch} and "
+            f"{n - n_arch - 1} numbers, not {n_arch} and {n - n_arch}")
+
+
 def string_learning_rate(doc):
     doc["members"][1]["Memory Usage"]["learning_rate"] = "x"
     return ("member 1, target 'Memory Usage': learning_rate 'x' is not a "
@@ -350,7 +378,8 @@ def threshold_past_double_range(doc):
 @pytest.mark.parametrize("corrupt", [
     left_into_next_tree, feature_past_columns, short_threshold,
     child_before_parent, null_threshold, member_lacks_target, no_members,
-    null_columns, number_in_registry, string_learning_rate,
+    null_columns, number_in_registry, registry_parts_split_wrong,
+    short_registry_entry, string_learning_rate,
     index_entry("feature", 1.5), index_entry("feature", True),
     index_entry("left", 1.5), index_entry("right", True),
     index_entry("feature", 2 ** 63), threshold_past_double_range,
@@ -453,23 +482,21 @@ def test_save_load_keeps_every_float_bit_for_bit(gated, tmp_path_factory,
     loaded = load_model(path)
     assert hexes(loaded) == hexes(original)
     with np.errstate(all="ignore"):  # large values overflow alike
-        assert (loaded.predict_matrix(rows).tobytes()
-                == original.predict_matrix(rows).tobytes())
-        assert (loaded.gate_forest.predict(rows).tobytes()
-                == original.gate_forest.predict(rows).tobytes())
+        assert (loaded.forest.predict(rows).tobytes()
+                == original.forest.predict(rows).tobytes())
 
 
 def test_predict_matrix_on_zero_rows(tmp_path):
     data = toy_dataset(tmp_path)
     model = learn_meta(data, CFG, seed=0)
-    out = model.predict_matrix(data.X[:0])
-    assert out.shape == (0, 1)
+    verdicts, means = model.predict_rows(data.X[:0])
+    assert verdicts.shape == (0,) and means.shape == (0, 1)
 
 
 def test_predict_network_sums_layers_and_empty_is_zero(tmp_path):
     data = toy_dataset(tmp_path)
     model = learn_meta(data, CFG, seed=0)
-    one = model.predict_matrix(data.X[:1])[0]
+    one = model.predict_rows(data.X[:1])[1][0]
     both = predict_network(model, data.X[:1].repeat(2, axis=0))
     assert both.feasible
     assert both.values[0] == pytest.approx(2 * one[0])
@@ -481,12 +508,14 @@ def test_predict_network_sums_layers_and_empty_is_zero(tmp_path):
 
 
 def reference_predict(model, row):
-    """The row rule spelled out from the model's registry, gate and
-    regression, which ``predict`` must match."""
-    if row_signature(row) in model.infeasible_registry \
-            or not model.gate_feasible(row[None, :])[0]:
+    """The row rule spelled out from the model's registry and per-regressor
+    loops over its gate and members, which ``predict`` must match."""
+    X = row[None, :]
+    if row_signature(row) in model.infeasible_registry or (
+            model.gate is not None
+            and reference_regressor(model.gate, X)[0] < 0.5):
         return INFEASIBLE
-    values = model.predict_matrix(row[None, :])[0]
+    values = reference_matrix(model, X)[0]
     return MetaPrediction(True, tuple(float(v) for v in values))
 
 
@@ -534,7 +563,7 @@ def test_registry_or_gate_row_makes_network_infeasible(gated):
     gate_row = pool[-1]
     assert row_signature(registry_row) in model.infeasible_registry
     assert row_signature(gate_row) not in model.infeasible_registry
-    assert not model.gate_feasible(gate_row[None, :])[0]
+    assert not model.predict_rows(gate_row)[0][0]
     assert predict_network(model, feasible_row[None, :]).feasible
     for bad in (registry_row, gate_row):
         chain = np.vstack([feasible_row, bad, feasible_row])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from shapenas.dataset import (MetaDataset, SchemaError, StatsParseError,
                               write_stats)
 from shapenas.oracle import SynthStatsModel
 
-from corpus import synth_corpus
+from corpus import drop_column, synth_corpus
 
 ROW = {
     "Type": "conv", "Kernel Size": 3, "Stride": 1, "Padding": 1,
@@ -41,35 +43,30 @@ def test_ingest_three_rows(tmp_path):
 
 def test_csv_without_feasible_column_reads_every_row_feasible(tmp_path):
     path = make_csv(tmp_path, [vary(), vary(Channels=4)])
-    header, *body = path.read_text().splitlines()
-    names = header.split(",")
-    drop = names.index("feasible")
-    path.write_text("\n".join(",".join(cells[:drop] + cells[drop + 1:])
-                              for cells in (line.split(",")
-                                            for line in [header, *body]))
-                    + "\n")
+    drop_column(path, "feasible")
     assert "feasible" not in path.read_text()
     data = ingest_stats(path)
     assert data.feasible.tolist() == [True, True]
     assert data.Y.tolist() == [[1.5], [1.5]]
-    assert not data.infeasible_registry
 
 
-def test_infeasible_row_enters_registry(tmp_path):
+def test_infeasible_row_reads_without_targets(tmp_path):
     rows = [vary(), vary(Channels=4, feasible=0, **{"Execution time": ""})]
     data = ingest_stats(make_csv(tmp_path, rows))
-    assert len(data.infeasible_registry) == 1
-    assert not data.feasible[1]
+    assert data.feasible.tolist() == [True, False]
     assert np.isnan(data.Y[1, 0])
 
 
 def test_missing_column_named_in_error(tmp_path):
-    header = [c for c in ROW if c != "feasible" and c != "Clock Freq."]
-    path = tmp_path / "broken.csv"
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-    with pytest.raises(SchemaError, match="Clock Freq."):
-        ingest_stats(path)
+    # Processor Kind too: every corpus encodes to parse_network's columns
+    for missing in ("Clock Freq.", "Processor Kind"):
+        header = [c for c in ROW if c not in ("feasible", missing)]
+        path = tmp_path / "broken.csv"
+        with open(path, "w") as fh:
+            fh.write(",".join(header) + "\n")
+        with pytest.raises(SchemaError, match=re.escape(
+                f"{path}: missing required column {missing!r}")):
+            ingest_stats(path)
 
 
 def test_non_numeric_cell_reports_line(tmp_path):

@@ -30,6 +30,8 @@ from shapenas.oracle import (SynthStatsModel, SyntheticTaskSpec,
                              TabularOracle, encode_chain)
 from shapenas.rules import FieldError
 
+from corpus import drop_column
+
 BASE = {
     "schema_version": 1,
     "input_shape": [3, 16, 16],
@@ -513,7 +515,7 @@ def test_config_not_a_mapping(tmp_path):
 
 
 @pytest.mark.parametrize("overrides", [
-    {}, SYNTH, {"shaping": {"tau": "-1.0e9"}, "reference_chain": None},
+    {}, SYNTH, {"shaping": {"tau": "-1.0e9", "shaping_episodes": None}},
     {"secondary": {"kind": "predictor", "model_path": "model/model.json"}},
     {"input_shape": [3, 1, 1], "scalarized_weights": [1.0, 1.0e+9]},
 ], ids=["base", "synth", "string_tau", "predictor", "wide_values"])
@@ -740,12 +742,6 @@ def test_secondary_metric_count_checked(tmp_path, capsys, command, overrides,
 
 
 @pytest.mark.parametrize("command, overrides, message", [
-    ("search", {"reference_chain": [7]},
-     "config key 'reference_chain': 7 is not a catalog index (0 to 2)"),
-    ("search", {"reference_chain": "abc"},
-     "config key 'reference_chain' must be a list of catalog indices"),
-    ("search", {"reference_chain": [2, 2, 2, 2, 2]},
-     "config key 'reference_chain': action 2 does not fit after 4 layers"),
     ("compare", {"scalarized_weights": 1.0},
      "config key 'scalarized_weights' must be a list of numbers"),
     ("compare", {"scalarized_weights": [1.0, "0.1"]},
@@ -815,10 +811,8 @@ def test_secondary_metric_count_checked(tmp_path, capsys, command, overrides,
     ("search", {"secondary": {"kind": "lookup"}},
      "config key 'secondary.kind' must be one of 'predictor', 'per_action', "
      "'none', got 'lookup'"),
-], ids=["reference_index_outside_catalog", "reference_not_a_list",
-        "reference_action_does_not_fit", "weights_not_a_list",
-        "weight_is_a_string", "no_weights", "metric_too_short",
-        "metric_is_a_string", "input_shape_two_values",
+], ids=["weights_not_a_list", "weight_is_a_string", "no_weights",
+        "metric_too_short", "metric_is_a_string", "input_shape_two_values",
         "gen_synth_input_shape", "count_is_a_string", "fractional_count",
         "count_is_a_bool", "zero_count", "no_contexts",
         "task_lengths_differ", "one_multiplier_for_two_contexts",
@@ -992,14 +986,10 @@ def test_reference_network_built_once_per_search(tmp_path, monkeypatch):
         return build(*args)
 
     monkeypatch.setattr(harness, "reference_network", counted)
-    for chain in (None, [0, 2]):
-        calls.clear()
-        cfg = write_config(tmp_path, {"reference_chain": chain}
-                           if chain else {})
-        report = cmd_search(cfg, seed=0, replicates=3, jobs=1,
-                            out_dir=str(tmp_path / "out"))
-        assert len(calls) == 1
-        assert len(report["replicates"]) == 3
+    report = cmd_search(write_config(tmp_path), seed=0, replicates=3, jobs=1,
+                        out_dir=str(tmp_path / "out"))
+    assert len(calls) == 1
+    assert len(report["replicates"]) == 3
 
 
 def test_replicate_flags_only_for_search_and_compare(tmp_path, capsys):
@@ -1060,7 +1050,9 @@ def test_gen_synth_stats_csv_bytes_pinned(tmp_path):
                            "pth": "oracle.csv"}}, "'oracle.pth'"),
     ("gen-synth", dict(SYNTH, synth_stats={"cuont": 10}),
      "'synth_stats.cuont'"),
-], ids=["top_level", "secondary", "catalog", "tabular_oracle", "synth_stats"])
+    ("search", {"reference_chain": [0, 2]}, "'reference_chain'"),
+], ids=["top_level", "secondary", "catalog", "tabular_oracle", "synth_stats",
+        "reference_chain"])
 def test_unknown_config_key_rejected(tmp_path, capsys, command, overrides,
                                      key):
     cfg = write_config(tmp_path, overrides)
@@ -1090,14 +1082,6 @@ def test_predictor_layer_memo_count_logged(tmp_path, caplog):
     assert 0 < layers < records
 
 
-def drop_column(path, name):
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    j = rows[0].index(name)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows(row[:j] + row[j + 1:] for row in rows)
-
-
 def test_unknown_stats_level_exits_2_naming_cell(tmp_path, capsys):
     cfg = predictor_setup(tmp_path, count=100)
     stats = load_config(cfg)["predictor"]["stats_path"]
@@ -1112,17 +1096,23 @@ def test_unknown_stats_level_exits_2_naming_cell(tmp_path, capsys):
     assert not (tmp_path / "out" / "model.json").exists()
 
 
-@pytest.mark.parametrize("context, dropped, mismatch", [
-    ({"task": [0.5]}, None, "column 24 is missing, the context's is "
-                            "'task_0'"),
-    ({}, "Processor Kind", "column 20 is missing, the context's is "
-                           "'processor=cpu'"),
-], ids=["task_features", "processor_kind"])
+def test_stats_without_processor_kind_exits_2_naming_column(tmp_path,
+                                                          capsys):
+    cfg = predictor_setup(tmp_path, count=100)
+    stats = load_config(cfg)["predictor"]["stats_path"]
+    drop_column(stats, "Processor Kind")
+    rc, err = run_cli(tmp_path, capsys, cfg, command="train-predictor")
+    assert rc == 2
+    assert f"{stats}: missing required column 'Processor Kind'" in err
+    assert not (tmp_path / "out" / "model.json").exists()
+
+
+@pytest.mark.parametrize("context, mismatch", [
+    ({"task": [0.5]}, "column 24 is missing, the context's is 'task_0'"),
+], ids=["task_features"])
 def test_predictor_columns_checked_against_context(tmp_path, capsys, context,
-                                                   dropped, mismatch):
+                                                   mismatch):
     cfg = predictor_setup(tmp_path, count=300)
-    if dropped:
-        drop_column(load_config(cfg)["predictor"]["stats_path"], dropped)
     cmd_train_predictor(cfg, seed=0, out_dir=str(tmp_path / "model"))
     model = str(tmp_path / "model" / "model.json")
     search_cfg = write_config(tmp_path, {
