@@ -198,17 +198,16 @@ def build_oracle(doc: dict, catalog: ActionCatalog):
     if check(require(spec, "kind", "oracle"), kinds,
              "oracle.kind") == "synthetic":
         n = len(catalog.actions)
-        bonus = spec.get("interaction_bonus", [])
-        # before the spec's own check, so a bad entry names the actions
-        for entry in bonus if isinstance(bonus, list) else ():
-            if rules.broken(entry, tuple[int, int, float]) \
-                    or not all(0 <= a < n for a in entry[:2]):
+        task = build_section(SyntheticTaskSpec, spec, "oracle",
+                             other_keys=("kind",))
+        # the spec has checked each entry's type; name an entry as the
+        # config file wrote it
+        for entry in spec.get("interaction_bonus", []):
+            if not all(0 <= a < n for a in entry[:2]):
                 raise ConfigError(
                     f"config key 'oracle.interaction_bonus': entry "
                     f"{entry!r} is not [previous action, action, bonus] "
                     f"with actions of the catalog's {n} (0 to {n - 1})")
-        task = build_section(SyntheticTaskSpec, spec, "oracle",
-                             other_keys=("kind",))
         if len(task.base_utility) != n:
             raise ConfigError(f"config key 'oracle.base_utility' has "
                               f"{len(task.base_utility)} entries, but the "

@@ -57,8 +57,6 @@ class ShapingConfig:
     warmup: Annotated[int, Range(0)] = 3  # steps before tau may stop
     budgets: tuple[Annotated[float, POSITIVE], ...] = (100.0,)  # per secondary
     shaping_episodes: Annotated[int, Range(0)] | None = None  # None: no end
-    epsilon_cap: Annotated[float, Range(0)] = math.inf
-    delta_mode: Annotated[str, OneOf(("primary", "per_secondary"))] = "primary"
     backend: Annotated[str, OneOf(("tabular", "mlp"))] = "tabular"
     hidden: tuple[Annotated[int, Range(1)], ...] = (32, 32)  # layer widths
     q_step_size: Annotated[float, Range(0, ends="()")] = 1e-2
@@ -89,7 +87,6 @@ class ShapingState:
     phis: list
     epsilons: tuple  # floats, one per potential
     last_primary: float | None  # runs across episode boundaries
-    last_secondary: list | None  # the last step's normalized r_s
     episode_count: int = 0
     rng: np.random.Generator = field(
         default_factory=lambda: np.random.default_rng(0))
@@ -382,10 +379,8 @@ def run_episodes(state: ShapingState, space: SearchSpace, oracle, secondary,
     state_of = _state_of(q, space.context)
     n_sec = len(phis) if weights is None else len(weights) - 1
     budgets = [float(b) for b in cfg.budgets[:n_sec]]
-    cap = float(cfg.epsilon_cap)
     beta, gamma, temperature = cfg.beta, cfg.gamma, cfg.softmax_temperature
     threshold, tau, warmup = cfg.epsilon_threshold, cfg.tau, cfg.warmup
-    per_secondary = cfg.delta_mode == "per_secondary" and n_sec > 0
     memo = getattr(oracle, "deterministic", False) is True
     record = trace.records.append
     first = len(trace.records)  # the run's steps are the records after it
@@ -455,16 +450,10 @@ def run_episodes(state: ShapingState, space: SearchSpace, oracle, secondary,
             delta_stop = math.inf if episode_last_primary is None \
                 else r_p - episode_last_primary
 
-            if per_secondary:
-                deltas = ([0.0] * n_sec if state.last_secondary is None
-                          else [v - last for v, last in
-                                zip(r_s, state.last_secondary)])
-            else:
-                deltas = [delta] * n_sec
             if shaping_phase:
                 state.epsilons = tuple([
-                    min(cap, epsilon_update(eps_i, delta_i, threshold))
-                    for eps_i, delta_i in zip(state.epsilons, deltas)])
+                    epsilon_update(eps_i, delta, threshold)
+                    for eps_i in state.epsilons])
             pending = (s, a, r_s)
             # the potentials at (s, a) after the pending blend, which moves
             # them on the MLP backend; a list makes a tuple faster
@@ -479,7 +468,6 @@ def run_episodes(state: ShapingState, space: SearchSpace, oracle, secondary,
 
             actions, net, s, legal = chain, net_next, sp, legal_prime
             state.last_primary = r_p
-            state.last_secondary = r_s if n_sec else None
             episode_last_primary = r_p
             if step + 1 >= warmup and delta_stop < tau:
                 break
@@ -528,7 +516,6 @@ def run_search(space: SearchSpace, oracle, secondary, cfg: ShapingConfig,
                   for i in range(n_phi)],
             epsilons=tuple(float(e) for e in cfg.epsilon0[:n_phi]),
             last_primary=None,
-            last_secondary=None,
             rng=np.random.default_rng(seed))
     elif len(state.phis) != n_phi or len(state.epsilons) != n_phi:
         raise ValueError(
@@ -591,16 +578,15 @@ def check_epsilon_schedule(trace: SearchTrace, cfg: ShapingConfig,
                            rel_tol: float = 1e-9) -> None:
     """Verify the closed form of the epsilon schedule on an emitted trace.
 
-    While a component has stayed above the cutoff, eps_t must equal
-    eps_0 * exp(r_P(t) - r_P(0)); once it falls to zero (by crossing the
-    cutoff or by the end of a finite shaping phase) it must stay exactly
-    zero. Raises AssertionError with the offending record on violation.
+    Every step multiplies each epsilon by exp of the primary reward's
+    growth (the one schedule), so while a component has stayed above the
+    cutoff, eps_t must equal eps_0 * exp(r_P(t) - r_P(0)); once it falls to
+    zero (by crossing the cutoff or by the end of a finite shaping phase)
+    it must stay exactly zero. Raises AssertionError with the offending
+    record on violation.
     """
     if not trace.records:
         return
-    if cfg.delta_mode != "primary" or math.isfinite(cfg.epsilon_cap):
-        raise ValueError("closed-form check applies to the uncapped "
-                         "primary-growth schedule only")
     n_sec = len(trace.records[0].epsilons)
     first_rp = trace.records[0].r_p
     eps0 = np.asarray(cfg.epsilon0, dtype=float)
@@ -638,7 +624,6 @@ def save_checkpoint(state: ShapingState, path) -> None:
         "phis": [phi.to_dict() for phi in state.phis],
         "epsilons": list(state.epsilons),
         "last_primary": state.last_primary,
-        "last_secondary": state.last_secondary,
         "episode_count": state.episode_count,
         "rng_state": state.rng.bit_generator.state,
     }
@@ -660,6 +645,5 @@ def load_checkpoint(path) -> ShapingState:
         phis=[values_from_dict(d) for d in doc["phis"]],
         epsilons=tuple(doc["epsilons"]),
         last_primary=doc["last_primary"],
-        last_secondary=doc["last_secondary"],
         episode_count=doc["episode_count"],
         rng=rng)

@@ -19,6 +19,7 @@ carry no measurements. ``Type`` and ``Processor Kind`` take the levels of
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,13 +106,17 @@ def ingest_stats(path) -> MetaDataset:
         def bad(line, message):
             return StatsParseError(f"{path}:{line}: {message}", line=line)
 
-        def numeric(row, name, line):
+        def numeric(row, name, line, finite=True):
             raw = cell(row, name)
             try:
-                return float(raw)
+                value = float(raw)
             except ValueError:
                 raise bad(line, f"non-numeric value {raw!r} in column "
                                 f"{name!r}")
+            if finite and not math.isfinite(value):
+                raise bad(line, f"non-finite value {raw!r} in column "
+                                f"{name!r}")
+            return value
 
         def category(row, name, levels, what, line):
             try:
@@ -120,7 +125,7 @@ def ingest_stats(path) -> MetaDataset:
                 raise bad(line, f"column {name!r}: {exc}") from None
 
         def target(row, name, line):
-            value = numeric(row, name, line)
+            value = numeric(row, name, line, finite=False)
             if not (np.isfinite(value) and value >= 0):
                 raise bad(line, f"feasible row needs a finite, non-negative "
                                 f"{name!r}, got {value!r}")

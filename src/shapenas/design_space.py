@@ -144,9 +144,9 @@ class ContextSpec:
 
     cores: Annotated[int, Range(0)]
     compute_units: Annotated[int, Range(0)]
-    memory_mb: Annotated[float, Range(0)]
-    clock_freq_mhz: Annotated[float, Range(0)]
-    memory_bandwidth: Annotated[float, Range(0)]
+    memory_mb: Annotated[float, Range(0, ends="[)")]
+    clock_freq_mhz: Annotated[float, Range(0, ends="[)")]
+    memory_bandwidth: Annotated[float, Range(0, ends="[)")]
     processor_kind: Annotated[str, OneOf(PROCESSOR_KINDS)] = "cpu"
     task: tuple[Annotated[float, FINITE], ...] = ()
 

@@ -437,7 +437,7 @@ class Undeclared:
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(backend=st.sampled_from(["tabular", "mlp"]),
        weights=st.sampled_from([None, (1.0, 0.1), (0.5, 2.0)]),
-       secondary=st.sampled_from(["infeasible", "per_secondary"]),
+       secondary=st.sampled_from(["infeasible", "two"]),
        seed=st.integers(0, 50), min_depth=st.integers(0, 2))
 def test_scores_memo_equals_per_step_scoring(toy_space, backend, weights,
                                              secondary, seed, min_depth):
@@ -447,8 +447,7 @@ def test_scores_memo_equals_per_step_scoring(toy_space, backend, weights,
         source, extra = CallableSecondary(per_action, 1), {}
     else:
         source = CallableSecondary(two_metrics, 2)
-        extra = dict(delta_mode="per_secondary", epsilon0=(1.0, 0.7),
-                     budgets=(100.0, 80.0))
+        extra = dict(epsilon0=(1.0, 0.7), budgets=(100.0, 80.0))
         weights = None if weights is None else weights + (0.3,)
     cfg = config(episodes=8, backend=backend, hidden=(8,), **extra)
     oracle = make_oracle(base_utility=(0.25, 0.1, 0.02), diminishing=0.7,
@@ -686,10 +685,10 @@ def test_checkpoint_resume_reproduces_trace(tmp_path, toy_space):
                 (backend, weights)
 
 
-def test_checkpoint_holding_step_count_loads_and_resumes(tmp_path,
-                                                         toy_space):
-    """A checkpoint from before ``step_count`` was dropped still holds it;
-    it loads, and resumes to the trace of an uninterrupted run."""
+def resume_holding_dropped_key(tmp_path, toy_space, key, value_of):
+    """Resume from a checkpoint that also holds ``key``, set to
+    ``value_of(first half's trace)`` as an older build wrote it; assert it
+    loads, and resumes to the trace of an uninterrupted run."""
     oracle = make_oracle()
     secondary = make_secondary([5, 40, 70])
     cfg = config(episodes=20)
@@ -698,14 +697,29 @@ def test_checkpoint_holding_step_count_loads_and_resumes(tmp_path,
     path = tmp_path / "ckpt.json"
     save_checkpoint(half.state, path)
     doc = json.loads(path.read_text())
-    assert "step_count" not in doc
-    doc["step_count"] = len(half.records)
+    assert key not in doc
+    doc[key] = value_of(half)
     path.write_text(json.dumps(doc))
     rest = run_search(toy_space, oracle, secondary, cfg, seed=9,
                       state=load_checkpoint(path), episodes=10)
     resumed = controller.SearchTrace(half.records + rest.records, [], None,
                                      (), 0.0, 9)
     assert resumed.fingerprint() == full.fingerprint()
+
+
+def test_checkpoint_holding_step_count_loads_and_resumes(tmp_path,
+                                                         toy_space):
+    """A checkpoint from before ``step_count`` was dropped still holds it."""
+    resume_holding_dropped_key(tmp_path, toy_space, "step_count",
+                               lambda half: len(half.records))
+
+
+def test_checkpoint_holding_last_secondary_loads_and_resumes(tmp_path,
+                                                             toy_space):
+    """A checkpoint from before the per-secondary epsilon schedule was
+    dropped holds the last step's normalized secondary rewards."""
+    resume_holding_dropped_key(tmp_path, toy_space, "last_secondary",
+                               lambda half: list(half.records[-1].r_s))
 
 
 def test_secondary_metric_count_must_match_budgets(toy_space):
@@ -722,13 +736,18 @@ def test_step_scalars_are_python_floats(toy_space):
     def numpy_secondary(net, actions):
         return np.array([sum((5, 40, 70)[a] for a in actions)])
 
+    def numpy_two(net, actions):
+        return np.array([sum((5, 40, 70)[a] for a in actions),
+                         25 * len(actions)])
+
     secondary = CallableSecondary(numpy_secondary, 1)
-    int_cfg = dict(epsilon0=(1,), budgets=(100,), epsilon_cap=2)
     runs = [
         run_search(toy_space, make_oracle(), secondary,
-                   config(episodes=10, **int_cfg), seed=4),
-        run_search(toy_space, make_oracle(), secondary,
-                   config(episodes=10, delta_mode="per_secondary"), seed=4),
+                   config(episodes=10, epsilon0=(1,), budgets=(100,)),
+                   seed=4),
+        run_search(toy_space, make_oracle(), CallableSecondary(numpy_two, 2),
+                   config(episodes=10, epsilon0=(1, 2), budgets=(100, 80)),
+                   seed=4),
         run_search(toy_space, make_oracle(), secondary,
                    config(episodes=10, budgets=(100,)), seed=4,
                    weights=(1, 0.1)),
@@ -741,7 +760,7 @@ def test_step_scalars_are_python_floats(toy_space):
                       *r.phi_values, r.cum_return):
                 assert type(v) is float, (r, v)
         state = trace.state
-        for v in (*state.epsilons, *(state.last_secondary or ())):
+        for v in state.epsilons:
             assert type(v) is float, v
         for store in (state.q, *state.phis):
             if isinstance(store, TabularValues):
@@ -783,8 +802,6 @@ def test_shaping_config_validation():
     with pytest.raises(ValueError):
         ShapingConfig(epsilon0=(0.5,), epsilon_threshold=0.6)
     with pytest.raises(ValueError):
-        ShapingConfig(delta_mode="weird")
-    with pytest.raises(ValueError):
         ShapingConfig(budgets=(1.0, 2.0))
     for budget in (0.0, math.nan):
         with pytest.raises(ValueError, match=re.escape(
@@ -798,12 +815,6 @@ def test_shaping_config_validation():
         with pytest.raises(ValueError, match=re.escape(
                 f"epsilon0 entries must be in (-inf, inf), got ({e0!r},)")):
             ShapingConfig(epsilon0=(e0,))
-    for cap in (-1.0, math.nan):
-        with pytest.raises(ValueError, match=re.escape(
-                f"epsilon_cap must be in [0, inf], got {cap!r}")):
-            ShapingConfig(epsilon_cap=cap)
-    for cap in (0.0, math.inf):
-        assert ShapingConfig(epsilon_cap=cap).epsilon_cap == cap
     # once built, and run_search then died on a bare TypeError
     with pytest.raises(FieldError, match=re.escape(
             "episodes must be an integer, got 2.5")):
@@ -816,13 +827,6 @@ def test_tau_may_be_infinite_but_not_nan():
         ShapingConfig(tau=math.nan)
     for tau in (math.inf, -math.inf):
         assert ShapingConfig(tau=tau).tau == tau
-
-
-def test_per_secondary_delta_mode_runs(toy_space):
-    cfg = config(episodes=10, delta_mode="per_secondary")
-    trace = run_search(toy_space, make_oracle(), make_secondary([5, 40, 70]),
-                       cfg, seed=0)
-    assert len(trace.episode_returns) == 10
 
 
 # --- predictor secondary ----------------------------------------------------

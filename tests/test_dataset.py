@@ -77,6 +77,22 @@ def test_non_numeric_cell_reports_line(tmp_path):
     assert "Channels" in str(err.value)
 
 
+@pytest.mark.parametrize("column, value", [
+    ("Kernel Size", "nan"), ("Cores", "inf"), ("Height", "-1e400"),
+    ("Task 0", "nan")])
+def test_non_finite_feature_cell_reports_line_and_column(tmp_path, column,
+                                                         value):
+    # a feature the trees cannot split on is an error of the file, not of
+    # a later fit
+    path = make_csv(tmp_path, [vary(**{"Task 0": 0.5}),
+                               vary(**{"Task 0": 0.5, column: value})])
+    with pytest.raises(StatsParseError) as err:
+        ingest_stats(path)
+    assert err.value.line == 3
+    assert str(err.value) == \
+        f"{path}:3: non-finite value {value!r} in column {column!r}"
+
+
 def test_short_row_names_line_and_cell_count(tmp_path):
     path = make_csv(tmp_path, [vary(), vary(), vary()])
     lines = path.read_text().splitlines()

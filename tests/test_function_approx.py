@@ -358,8 +358,7 @@ def test_mlp_search_matches_per_row_reference(tmp_path, toy_space):
                             backend="mlp", hidden=(8,))),
         (two, ShapingConfig(episodes=20, max_steps=4, tau=-1e9,
                             backend="mlp", hidden=(32, 32),
-                            epsilon0=(1.0, 0.5), budgets=(200.0, 100.0),
-                            delta_mode="per_secondary"))]
+                            epsilon0=(1.0, 0.5), budgets=(200.0, 100.0)))]
 
     def runs():
         out = []

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import typing
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -849,10 +850,12 @@ def test_bad_raw_value_names_key(tmp_path, capsys, command, overrides,
      "config key 'oracle.interaction_bonus': entry [0, 7, 0.1] is not "
      "[previous action, action, bonus] with actions of the catalog's 3 "
      "(0 to 2)"),
-    ({"interaction_bonus": [[0, 1]]},
-     "config key 'oracle.interaction_bonus': entry [0, 1] is not"),
-    ({"interaction_bonus": [[0, 1, "0.1"]]},
-     "config key 'oracle.interaction_bonus': entry [0, 1, '0.1'] is not"),
+    # the spec's annotation decides an entry's type before the catalog
+    # range is checked
+    *(({"interaction_bonus": bonus},
+       f"config key 'oracle.interaction_bonus' must be a list of lists of "
+       f"an integer, an integer and a number, got {bonus!r}")
+      for bonus in ([[0, 1]], [[0, 1, "0.1"]])),
     ({"interaction_bonus": {"0": 1}},
      "config key 'oracle.interaction_bonus' must be a list"),
     ({"seed": 1.5}, "config key 'oracle.seed' must be an integer, got 1.5"),
@@ -1082,18 +1085,34 @@ def test_predictor_layer_memo_count_logged(tmp_path, caplog):
     assert 0 < layers < records
 
 
-def test_unknown_stats_level_exits_2_naming_cell(tmp_path, capsys):
+def train_on_edited_stats(tmp_path, capsys, line, column, value):
+    """Run ``train-predictor`` on a corpus whose cell at ``line`` of the
+    stats CSV, in ``column``, reads ``value``; assert it exits 2 and writes
+    no model, and return ``(stats path, stderr)``."""
     cfg = predictor_setup(tmp_path, count=100)
     stats = load_config(cfg)["predictor"]["stats_path"]
     with open(stats, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
-    rows[1][rows[0].index("Type")] = "Conv"
+    rows[line - 1][rows[0].index(column)] = value
     with open(stats, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)
-    rc, err = run_cli(tmp_path, capsys, cfg, command="train-predictor")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning from a fit
+        rc, err = run_cli(tmp_path, capsys, cfg, command="train-predictor")
     assert rc == 2
-    assert f"{stats}:2: column 'Type': unknown block 'Conv'" in err
     assert not (tmp_path / "out" / "model.json").exists()
+    return stats, err
+
+
+def test_unknown_stats_level_exits_2_naming_cell(tmp_path, capsys):
+    stats, err = train_on_edited_stats(tmp_path, capsys, 2, "Type", "Conv")
+    assert f"{stats}:2: column 'Type': unknown block 'Conv'" in err
+
+
+def test_non_finite_stats_feature_exits_2_naming_cell(tmp_path, capsys):
+    stats, err = train_on_edited_stats(tmp_path, capsys, 4, "Memory", "nan")
+    assert err == f"error: {stats}:4: non-finite value 'nan' in column " \
+                  f"'Memory'\n"
 
 
 def test_stats_without_processor_kind_exits_2_naming_column(tmp_path,
@@ -1154,6 +1173,7 @@ def one_action_set(index, **setting):
 
 
 NAN = float("nan")
+INF = float("inf")
 
 POOL_STRIDE_0 = {"catalog": {"actions": [
     {"block_kind": "conv", "kernel_size": 3, "stride": 1, "padding": 1,
@@ -1188,10 +1208,11 @@ POOL_STRIDE_0 = {"catalog": {"actions": [
     ({"shaping": {"warmup": -1}}, "config key 'shaping.warmup'"),
     ({"shaping": {"shaping_episodes": -1}},
      "config key 'shaping.shaping_episodes'"),
-    ({"shaping": {"epsilon_cap": -1.0}},
-     "config key 'shaping.epsilon_cap' must be in [0, inf], got -1.0"),
-    ({"shaping": {"epsilon_cap": float("nan")}},
-     "config key 'shaping.epsilon_cap' must be in [0, inf], got nan"),
+    # keys of epsilon schedules other than the primary-coupled one
+    ({"shaping": {"delta_mode": "primary"}},
+     "unknown config key 'shaping.delta_mode'"),
+    ({"shaping": {"epsilon_cap": 1.5}},
+     "unknown config key 'shaping.epsilon_cap'"),
     *(({"shaping": {"backend": "mlp", "hidden": hidden}},
        f"config key 'shaping.hidden' entries must be in [1, inf], got "
        f"{hidden!r}") for hidden in ([0], [-2])),
@@ -1225,7 +1246,7 @@ POOL_STRIDE_0 = {"catalog": {"actions": [
        f"config key 'shaping.epsilon0' entries must be in (-inf, inf), got "
        f"[{e0!r}]") for e0 in (NAN, float("inf"))),
     *(({"context": {key: NAN}},
-       f"config key 'context.{key}' must be in [0, inf], got nan")
+       f"config key 'context.{key}' must be in [0, inf), got nan")
       for key in ("memory_mb", "memory_bandwidth")),
     (one_action_set(0, expansion_ratio=NAN),
      "config key 'catalog.actions[0].expansion_ratio' must be in (0, inf], "
@@ -1249,13 +1270,17 @@ POOL_STRIDE_0 = {"catalog": {"actions": [
                            dict(SYNTH["contexts"][1], task=[NAN])]),
      "config key 'contexts[1].task' entries must be in (-inf, inf), got "
      "[nan]"),
+    # gen-synth would write inf feature cells that no predictor can fit
+    (dict(SYNTH, contexts=[SYNTH["contexts"][0],
+                           dict(SYNTH["contexts"][1], memory_mb=INF)]),
+     "config key 'contexts[1].memory_mb' must be in [0, inf), got inf"),
 ], ids=["field_named", "second_of_two_fields", "template_field",
         "no_field_named", "epsilon0_longer_than_budgets",
         "threshold_above_epsilon0", "default_threshold_above_epsilon0",
         "no_steps", "no_episodes", "negative_episodes",
         "fractional_episodes", "negative_warmup",
-        "negative_shaping_episodes", "negative_epsilon_cap",
-        "nan_epsilon_cap", "zero_width_layer", "negative_width_layer",
+        "negative_shaping_episodes", "unknown_delta_mode",
+        "unknown_epsilon_cap", "zero_width_layer", "negative_width_layer",
         "fractional_width_layer", "hidden_not_a_list",
         "negative_q_step_size", "zero_q_step_size", "nan_q_step_size",
         "fractional_rounds", "fractional_bag_size", "nan_shrinkage",
@@ -1271,7 +1296,7 @@ POOL_STRIDE_0 = {"catalog": {"actions": [
         "negative_context_multiplier", "nan_context_multiplier",
         "zero_context_multiplier", "negative_latency_coeff",
         "nan_memory_coeff", "nan_tau", "nan_task", "infinite_task",
-        "nan_gen_synth_task"])
+        "nan_gen_synth_task", "infinite_gen_synth_memory_mb"])
 def test_dataclass_check_names_section_and_key(tmp_path, capsys, overrides,
                                                where):
     cfg = write_config(tmp_path, overrides)
@@ -1291,8 +1316,8 @@ WRONG_TYPE = {
     tuple[int, ...]: ([3.5], 7), tuple[float, ...]: (0.5, [True]),
     tuple[float, float]: (["a", 1], [1.0]),
     tuple[float, float, float, float]: ([1, 2], [1, 2, 3, "4"]),
-    # not lists: build_oracle names a bad entry of a list by itself
-    tuple[tuple[int, int, float], ...]: (0.5, "0,1,0.1"),
+    tuple[tuple[int, int, float], ...]: (0.5, "0,1,0.1", [[0, 1]],
+                                         [[0, 1, "0.1"]]),
 }
 # each section build_section builds: its class, a command that reads it,
 # and the overrides that set ``key`` to ``value`` there

@@ -5,7 +5,10 @@ change of the value stores' layout that changed the file, say its order of
 table entries, would still pass them. This digest was recorded before the
 tabular store held its values as one row per state, and must not move under
 any change that claims to keep results: old checkpoints and new ones must
-read alike.
+read alike. It was re-recorded once, when the file stopped holding
+``last_secondary``, the state of a per-secondary epsilon schedule that no
+longer exists; a checkpoint that still holds the key loads and resumes
+alike (``test_controller``).
 """
 import hashlib
 
@@ -15,7 +18,7 @@ from shapenas.controller import CallableSecondary, save_checkpoint
 from test_pinned_traces import per_action
 
 PINNED_SHA256 = \
-    "0bc61f80a7c389cc2654a052eb3cc805c8d0ba2eb3912010e03a2443d6d04e27"
+    "b21d1c30590d537fd66a796851babf3f71c10806edc76d464218ae124ae4501f"
 
 
 def test_checkpoint_bytes_match_pinned_digest(tmp_path, toy_space):

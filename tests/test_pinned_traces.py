@@ -8,6 +8,11 @@ shaped digests were re-recorded, on an unchanged search loop, when the
 fingerprint began to hash float fields as ``float``: before, a potential's
 ``np.float64`` hashed as its numpy repr, which depends on numpy's version.
 
+The ``finite_phase`` and ``two_secondaries`` digests were recorded while
+the controller still offered a capped and a per-secondary epsilon schedule
+besides the primary-coupled one; every shaped case also passes A4's
+closed-form check (``check_epsilon_schedule``).
+
 The ``noisy_oracle`` case draws the oracle's noise on every step: a
 search memoizes a chain's scores only for an oracle that declares itself
 deterministic, so this case pins the per-step scoring path.
@@ -18,7 +23,7 @@ host, so their digests are not portable across machines.
 import pytest
 
 from shapenas import (ShapingConfig, SyntheticOracle, SyntheticTaskSpec,
-                      greedy_rollout, run_search)
+                      check_epsilon_schedule, greedy_rollout, run_search)
 from shapenas.controller import CallableSecondary
 
 
@@ -40,10 +45,9 @@ TWO = dict(epsilon0=(1.0, 0.7), budgets=(100.0, 80.0))
 CASES = {
     "shaped_infeasible": ({}, CallableSecondary(per_action, 1), None),
     "scalarized": ({}, CallableSecondary(per_action, 1), (1.0, 0.1)),
-    "finite_phase_capped": (dict(shaping_episodes=5, epsilon_cap=1.5),
-                            CallableSecondary(per_action, 1), None),
-    "per_secondary_two": (dict(delta_mode="per_secondary", **TWO),
-                          CallableSecondary(two_metrics, 2), None),
+    "finite_phase": (dict(shaping_episodes=5),
+                     CallableSecondary(per_action, 1), None),
+    "two_secondaries": (TWO, CallableSecondary(two_metrics, 2), None),
     "tau_warmup": (dict(tau=0.05, warmup=2),
                    CallableSecondary(per_action, 1), None),
     "noisy_oracle": ({}, CallableSecondary(per_action, 1), None,
@@ -57,11 +61,11 @@ PINNED = {
     "scalarized": (
         "0a335ddff271ed2da8b87eb95dbedc55d9d88f20475605a5f50ae7fb22856dbb",
         (0, 1, 2, 0)),
-    "finite_phase_capped": (
-        "2b11797dc9355d0ea6ef766146565e4a7540d5883053f56c7b9aad8a182cd49e",
+    "finite_phase": (
+        "e8e3c9f7466808f0b4951fa6fbdfe91d97af3eb778ff8900b1133196ff4f3975",
         (0, 0, 1, 0)),
-    "per_secondary_two": (
-        "4651ad003b444db1371a5680ec38d0fc060026e244582907472899551493e896",
+    "two_secondaries": (
+        "2c672ea9445244152f9d510d384ca573f72f1d36ea0522b375070b4f650130fc",
         (0, 0, 1, 0)),
     "tau_warmup": (
         "80e97e839001032e0a4f40456626bc566ca8742270f0923009ffecbe57931c22",
@@ -72,14 +76,18 @@ PINNED = {
 }
 
 
+def config(name):
+    overrides = CASES[name][0]
+    return ShapingConfig(**dict(dict(episodes=12, max_steps=4, tau=-1e9,
+                                     budgets=(100.0,)), **overrides))
+
+
 def search(toy_space, name):
-    overrides, secondary, weights, *oracle_overrides = CASES[name]
-    cfg = ShapingConfig(**dict(dict(episodes=12, max_steps=4, tau=-1e9,
-                                    budgets=(100.0,)), **overrides))
+    _, secondary, weights, *oracle_overrides = CASES[name]
     oracle = SyntheticOracle(SyntheticTaskSpec(
         (0.25, 0.1, 0.02), diminishing=0.7, interaction_bonus=((0, 1, 0.05),),
         **dict(*oracle_overrides)))
-    return run_search(toy_space, oracle, secondary, cfg, seed=3,
+    return run_search(toy_space, oracle, secondary, config(name), seed=3,
                       weights=weights)
 
 
@@ -89,16 +97,22 @@ def test_tabular_trace_matches_pinned_values(toy_space, name):
     fingerprint, chain = PINNED[name]
     assert trace.fingerprint() == fingerprint
     assert greedy_rollout(trace.state, toy_space) == chain
+    if CASES[name][2] is None:  # the shaped arm: A4's closed form holds
+        check_epsilon_schedule(trace, config(name))
 
 
 def test_pinned_cases_cover_what_they_name(toy_space):
     shaped = search(toy_space, "shaped_infeasible")
     assert 0 < sum(r.infeasible for r in shaped.records) \
         < len(shaped.records)
-    capped = search(toy_space, "finite_phase_capped")
-    assert max(max(r.epsilons) for r in capped.records) == 1.5
-    assert all(r.epsilons == (0.0,) for r in capped.records
+    finite = search(toy_space, "finite_phase")
+    assert all(r.epsilons == (0.0,) for r in finite.records
                if r.episode >= 5)
+    assert all(r.epsilons[0] > 0 for r in finite.records if r.episode < 5)
+    two = search(toy_space, "two_secondaries")
+    # both epsilons follow the primary's growth, so they keep their ratio
+    assert all(r.epsilons[1] == pytest.approx(0.7 * r.epsilons[0])
+               for r in two.records)
     stopped = search(toy_space, "tau_warmup")
     assert len(stopped.records) < 12 * 4  # some episode stopped early
     noisy = search(toy_space, "noisy_oracle")

@@ -43,7 +43,6 @@ SECTIONS = {
     SynthStatsModel: ("synth_stats_model", {}),
 }
 POSITIVE = ((above(0.0), INF), (0.0, below(0.0), NAN, -INF))
-NON_NEGATIVE = ((0.0, INF), (below(0.0), NAN, -INF))
 FINITE_POSITIVE = ((above(0.0), MAX), (0.0, below(0.0), NAN, INF, -INF))
 FINITE_NON_NEGATIVE = ((0.0, MAX), (below(0.0), NAN, INF, -INF))
 FINITE = ((0.0, MAX, -MAX), (NAN, INF, -INF))
@@ -74,14 +73,11 @@ BOUNDARIES = [
     (ShapingConfig, "epsilon0", ((0.0,), (-MAX,), (MAX,)),
      ((NAN,), (INF,), (-INF,), (0.01,))),
     (ShapingConfig, "budgets", *entries(POSITIVE)),
-    (ShapingConfig, "epsilon_cap", *NON_NEGATIVE),
     (ShapingConfig, "q_step_size", *FINITE_POSITIVE),
     (ShapingConfig, "max_steps", *at_least(1)),
     (ShapingConfig, "episodes", *at_least(1)),
     (ShapingConfig, "warmup", *at_least(0)),
     (ShapingConfig, "shaping_episodes", (0, None), (-1,)),
-    (ShapingConfig, "delta_mode", ("primary", "per_secondary"),
-     ("Primary", "")),
     (ShapingConfig, "backend", ("tabular", "mlp"), ("MLP", "")),
     (ShapingConfig, "hidden", ((1,), (1, 1), ()), ((0,), (1, 0))),
     (BobConfig, "bag_size", *at_least(1)),
@@ -98,9 +94,9 @@ BOUNDARIES = [
     (LayerTemplate, "expansion_ratio", *POSITIVE),
     (ContextSpec, "cores", *at_least(0)),
     (ContextSpec, "compute_units", *at_least(0)),
-    (ContextSpec, "memory_mb", *NON_NEGATIVE),
-    (ContextSpec, "clock_freq_mhz", *NON_NEGATIVE),
-    (ContextSpec, "memory_bandwidth", *NON_NEGATIVE),
+    (ContextSpec, "memory_mb", *FINITE_NON_NEGATIVE),
+    (ContextSpec, "clock_freq_mhz", *FINITE_NON_NEGATIVE),
+    (ContextSpec, "memory_bandwidth", *FINITE_NON_NEGATIVE),
     (ContextSpec, "processor_kind", PROCESSOR_KINDS, ("GPU", "")),
     (ContextSpec, "task", *entries(FINITE)),
     (SyntheticTaskSpec, "base_utility", *entries(FINITE)),
